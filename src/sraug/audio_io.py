@@ -2,7 +2,8 @@
 
 All audio inside the toolkit is a single channel of float64 samples with a
 nominal range of [-1, 1].  Files are plain RIFF/WAVE: PCM-16, PCM-24 and
-IEEE float-32 are accepted on read, PCM-16 mono is written.
+IEEE float-32 are accepted on read, also under WAVE_FORMAT_EXTENSIBLE;
+PCM-16 mono is written.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .errors import IoFailure, MalformedContainer, UnsupportedFormat
 
 WAVE_FORMAT_PCM = 1
 WAVE_FORMAT_IEEE_FLOAT = 3
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# Sub-format GUIDs of WAVE_FORMAT_EXTENSIBLE are a 2-byte format tag
+# followed by these 14 fixed bytes (KSDATAFORMAT_SUBTYPE_PCM and _IEEE_FLOAT).
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 # Windowed-sinc resampler parameters: Kaiser shape and zero-crossings per side.
 _KAISER_BETA = 12.0
@@ -64,8 +69,9 @@ def read_wav(path) -> Waveform:
     """Read a RIFF/WAVE file as a mono Waveform.
 
     PCM-16, PCM-24 and IEEE float-32 data are accepted, 1 or 2 channels;
-    stereo is averaged down to mono.  Integer samples are scaled by
-    2^(bits-1).  Unknown chunks are skipped.
+    stereo is averaged down to mono.  A WAVE_FORMAT_EXTENSIBLE header is
+    read through its sub-format GUID, which must name PCM or IEEE float.
+    Integer samples are scaled by 2^(bits-1).  Unknown chunks are skipped.
     """
     try:
         with open(path, "rb") as fh:
@@ -106,6 +112,13 @@ def _decode_wav(blob: bytes, name: str) -> Waveform:
     format_tag, n_channels, sample_rate, _, block_align, bits = struct.unpack_from(
         "<HHIIHH", fmt
     )
+    if format_tag == WAVE_FORMAT_EXTENSIBLE:
+        if len(fmt) < 40:
+            raise MalformedContainer(f"{name}: extensible fmt chunk too small")
+        guid = fmt[24:40]
+        if guid[2:] != _SUBFORMAT_GUID_TAIL:
+            raise UnsupportedFormat(f"{name}: sub-format GUID {guid.hex()}")
+        (format_tag,) = struct.unpack_from("<H", guid)
     if format_tag not in (WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT):
         raise UnsupportedFormat(f"{name}: format tag {format_tag} (want 1 or 3)")
     if n_channels not in (1, 2):
@@ -170,6 +183,13 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     two Nyquist frequencies under a Kaiser window (beta 12.0, 64
     zero-crossings per side).  Output length is round(len * target / source).
     Equal rates return the input unchanged.
+
+    Polyphase form: with the rate ratio reduced to L/M (target/source over
+    their gcd), output n sits at input position n*M/L, i.e. at input
+    sample (n*M)//L plus the fraction p/L with p = n*M mod L.  The kernel
+    taps depend on that phase p alone, so each chunk of outputs evaluates
+    sinc x Kaiser once per distinct phase (at most min(L, chunk) rows) and
+    gathers its rows from that table.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -186,18 +206,19 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     padded = np.concatenate([np.zeros(width), w.samples, np.zeros(width)])
     offsets = np.arange(-width, width + 1)
 
+    g = math.gcd(int(target_rate), w.sample_rate)
+    up, down = int(target_rate) // g, w.sample_rate // g
     out = np.empty(n_out)
-    step = w.sample_rate / target_rate
     # Chunk over output samples so the gather matrix stays small.
     chunk = max(1, int(4e6) // (2 * width + 1))
     for start in range(0, n_out, chunk):
-        n = np.arange(start, min(start + chunk, n_out))
-        centers = n * step
-        base = np.minimum(np.floor(centers).astype(np.int64), n_in - 1)
-        tau = centers[:, None] - (base[:, None] + offsets[None, :])
-        kernel = scale * np.sinc(scale * tau) * _kaiser(tau / half_width)
+        n = np.arange(start, min(start + chunk, n_out), dtype=np.int64)
+        base = np.minimum(n * down // up, n_in - 1)
+        phases, row = np.unique(n * down - base * up, return_inverse=True)
+        tau = phases[:, None] / up - offsets[None, :]
+        table = scale * np.sinc(scale * tau) * _kaiser(tau / half_width)
         gathered = padded[base[:, None] + offsets[None, :] + width]
-        out[n] = np.einsum("ij,ij->i", gathered, kernel)
+        out[n] = np.einsum("ij,ij->i", gathered, table[row])
     return Waveform(out, int(target_rate))
 
 

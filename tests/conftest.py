@@ -15,6 +15,7 @@ _ACCEPTANCE_LABELS = {
     "test_6_identity_ratio_fidelity": "ratio-1.0 corpus keeps F0-PCC > 0.95",
     "test_7_cli_determinism": "repeated CLI runs are byte-identical",
     "test_8_throughput": "60 s of audio augments in under 30 s",
+    "test_9_throughput_48k": "60 s of 48 kHz audio augments in under 30 s",
 }
 
 

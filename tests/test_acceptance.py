@@ -170,3 +170,19 @@ def test_8_throughput(tmp_path):
     assert manifest.failures == []
     assert len(manifest.records) == 1
     assert elapsed < 30.0, f"took {elapsed:.1f} s"
+
+
+def test_9_throughput_48k(tmp_path):
+    # Same budget for a minute of 48 kHz audio, which is resampled to
+    # 16 kHz before analysis.
+    src = tmp_path / "in"
+    src.mkdir()
+    long48k = synth.voiced(60.0, 160.0, 240.0, seed=13, sr=48000, vibrato=4.0)
+    write_wav(src / "long48k.wav", long48k)
+    cfg = PipelineConfig(input=str(src), output_dir=str(tmp_path / "out"), master_seed=9)
+    start = time.perf_counter()
+    manifest = run(cfg, jobs=1)
+    elapsed = time.perf_counter() - start
+    assert manifest.failures == []
+    assert len(manifest.records) == 1
+    assert elapsed < 30.0, f"took {elapsed:.1f} s"

@@ -1,5 +1,6 @@
 """WAV container parsing/writing, the Waveform type, and resampling."""
 
+import math
 import struct
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sraug.audio_io import Waveform, _round_half_up, read_wav, resample, write_wav
+from sraug.audio_io import (
+    Waveform,
+    _kaiser,
+    _round_half_up,
+    read_wav,
+    resample,
+    write_wav,
+)
 from sraug.errors import IoFailure, MalformedContainer, UnsupportedFormat
 
 import synth
@@ -21,16 +29,31 @@ def build_wav(
     rate: int = 16000,
     bits: int = 16,
     extra_chunks: bytes = b"",
+    fmt_ext: bytes = b"",
 ) -> bytes:
-    """Assemble RIFF/WAVE bytes by hand so parser tests control every field."""
+    """Assemble RIFF/WAVE bytes by hand so parser tests control every field.
+
+    fmt_ext is appended to the 16-byte fmt chunk body as is.
+    """
     block_align = channels * bits // 8
     fmt = struct.pack(
         "<HHIIHH", fmt_tag, channels, rate, rate * block_align, block_align, bits
     )
+    fmt += fmt_ext
     body = extra_chunks
     body += b"fmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+KSDATAFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def extensible_fmt_ext(sub_tag: int, bits: int, channels: int, tail=KSDATAFORMAT_TAIL):
+    """The 24 bytes WAVE_FORMAT_EXTENSIBLE adds to fmt: cbSize, valid bits,
+    channel mask and the sub-format GUID (tag + fixed tail)."""
+    mask = 0x4 if channels == 1 else 0x3  # front centre / front left+right
+    return struct.pack("<HHIH", 22, bits, mask, sub_tag) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +133,48 @@ def test_float32_samples(tmp_path):
     path.write_bytes(build_wav(payload, fmt_tag=3, bits=32))
     w = read_wav(path)
     assert np.array_equal(w.samples, [0.25, -0.5, 1.5])
+
+
+def test_extensible_pcm24_mono(tmp_path):
+    payload = b"\x00\x00\x80" + b"\xff\xff\x7f" + b"\x00\x00\x40"
+    ext = extensible_fmt_ext(1, 24, 1)
+    path = tmp_path / "ext24.wav"
+    path.write_bytes(build_wav(payload, fmt_tag=0xFFFE, rate=48000, bits=24, fmt_ext=ext))
+    w = read_wav(path)
+    assert w.sample_rate == 48000
+    assert np.array_equal(w.samples, [-1.0, 8388607 / 8388608, 0.5])
+
+
+def test_extensible_float32_stereo(tmp_path):
+    payload = struct.pack("<4f", 0.25, -0.75, 1.0, 0.5)
+    ext = extensible_fmt_ext(3, 32, 2)
+    path = tmp_path / "extf32.wav"
+    path.write_bytes(build_wav(payload, fmt_tag=0xFFFE, channels=2, bits=32, fmt_ext=ext))
+    assert np.array_equal(read_wav(path).samples, [-0.25, 0.75])
+
+
+@pytest.mark.parametrize(
+    "sub_tag, tail",
+    [
+        (0x0055, KSDATAFORMAT_TAIL),  # MPEG Layer 3 under the standard tail
+        # Same leading tag as PCM but another GUID (Ambisonic B-format PCM).
+        (0x0001, bytes.fromhex("00002107d3118644c8c1ca000000")),
+    ],
+)
+def test_extensible_rejects_unknown_subformat(tmp_path, sub_tag, tail):
+    ext = extensible_fmt_ext(sub_tag, 16, 1, tail)
+    path = tmp_path / "x.wav"
+    path.write_bytes(build_wav(b"\x00\x00", fmt_tag=0xFFFE, fmt_ext=ext))
+    with pytest.raises(UnsupportedFormat):
+        read_wav(path)
+
+
+def test_extensible_rejects_short_fmt_chunk(tmp_path):
+    ext = extensible_fmt_ext(1, 16, 1)[:10]  # fmt body of 26 bytes, not 40
+    path = tmp_path / "x.wav"
+    path.write_bytes(build_wav(b"\x00\x00", fmt_tag=0xFFFE, fmt_ext=ext))
+    with pytest.raises(MalformedContainer):
+        read_wav(path)
 
 
 def test_unknown_chunk_and_odd_size_skipped(tmp_path):
@@ -285,3 +350,77 @@ def test_resample_preserves_tone_frequency(freq):
     spectrum = np.abs(np.fft.rfft(out.samples))
     peak_hz = np.argmax(spectrum) * 16000 / len(out)
     assert abs(peak_hz - freq) <= 16000 / len(out) + 1e-9
+
+
+def _direct_resample(x: np.ndarray, src: int, dst: int) -> np.ndarray:
+    """The windowed-sinc formula evaluated tap by tap, in floating-point
+    positions n * (src / dst); the reference the polyphase table must match."""
+    n_in = x.size
+    n_out = _round_half_up(n_in * dst / src)
+    scale = min(1.0, dst / src)
+    half_width = 64 / scale
+    width = int(math.ceil(half_width))
+    padded = np.concatenate([np.zeros(width), x, np.zeros(width)])
+    offsets = np.arange(-width, width + 1)
+    out = np.empty(n_out)
+    step = src / dst
+    chunk = max(1, int(4e6) // (2 * width + 1))
+    for start in range(0, n_out, chunk):
+        n = np.arange(start, min(start + chunk, n_out))
+        centers = n * step
+        base = np.minimum(np.floor(centers).astype(np.int64), n_in - 1)
+        tau = centers[:, None] - (base[:, None] + offsets[None, :])
+        kernel = scale * np.sinc(scale * tau) * _kaiser(tau / half_width)
+        gathered = padded[base[:, None] + offsets[None, :] + width]
+        out[n] = np.einsum("ij,ij->i", gathered, kernel)
+    return out
+
+
+# (source rate, target rate, input length).  The lengths 33002 and 30897
+# need two chunks of outputs; 31, 5, 27 and 8 put the last output's centre
+# sample at n_in - 1, the end of the signal.
+_EXACT_CASES = [
+    (48000, 16000, 33002),
+    (48000, 16000, 7),
+    (16000, 8000, 31),
+    (8000, 16000, 5),
+]
+_CLOSE_CASES = [
+    (22050, 16000, 30897),
+    (22050, 16000, 27),
+    (44100, 16000, 4410),
+    (16000, 22050, 1001),
+    (16001, 16000, 8),
+    (16001, 16000, 3001),
+]
+
+
+def _noise(n: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+
+
+@pytest.mark.parametrize("src, dst, n_in", _EXACT_CASES)
+def test_resample_integer_ratio_matches_direct_formula_exactly(src, dst, n_in):
+    x = _noise(n_in, n_in)
+    out = resample(Waveform(x, src), dst).samples
+    assert np.array_equal(out, _direct_resample(x, src, dst))
+
+
+@pytest.mark.parametrize("src, dst, n_in", _CLOSE_CASES)
+def test_resample_fractional_ratio_matches_direct_formula(src, dst, n_in):
+    # Exact rational phases differ from the float positions n * step by
+    # rounding only.
+    x = _noise(n_in, n_in)
+    out = resample(Waveform(x, src), dst).samples
+    assert np.max(np.abs(out - _direct_resample(x, src, dst))) <= 1e-10
+
+
+def test_reference_cases_cover_chunks_and_signal_end():
+    spans_chunks = ends_at_last_sample = 0
+    for src, dst, n_in in _EXACT_CASES + _CLOSE_CASES:
+        n_out = _round_half_up(n_in * dst / src)
+        width = math.ceil(64 / min(1.0, dst / src))
+        spans_chunks += n_out > int(4e6) // (2 * width + 1)
+        ends_at_last_sample += math.floor((n_out - 1) * src / dst) == n_in - 1
+    assert spans_chunks >= 2
+    assert ends_at_last_sample >= 4
