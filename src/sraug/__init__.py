@@ -35,7 +35,6 @@ from .pitch_eval import F0Track, PitchConfig, f0_pcc, pearson, write_f0_csv, yin
 from .spectral import (
     ComplexSpectrogram,
     LinearSpectrogram,
-    MelFilterbank,
     MelSpectrogram,
     SpectralConfig,
     hz_to_mel,

@@ -21,19 +21,20 @@ from .sr_ops import HORIZONTAL, VERTICAL, RatioRange, ResizeSpec, horizontal_sr,
 from .vc_losses import DiagGaussian, kl_diag_gaussian
 from .vocoder import GriffinLimConfig, reconstruct_from_mel
 
-# augment settings: key -> (config-file parser, built-in default)
-_AUGMENT_KEYS = {
-    "in": (str, None),
-    "out": (str, None),
-    "ratio_min": (float, 0.85),
-    "ratio_max": (float, 1.15),
-    "variants": (int, 1),
-    "axis": (str, VERTICAL),
-    "seed": (int, 0),
-    "noise_std": (float, 0.1),
-    "gl_iters": (int, 60),
-    "vocoder_cmd": (str, None),
-    "jobs": (int, 1),
+# augment settings: key -> (parser, default, help), read by the config file,
+# the --flags and their merge; defaults come from the classes that own them.
+_AUGMENT_SETTINGS = {
+    "in": (str, None, "input file or directory"),
+    "out": (str, None, "output directory"),
+    "ratio_min": (float, RatioRange.lo, "low end of the ratio range"),
+    "ratio_max": (float, RatioRange.hi, "high end of the ratio range"),
+    "variants": (int, PipelineConfig.variants_per_file, "augmented copies per file"),
+    "axis": (str, PipelineConfig.axis, f"resize axis, {VERTICAL} or {HORIZONTAL}"),
+    "seed": (int, PipelineConfig.master_seed, "master seed"),
+    "noise_std": (float, ResizeSpec.pad_noise_std, "padding noise scale (log-mel)"),
+    "gl_iters": (int, GriffinLimConfig.n_iters, "Griffin-Lim iterations"),
+    "vocoder_cmd": (str, None, "external vocoder template with {mel} {wav}"),
+    "jobs": (int, 1, "parallel worker processes"),
 }
 
 
@@ -49,11 +50,14 @@ def _read_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _AUGMENT_KEYS:
+        if key not in _AUGMENT_SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown setting '{key}'")
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
             value = value[1:-1]
-        settings[key] = _AUGMENT_KEYS[key][0](value)
+        try:
+            settings[key] = _AUGMENT_SETTINGS[key][0](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return settings
 
 
@@ -65,17 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     aug = sub.add_parser("augment", help="augment a corpus of WAV files")
-    aug.add_argument("--in", dest="in_", metavar="PATH", help="input file or directory")
-    aug.add_argument("--out", metavar="DIR", help="output directory")
-    aug.add_argument("--ratio-min", type=float, help="low end of the ratio range")
-    aug.add_argument("--ratio-max", type=float, help="high end of the ratio range")
-    aug.add_argument("--variants", type=int, help="augmented copies per file")
-    aug.add_argument("--axis", choices=(VERTICAL, HORIZONTAL), help="resize axis")
-    aug.add_argument("--seed", type=int, help="master seed")
-    aug.add_argument("--noise-std", type=float, help="padding noise scale (log-mel)")
-    aug.add_argument("--gl-iters", type=int, help="Griffin-Lim iterations")
-    aug.add_argument("--vocoder-cmd", help="external vocoder template with {mel} {wav}")
-    aug.add_argument("--jobs", type=int, help="parallel worker processes")
+    for key, (parse, _, help_text) in _AUGMENT_SETTINGS.items():
+        aug.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, help=help_text)
     aug.add_argument("--config", help="key=value settings file; flags override it")
 
     mel = sub.add_parser("mel", help="extract a log-mel file from a WAV")
@@ -86,14 +81,14 @@ def _build_parser() -> argparse.ArgumentParser:
     rsz.add_argument("melf_in")
     rsz.add_argument("melf_out")
     rsz.add_argument("--ratio", type=float, required=True)
-    rsz.add_argument("--seed", type=int, default=0)
-    rsz.add_argument("--axis", choices=(VERTICAL, HORIZONTAL), default=VERTICAL)
-    rsz.add_argument("--noise-std", type=float, default=0.1)
+    rsz.add_argument("--seed", type=int, default=ResizeSpec.seed)
+    rsz.add_argument("--axis", choices=(VERTICAL, HORIZONTAL), default=ResizeSpec.axis)
+    rsz.add_argument("--noise-std", type=float, default=ResizeSpec.pad_noise_std)
 
     rec = sub.add_parser("reconstruct", help="waveform from a log-mel file")
     rec.add_argument("melf")
     rec.add_argument("wav")
-    rec.add_argument("--gl-iters", type=int, default=60)
+    rec.add_argument("--gl-iters", type=int, default=GriffinLimConfig.n_iters)
 
     f0 = sub.add_parser("f0", help="YIN pitch track to CSV")
     f0.add_argument("wav")
@@ -111,23 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_augment(args) -> int:
-    settings = {key: default for key, (_, default) in _AUGMENT_KEYS.items()}
+    settings = {key: default for key, (_, default, _) in _AUGMENT_SETTINGS.items()}
     if args.config:
         settings.update(_read_config_file(args.config))
-    flags = {
-        "in": args.in_,
-        "out": args.out,
-        "ratio_min": args.ratio_min,
-        "ratio_max": args.ratio_max,
-        "variants": args.variants,
-        "axis": args.axis,
-        "seed": args.seed,
-        "noise_std": args.noise_std,
-        "gl_iters": args.gl_iters,
-        "vocoder_cmd": args.vocoder_cmd,
-        "jobs": args.jobs,
-    }
-    settings.update({k: v for k, v in flags.items() if v is not None})
+    flags = vars(args)
+    settings.update({k: flags[k] for k in _AUGMENT_SETTINGS if flags[k] is not None})
     if not settings["in"] or not settings["out"]:
         print("augment needs --in and --out (flags or config file)", file=sys.stderr)
         return 2

@@ -49,7 +49,7 @@ class PipelineConfig:
     spectral: SpectralConfig = SpectralConfig()
     gl: GriffinLimConfig = GriffinLimConfig()
     vocoder_cmd: str | None = None
-    pad_noise_std: float = 0.1
+    pad_noise_std: float = ResizeSpec.pad_noise_std
 
     def __post_init__(self):
         object.__setattr__(self, "input", str(self.input))
@@ -159,14 +159,15 @@ def augment_file(path, cfg: PipelineConfig, item_index: int) -> list[dict]:
 
 
 def discover_wavs(input_path) -> list[Path]:
-    """All .wav files under a path, lexicographically sorted."""
+    """All .wav files (suffix in any case) under a path, lexicographically sorted."""
     input_path = Path(input_path)
     if input_path.is_file():
         return [input_path]
     if not input_path.is_dir():
         raise IoFailure(f"input path does not exist: {input_path}")
     found = sorted(
-        (p for p in input_path.rglob("*.wav") if p.is_file()), key=str
+        (p for p in input_path.rglob("*") if p.suffix.lower() == ".wav" and p.is_file()),
+        key=str,
     )
     if not found:
         raise EmptyCorpus(f"no .wav files under {input_path}")
@@ -189,6 +190,8 @@ def run(cfg: PipelineConfig, jobs: int = 1) -> AugmentManifest:
     files are processed in worker processes; outputs are identical to a
     serial run because seeds are keyed by item index.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     wavs = discover_wavs(cfg.input)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

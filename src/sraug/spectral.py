@@ -130,34 +130,6 @@ class MelSpectrogram:
         return self.logmels.shape[0]
 
 
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular mel filter weights, [n_mels, n_fft/2+1]."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = np.array(self.weights, dtype=np.float64)
-        if weights.ndim != 2:
-            raise ValueError("weights must be a 2-D matrix")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights must be finite")
-        if weights.min() < 0:
-            raise ValueError("weights must be non-negative")
-        if not (weights > 0).any(axis=1).all():
-            raise ValueError("every filter needs at least one positive weight")
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def n_mels(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.weights.shape[1]
-
-
 def _check_frames(values: np.ndarray, n_bins: int, finite: bool) -> None:
     if values.ndim != 2:
         raise ValueError(f"expected 2-D [n_frames, bins], got shape {values.shape}")
@@ -283,7 +255,13 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=32)
-def _filterbank_weights(cfg: SpectralConfig) -> np.ndarray:
+def mel_filterbank(cfg: SpectralConfig) -> np.ndarray:
+    """Triangular mel filters as a cached, read-only [n_mels, n_fft/2+1] matrix.
+
+    Centers lie strictly between fmin and fmax on the
+    2595*log10(1 + f/700) scale; each filter is scaled by 2/bandwidth so
+    filters carry comparable area regardless of width.
+    """
     fftfreqs = np.arange(cfg.n_bins) * (cfg.sample_rate / cfg.n_fft)
     mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
@@ -299,16 +277,6 @@ def _filterbank_weights(cfg: SpectralConfig) -> np.ndarray:
     return weights
 
 
-def mel_filterbank(cfg: SpectralConfig) -> MelFilterbank:
-    """Triangular filters with centers equally spaced in mels.
-
-    Centers lie strictly between fmin and fmax on the
-    2595*log10(1 + f/700) scale; each filter is scaled by 2/bandwidth so
-    filters carry comparable area regardless of width.
-    """
-    return MelFilterbank(_filterbank_weights(cfg))
-
-
 def mel_spectrogram(w: Waveform, cfg: SpectralConfig) -> MelSpectrogram:
     """Log-mel analysis: ln(max(filterbank @ |stft|, log_floor)).
 
@@ -316,23 +284,22 @@ def mel_spectrogram(w: Waveform, cfg: SpectralConfig) -> MelSpectrogram:
     """
     spec = stft(w, cfg)
     mags = np.abs(spec.values)
-    mel = mags @ _filterbank_weights(cfg).T
+    mel = mags @ mel_filterbank(cfg).T
     return MelSpectrogram(np.log(np.maximum(mel, cfg.log_floor)), cfg)
 
 
-def mel_to_linear(m: MelSpectrogram, fb: MelFilterbank) -> LinearSpectrogram:
+def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     """Approximately invert a log-mel matrix to linear magnitudes.
 
     Solves, per frame, the non-negative least-squares problem
     min ||W x - exp(logmels)||^2 over x >= 0 with 50 multiplicative
-    updates starting from the transpose projection x0 = W^T m.
+    updates from x0 = W^T m, where W is the mel_filterbank ``weights``.
     """
-    if m.config.n_mels != fb.n_mels:
+    if m.config.n_mels != weights.shape[0]:
         raise ConfigMismatch(
-            f"mel has {m.config.n_mels} bands but filterbank has {fb.n_mels}"
+            f"mel has {m.config.n_mels} bands but filterbank has {weights.shape[0]}"
         )
     target = np.exp(m.logmels)  # [T, M]
-    weights = fb.weights  # [M, F]
     numer = target @ weights  # W^T m for every frame, constant
     x = numer.copy()
     for _ in range(_NNLS_ITERS):

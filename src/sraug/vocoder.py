@@ -30,40 +30,28 @@ from .spectral import (
 
 EXTERNAL_VOCODER_TIMEOUT = 120.0
 _PEAK_LIMIT = 0.95
+_MOMENTUM = 0.99
 
 
 @dataclass(frozen=True)
 class GriffinLimConfig:
-    """Phase-recovery parameters.
-
-    init 'zero' starts every bin at phase 0 (fully deterministic);
-    'random' draws initial phases from the seeded generator.  momentum
-    is the fast-Griffin-Lim acceleration term.
-    """
+    """Phase-recovery parameters: the number of Griffin-Lim iterations."""
 
     n_iters: int = 60
-    init: str = "zero"
-    momentum: float = 0.99
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_iters < 1:
             raise ValueError("n_iters must be >= 1")
-        if self.init not in ("zero", "random"):
-            raise ValueError("init must be 'zero' or 'random'")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     """Recover a waveform whose STFT magnitudes approximate ``s``.
 
-    Fast Griffin-Lim: alternate istft/stft projections, keeping only the
-    phase of each projection (accelerated by the momentum term) and
-    reimposing the target magnitudes.  The final waveform is scaled down
-    to a 0.95 peak if it comes out louder.
+    Fast Griffin-Lim (Perraudin et al. 2013): starting from zero phase in
+    every bin, alternate istft/stft projections, keeping only the phase of
+    each projection (accelerated by a 0.99 momentum term) and reimposing
+    the target magnitudes.  The final waveform is scaled down to a 0.95
+    peak if it comes out louder.
     """
     mags = s.mags
     spectral_cfg = s.config
@@ -71,14 +59,9 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         # Fewer than two frames synthesize zero samples after trimming.
         return Waveform(np.zeros(0), spectral_cfg.sample_rate)
 
-    if cfg.init == "zero":
-        angles = np.ones_like(mags, dtype=np.complex128)
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        angles = np.exp(2j * np.pi * rng.random(mags.shape))
-
+    angles = np.ones_like(mags, dtype=np.complex128)
     previous = np.zeros_like(mags, dtype=np.complex128)
-    blend = cfg.momentum / (1.0 + cfg.momentum)
+    blend = _MOMENTUM / (1.0 + _MOMENTUM)
     for _ in range(cfg.n_iters):
         rebuilt = _stft_raw(_istft_raw(mags * angles, spectral_cfg), spectral_cfg)
         accelerated = rebuilt - blend * previous

@@ -1,6 +1,8 @@
 """Shared fixtures plus a visible verdict line for each acceptance check."""
 
+import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,14 @@ _ACCEPTANCE_LABELS = {
     "test_8_throughput": "60 s of audio augments in under 30 s",
     "test_9_throughput_48k": "60 s of 48 kHz audio augments in under 30 s",
 }
+
+
+# CLI tests start `python -m sraug.cli` in a child process; give it the
+# same source tree that pytest's `pythonpath` setting gives this one.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def pytest_runtest_logreport(report):

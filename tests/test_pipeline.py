@@ -2,6 +2,7 @@
 failure isolation, parallel/serial equivalence, and the CLI surface."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import synth
 from sraug.audio_io import read_wav, write_wav
+from sraug.cli import _AUGMENT_SETTINGS, main as cli_main
 from sraug.errors import EmptyCorpus, IoFailure, StageFailure
 from sraug.pipeline import (
     MANIFEST_NAME,
@@ -119,10 +121,12 @@ def test_discover_single_file(tmp_path):
 
 def test_discover_recursive_sorted(tmp_path):
     (tmp_path / "sub").mkdir()
-    names = ["b.wav", "a.wav", "sub/z.wav", "sub/a.wav"]
+    # The suffix matches in any case.
+    names = ["b.wav", "a.wav", "UTT.WAV", "sub/z.wav", "sub/a.wav", "sub/c.Wav"]
     for name in names:
         write_wav(tmp_path / name, synth.tone(220.0, 0.05))
     (tmp_path / "notes.txt").write_text("not audio")
+    (tmp_path / "a.wave").write_text("not audio")
     found = discover_wavs(tmp_path)
     assert found == sorted((tmp_path / n for n in names), key=str)
 
@@ -381,6 +385,96 @@ def test_cli_config_rejects_unknown_key(tmp_path):
     proc = run_cli("augment", "--config", str(config))
     assert proc.returncode == 1
     assert "bogus_key" in proc.stderr
+
+
+def test_cli_config_type_error_names_line_and_key(tmp_path):
+    config = tmp_path / "settings.conf"
+    config.write_text(f"in = {tmp_path / 'in'}\n\njobs = two\n")
+    proc = run_cli("augment", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert f"{config}:3: jobs: " in proc.stderr
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_rejects_jobs_below_one(tmp_path, jobs):
+    src = tmp_path / "in"
+    small_corpus(src, n=1)
+    out = tmp_path / "out"
+    proc = run_cli("augment", "--in", str(src), "--out", str(out), "--jobs", jobs)
+    assert proc.returncode == 1
+    assert "jobs" in proc.stderr
+    assert not out.exists()  # rejected before any work
+
+
+def test_cli_rejects_unknown_axis(tmp_path):
+    src = tmp_path / "in"
+    small_corpus(src, n=1)
+    proc = run_cli(
+        "augment", "--in", str(src), "--out", str(tmp_path / "out"), "--axis", "diagonal"
+    )
+    assert proc.returncode == 1
+    assert "axis" in proc.stderr
+
+
+# A non-default value for each augment setting; in, out, vocoder_cmd and
+# jobs are covered elsewhere.
+_SETTING_VALUES = {
+    "ratio_min": "0.9",
+    "ratio_max": "1.1",
+    "variants": "2",
+    "axis": HORIZONTAL,
+    "seed": "7",
+    "noise_std": "0.5",
+    "gl_iters": "3",
+}
+# Given as flags in every run of the table test unless under test: few
+# Griffin-Lim iterations for speed, and ratios below 1 so that the
+# padding noise (noise_std) reaches the output.
+_TABLE_TEST_FLAGS = {"gl_iters": "2", "ratio_max": "0.95"}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def test_cli_augment_help_lists_every_setting():
+    proc = run_cli("augment", "--help")
+    assert proc.returncode == 0
+    for key in _AUGMENT_SETTINGS:
+        assert _flag(key) in proc.stdout
+
+
+def test_setting_values_cover_the_table():
+    assert set(_SETTING_VALUES) == set(_AUGMENT_SETTINGS) - {"in", "out", "vocoder_cmd", "jobs"}
+
+
+@pytest.mark.parametrize("key", sorted(_SETTING_VALUES))
+def test_cli_flag_and_config_file_agree(tmp_path, key):
+    # The same value given as --key and as `key = value` in a settings
+    # file gives byte-identical output directories, and not the output of
+    # the default value.
+    src = tmp_path / "in"
+    small_corpus(src, n=1)
+    out = tmp_path / "out"
+    value = _SETTING_VALUES[key]
+    base = ["augment", "--in", str(src), "--out", str(out)]
+    for other, other_value in _TABLE_TEST_FLAGS.items():
+        if other != key:
+            base += [_flag(other), other_value]
+    config = tmp_path / "settings.conf"
+    config.write_text(f"{key} = {value}\n")
+
+    def one_run(*extra):
+        assert cli_main([*base, *extra]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return files
+
+    from_flag = one_run(_flag(key), value)
+    from_file = one_run("--config", str(config))
+    assert MANIFEST_NAME in from_flag
+    assert from_flag == from_file
+    assert from_flag != one_run()
 
 
 def test_cli_stage_chain(tmp_path):

@@ -38,16 +38,7 @@ def median_f0(w: Waveform) -> float:
 # configuration
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"n_iters": 0},
-        {"init": "fancy"},
-        {"momentum": 1.0},
-        {"momentum": -0.1},
-        {"seed": -1},
-    ],
-)
+@pytest.mark.parametrize("kwargs", [{"n_iters": 0}])
 def test_gl_config_validation(kwargs):
     with pytest.raises(ValueError):
         GriffinLimConfig(**kwargs)
@@ -106,15 +97,6 @@ def test_gl_zero_init_is_deterministic():
     a = griffin_lim(mags, GriffinLimConfig())
     b = griffin_lim(mags, GriffinLimConfig())
     assert np.array_equal(a.samples, b.samples)
-
-
-def test_gl_random_init_seeded():
-    mags = magnitudes(synth.voiced(0.4, 200, 240, seed=8))
-    a = griffin_lim(mags, GriffinLimConfig(init="random", seed=1))
-    b = griffin_lim(mags, GriffinLimConfig(init="random", seed=1))
-    c = griffin_lim(mags, GriffinLimConfig(init="random", seed=2))
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
 
 
 def test_gl_limits_output_peak():
