@@ -8,7 +8,9 @@ PCM-16 mono is written.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -169,11 +171,30 @@ def write_wav(path, w: Waveform) -> None:
     )
     header += b"data" + struct.pack("<I", len(data))
     try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(data)
+        write_atomic(path, [header, data])
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def write_atomic(path, parts) -> None:
+    """Write byte strings to ``path`` so that it never holds a partial file.
+
+    The bytes go to a temp file beside ``path`` (a dot name ending in
+    ``.tmp``, so ``*.wav`` never matches it), which os.replace then moves
+    into place.  The temp file is removed if the write fails.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:

@@ -38,12 +38,31 @@ _AUGMENT_SETTINGS = {
 }
 
 
+def _strip_comment(line: str) -> str:
+    """Cut a line at its ``#`` comment.
+
+    A value that starts with a quote runs to the matching quote, and a
+    ``#`` inside is part of it; any other ``#`` starts a comment.
+    """
+    key, _, value = line.partition("=")
+    if "#" in key:
+        return line[: line.index("#")]
+    body = value.lstrip()
+    start = body.find(body[0], 1) + 1 if body[:1] in ("'", '"') else 0
+    cut = body.find("#", start)
+    return line if cut < 0 else line[: len(line) - len(body) + cut]
+
+
 def _read_config_file(path) -> dict:
-    """Parse a key=value settings file (one pair per line, # comments)."""
+    """Parse a key=value settings file (one pair per line, # comments).
+
+    A ``#`` inside a value wrapped in single or double quotes is part of
+    the value.
+    """
     settings = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if "=" not in line:

@@ -66,6 +66,10 @@ class EmptyCorpus(SraugError):
     """No input audio found under the requested path."""
 
 
+class OutputCollision(SraugError):
+    """Two inputs of one run would write the same output file."""
+
+
 class StageFailure(SraugError):
     """A pipeline stage failed for one input file.
 

@@ -11,14 +11,16 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import read_wav, resample, write_wav
-from .errors import EmptyCorpus, IoFailure, StageFailure
+from .audio_io import read_wav, resample, write_atomic, write_wav
+from .errors import EmptyCorpus, IoFailure, OutputCollision, StageFailure
 from .spectral import SpectralConfig, mel_spectrogram
 from .sr_ops import (
     HORIZONTAL,
@@ -29,7 +31,13 @@ from .sr_ops import (
     sample_ratio,
     vertical_sr,
 )
-from .vocoder import GriffinLimConfig, external_vocoder, reconstruct_from_mel
+from .vocoder import (
+    GriffinLimConfig,
+    available_cpus,
+    external_vocoder,
+    reconstruct_from_mel,
+    _set_threads,
+)
 
 MANIFEST_NAME = "manifest.jsonl"
 
@@ -81,11 +89,10 @@ class AugmentManifest:
     failures: list[dict] = field(default_factory=list)
 
     def write_jsonl(self, path) -> None:
-        """Write one JSON object per line, in record order."""
+        """Write one JSON object per line, in record order, atomically."""
+        lines = "".join(json.dumps(record) + "\n" for record in self.records)
         try:
-            with open(path, "w", encoding="ascii", newline="\n") as fh:
-                for record in self.records:
-                    fh.write(json.dumps(record) + "\n")
+            write_atomic(path, [lines.encode("ascii")])
         except OSError as exc:
             raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -101,6 +108,19 @@ def derive_seed(master_seed: int, item_index: int, variant: int) -> int:
     )
     digest = hashlib.blake2b(payload, digest_size=8, person=b"sraug.seed").digest()
     return int.from_bytes(digest, "little") & _SEED_MASK
+
+
+def plan_variant(path, cfg: PipelineConfig, item_index: int, variant: int):
+    """Seed, RNG, ratio and output path of one (file, variant) work item.
+
+    The RNG has drawn the ratio; vertical resizing draws its padding
+    noise from it next.
+    """
+    seed = derive_seed(cfg.master_seed, item_index, variant)
+    rng = np.random.default_rng(seed)
+    ratio = sample_ratio(cfg.ratio_range, rng)
+    out_path = Path(cfg.output_dir) / f"{Path(path).stem}_sr{ratio:.3f}_{variant}.wav"
+    return seed, rng, ratio, out_path
 
 
 def augment_file(path, cfg: PipelineConfig, item_index: int) -> list[dict]:
@@ -126,9 +146,7 @@ def augment_file(path, cfg: PipelineConfig, item_index: int) -> list[dict]:
 
     records = []
     for variant in range(cfg.variants_per_file):
-        seed = derive_seed(cfg.master_seed, item_index, variant)
-        rng = np.random.default_rng(seed)
-        ratio = sample_ratio(cfg.ratio_range, rng)
+        seed, rng, ratio, out_path = plan_variant(path, cfg, item_index, variant)
         spec = ResizeSpec(
             ratio=ratio, axis=cfg.axis, pad_noise_std=cfg.pad_noise_std, seed=seed
         )
@@ -140,7 +158,6 @@ def augment_file(path, cfg: PipelineConfig, item_index: int) -> list[dict]:
             out = run_stage("reconstruct", external_vocoder, resized, cfg.vocoder_cmd)
         else:
             out = run_stage("reconstruct", reconstruct_from_mel, resized, cfg.gl)
-        out_path = Path(cfg.output_dir) / f"{path.stem}_sr{ratio:.3f}_{variant}.wav"
         run_stage("write", write_wav, out_path, out)
         records.append(
             {
@@ -174,6 +191,19 @@ def discover_wavs(input_path) -> list[Path]:
     return found
 
 
+def _check_unique_outputs(wavs: list[Path], cfg: PipelineConfig) -> None:
+    """Raise OutputCollision if two work items would write the same file."""
+    owners: dict[Path, Path] = {}
+    for item_index, path in enumerate(wavs):
+        for variant in range(cfg.variants_per_file):
+            out_path = plan_variant(path, cfg, item_index, variant)[3]
+            if out_path in owners:
+                raise OutputCollision(
+                    f"{owners[out_path]} and {path} would both write {out_path}"
+                )
+            owners[out_path] = path
+
+
 def _run_item(args) -> tuple[list[dict], dict | None]:
     path, cfg, item_index = args
     try:
@@ -182,25 +212,83 @@ def _run_item(args) -> tuple[list[dict], dict | None]:
         return [], {"source_path": exc.path, "stage": exc.stage, "error": str(exc.cause)}
 
 
+def _worker_failure(item, exc: Exception) -> tuple[list[dict], dict]:
+    """The result of an item whose worker process failed, not a stage."""
+    error = f"{type(exc).__name__}: {exc}"
+    return [], {"source_path": item[0], "stage": "worker", "error": error}
+
+
+def _run_pools(work: list, indices, jobs: int, results: list) -> dict:
+    """Run ``work[i]`` for each index on ``jobs`` worker processes.
+
+    Stores each result in ``results[i]``.  At most ``jobs`` items are in
+    flight, so a worker that dies breaks its pool for at most ``jobs``
+    items; the items not yet started go on in a fresh pool.  Returns the
+    items that were in flight when a pool broke, index -> exception.
+    Each worker runs Griffin-Lim on an equal share of the CPUs.
+    """
+    threads = max(1, available_cpus() // jobs)
+    todo = deque(indices)
+    broken = {}
+    while todo:
+        with ProcessPoolExecutor(jobs, initializer=_set_threads, initargs=(threads,)) as pool:
+            running = {}
+            intact = True
+            while running or (todo and intact):
+                while intact and todo and len(running) < jobs:
+                    try:
+                        future = pool.submit(_run_item, work[todo[0]])
+                    except BrokenProcessPool:
+                        intact = False
+                    else:
+                        running[future] = todo.popleft()
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    i = running.pop(future)
+                    try:
+                        results[i] = future.result()
+                    except BrokenProcessPool as exc:
+                        broken[i] = exc
+                        intact = False
+                    except Exception as exc:
+                        results[i] = _worker_failure(work[i], exc)
+    return broken
+
+
+def _run_pool(work: list, jobs: int) -> list:
+    """Results of ``work`` from ``jobs`` worker processes, in item order.
+
+    The items in flight when a worker died run again at the end, one at
+    a time, so only an item that kills its worker on its own is lost.
+    """
+    results: list = [None] * len(work)
+    suspects = _run_pools(work, range(len(work)), jobs, results)
+    for i, exc in _run_pools(work, sorted(suspects), 1, results).items():
+        results[i] = _worker_failure(work[i], exc)
+    return results
+
+
 def run(cfg: PipelineConfig, jobs: int = 1) -> AugmentManifest:
     """Process a whole corpus and write manifest.jsonl to the output dir.
 
-    One corrupt file only costs its own records: the failure is noted in
-    the returned manifest and everything else proceeds.  With jobs > 1,
-    files are processed in worker processes; outputs are identical to a
-    serial run because seeds are keyed by item index.
+    Before any work, every output path is checked to be unique
+    (OutputCollision otherwise).  One corrupt file, or one dead worker
+    process, only costs its own records: the failure is noted in the
+    returned manifest and everything else proceeds.  With jobs > 1, files
+    are processed in worker processes; outputs are identical to a serial
+    run because seeds are keyed by item index.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     wavs = discover_wavs(cfg.input)
+    _check_unique_outputs(wavs, cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     work = [(str(p), cfg, i) for i, p in enumerate(wavs)]
     manifest = AugmentManifest()
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_item, work))
+        results = _run_pool(work, jobs)
     else:
         results = [_run_item(item) for item in work]
     for records, failure in results:

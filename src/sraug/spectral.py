@@ -141,6 +141,13 @@ def _check_frames(values: np.ndarray, n_bins: int, finite: bool) -> None:
 
 # ---------------------------------------------------------------------------
 # windows and framing
+#
+# Analysis and synthesis work on a frame buffer of shape [n_frames, width],
+# width being n_fft rounded up to a multiple of hop_size: columns past n_fft
+# stay zero, so overlap-add sums whole hop-wide chunks.  stft/istft and
+# Griffin-Lim share these helpers; Griffin-Lim passes buffers it reuses
+# across iterations, and rows may be split into slabs, since every helper
+# but the overlap-add treats each frame on its own.
 
 
 @lru_cache(maxsize=32)
@@ -157,61 +164,88 @@ def _analysis_window(cfg: SpectralConfig) -> np.ndarray:
     return hann
 
 
-def _n_frames(n_samples: int, cfg: SpectralConfig) -> int:
-    return n_samples // cfg.hop_size + 1
+def _n_chunks(cfg: SpectralConfig) -> int:
+    """Hop-wide chunks per frame: n_fft rounded up to whole hops."""
+    return -(-cfg.n_fft // cfg.hop_size)
 
 
-def _stft_raw(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
-    """STFT of a raw sample array; returns complex [n_frames, n_bins]."""
-    pad = cfg.n_fft // 2
-    padded = np.pad(x, pad, mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[
-        :: cfg.hop_size
-    ]
-    return np.fft.rfft(frames * _analysis_window(cfg), cfg.n_fft, axis=1)
+def _frame_buffer(n_frames: int, cfg: SpectralConfig) -> np.ndarray:
+    """Zeroed [n_frames, n_chunks * hop] frame buffer; frames live in [:, :n_fft]."""
+    return np.zeros((n_frames, _n_chunks(cfg) * cfg.hop_size))
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum frames at hop-spaced offsets; returns length (T-1)*hop + frame_len."""
-    n_frames, frame_len = frames.shape
-    n_chunks = -(-frame_len // hop)  # ceil
-    padded_len = n_chunks * hop
-    if padded_len != frame_len:
-        frames = np.pad(frames, ((0, 0), (0, padded_len - frame_len)))
-    chunks = frames.reshape(n_frames, n_chunks, hop)
-    acc = np.zeros((n_frames + n_chunks - 1, hop))
-    for j in range(n_chunks):
+def _ola_buffer(n_frames: int, cfg: SpectralConfig) -> np.ndarray:
+    """Overlap-add accumulator for n_frames frames, one hop per row."""
+    return np.empty((n_frames + _n_chunks(cfg) - 1, cfg.hop_size))
+
+
+def _frames(padded: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+    """Read-only view of the hop-spaced n_fft-sample frames of a padded signal."""
+    return np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop_size]
+
+
+def _analyze(
+    frames: np.ndarray, cfg: SpectralConfig, scratch: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Windowed frames to spectrum: window ``frames`` into ``scratch``, rfft into ``out``."""
+    np.multiply(frames, _analysis_window(cfg), out=scratch)
+    return np.fft.rfft(scratch, cfg.n_fft, axis=1, out=out)
+
+
+def _synthesize(values: np.ndarray, cfg: SpectralConfig, out: np.ndarray) -> np.ndarray:
+    """Spectrum to windowed frames: irfft each row into ``out``, window it again."""
+    np.fft.irfft(values, cfg.n_fft, axis=1, out=out)
+    return np.multiply(out, _analysis_window(cfg), out=out)
+
+
+def _sum_frames(frames: np.ndarray, hop: int, acc: np.ndarray) -> np.ndarray:
+    """Overlap-add a [n_frames, width] buffer into ``acc``, chunk by chunk."""
+    n_frames, width = frames.shape
+    chunks = frames.reshape(n_frames, width // hop, hop)
+    acc.fill(0.0)
+    for j in range(width // hop):
         acc[j : j + n_frames] += chunks[:, j, :]
-    return acc.reshape(-1)[: (n_frames - 1) * hop + frame_len]
+    return acc.reshape(-1)
+
+
+def _output_region(n_frames: int, cfg: SpectralConfig) -> slice:
+    """Overlap-added samples that survive trimming the center padding."""
+    pad = cfg.n_fft // 2
+    return slice(pad, pad + (n_frames - 1) * cfg.hop_size)
 
 
 @lru_cache(maxsize=4)
 def _window_sum(cfg: SpectralConfig, n_frames: int) -> np.ndarray:
-    """Overlap-added squared synthesis window for a given frame count."""
-    win_sq = _analysis_window(cfg) ** 2
-    wsum = _overlap_add(np.broadcast_to(win_sq, (n_frames, cfg.n_fft)), cfg.hop_size)
-    wsum.flags.writeable = False
-    return wsum
+    """Overlap-added squared window over the trimmed output region.
 
-
-def _istft_raw(values: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
-    """Inverse of _stft_raw; returns the trimmed raw sample array."""
-    n_frames = values.shape[0]
-    pad = cfg.n_fft // 2
-    out_len = (n_frames - 1) * cfg.hop_size
-    if out_len <= 0:
-        return np.zeros(0)
-    frames = np.fft.irfft(values, cfg.n_fft, axis=1) * _analysis_window(cfg)
-    acc = _overlap_add(frames, cfg.hop_size)
-    wsum = _window_sum(cfg, n_frames)
-    region = slice(pad, pad + out_len)
-    denom = wsum[region]
+    Raises DegenerateWindowSum where it falls below 1e-9, since the
+    normalization would then divide by (nearly) zero.
+    """
+    win_sq = _frame_buffer(1, cfg)[0]
+    win_sq[: cfg.n_fft] = _analysis_window(cfg) ** 2
+    frames = np.broadcast_to(win_sq, (n_frames, win_sq.size))
+    denom = _sum_frames(frames, cfg.hop_size, _ola_buffer(n_frames, cfg))
+    denom = denom[_output_region(n_frames, cfg)]
     if denom.min() < 1e-9:
         raise DegenerateWindowSum(
             f"window sum fell below 1e-9 (min {denom.min():.3e}); "
             "this hop/window combination cannot be inverted"
         )
-    return acc[region] / denom
+    denom.flags.writeable = False
+    return denom
+
+
+def _overlap_add(frames: np.ndarray, cfg: SpectralConfig, acc: np.ndarray) -> np.ndarray:
+    """Overlap-add plus normalization: the trimmed signal of a frame buffer.
+
+    Sums the windowed frames into ``acc`` (from _ola_buffer) and divides
+    the (n_frames - 1) * hop_size samples left after trimming by the
+    window sum.
+    """
+    n_frames = frames.shape[0]
+    denom = _window_sum(cfg, n_frames)
+    summed = _sum_frames(frames, cfg.hop_size, acc)
+    return summed[_output_region(n_frames, cfg)] / denom
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +265,9 @@ def stft(w: Waveform, cfg: SpectralConfig) -> ComplexSpectrogram:
         )
     if len(w) < 1:
         raise ValueError("cannot analyze an empty waveform")
-    return ComplexSpectrogram(_stft_raw(w.samples, cfg), cfg)
+    frames = _frames(np.pad(w.samples, cfg.n_fft // 2, mode="reflect"), cfg)
+    values = np.empty((frames.shape[0], cfg.n_bins), dtype=np.complex128)
+    return ComplexSpectrogram(_analyze(frames, cfg, np.empty(frames.shape), values), cfg)
 
 
 def istft(s: ComplexSpectrogram) -> Waveform:
@@ -241,7 +277,13 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     summed squared window, then the n_fft/2 center padding is trimmed:
     output length is (n_frames - 1) * hop_size.
     """
-    return Waveform(_istft_raw(s.values, s.config), s.config.sample_rate)
+    cfg = s.config
+    if s.n_frames < 2:
+        return Waveform(np.zeros(0), cfg.sample_rate)
+    frames = _frame_buffer(s.n_frames, cfg)
+    _synthesize(s.values, cfg, frames[:, : cfg.n_fft])
+    samples = _overlap_add(frames, cfg, _ola_buffer(s.n_frames, cfg))
+    return Waveform(samples, cfg.sample_rate)
 
 
 def hz_to_mel(f):

@@ -2,18 +2,22 @@
 failure isolation, parallel/serial equivalence, and the CLI surface."""
 
 import json
+import multiprocessing
+import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import synth
+from sraug import audio_io, pipeline, vocoder
 from sraug.audio_io import read_wav, write_wav
-from sraug.cli import _AUGMENT_SETTINGS, main as cli_main
-from sraug.errors import EmptyCorpus, IoFailure, StageFailure
+from sraug.cli import _AUGMENT_SETTINGS, _read_config_file, main as cli_main
+from sraug.errors import EmptyCorpus, IoFailure, OutputCollision, StageFailure
 from sraug.pipeline import (
     MANIFEST_NAME,
     PipelineConfig,
@@ -254,6 +258,181 @@ def test_run_parallel_matches_serial(tmp_path):
     assert one_run("serial", 1) == one_run("parallel", 2)
 
 
+# Pool workers see this process's monkeypatches only when forked.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="pool workers are not forked on this platform",
+)
+
+
+def _report_threads(item):
+    path, _, item_index = item
+    return [{"source_path": path, "threads": vocoder._threads}], None
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus, jobs, threads", [(5, 2, 2), (5, 3, 1), (1, 2, 1)])
+def test_run_gives_workers_their_cpu_share(tmp_path, monkeypatch, cpus, jobs, threads):
+    small_corpus(tmp_path / "in", n=2)
+    monkeypatch.setattr(pipeline, "available_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "_run_item", _report_threads)
+    cfg = PipelineConfig(input=str(tmp_path / "in"), output_dir=str(tmp_path / "out"))
+    manifest = run(cfg, jobs=jobs)
+    assert [r["threads"] for r in manifest.records] == [threads, threads]
+
+
+_augment_file = pipeline.augment_file
+
+
+def _crash_on_clip1(path, cfg, item_index):
+    if Path(path).stem == "clip1":
+        os._exit(1)
+    return _augment_file(path, cfg, item_index)
+
+
+@needs_fork
+def test_run_survives_a_dead_worker(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "in"
+    small_corpus(src, n=4)
+    out = tmp_path / "out"
+    monkeypatch.setattr(pipeline, "augment_file", _crash_on_clip1)
+    code = cli_main(
+        ["augment", "--in", str(src), "--out", str(out), "--jobs", "2", "--gl-iters", "2"]
+    )
+    assert code == 1
+    records = read_manifest(out)
+    assert [Path(r["source_path"]).stem for r in records] == ["clip0", "clip2", "clip3"]
+    assert sorted(p.name for p in out.glob("*.wav")) == sorted(
+        Path(r["output_path"]).name for r in records
+    )
+    assert "clip1.wav at stage worker" in capsys.readouterr().err
+
+
+class _RecordingPool(ProcessPoolExecutor):
+    """A process pool that notes (pool size, source stem) for every item."""
+
+    submitted: list = []
+
+    def __init__(self, workers, **kwargs):
+        super().__init__(workers, **kwargs)
+        self.workers = workers
+
+    def submit(self, fn, item):
+        _RecordingPool.submitted.append((self.workers, Path(item[0]).stem))
+        return super().submit(fn, item)
+
+
+@needs_fork
+def test_dead_worker_reruns_only_the_items_in_flight(tmp_path, monkeypatch):
+    # Eight items for two workers: when clip1 kills its worker, six items
+    # are still waiting.  They go on in a fresh two-worker pool; only the
+    # (at most two) items in flight run again one at a time.
+    small_corpus(tmp_path / "in", n=8)
+    monkeypatch.setattr(pipeline, "augment_file", _crash_on_clip1)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
+    cfg = PipelineConfig(
+        input=str(tmp_path / "in"), output_dir=str(tmp_path / "out"),
+        gl=vocoder.GriffinLimConfig(n_iters=2),
+    )
+    manifest = run(cfg, jobs=2)
+    stems = [Path(r["source_path"]).stem for r in manifest.records]
+    assert stems == [f"clip{i}" for i in range(8) if i != 1]
+    assert [(Path(f["source_path"]).stem, f["stage"]) for f in manifest.failures] == [
+        ("clip1", "worker")
+    ]
+    one_at_a_time = [stem for workers, stem in _RecordingPool.submitted if workers == 1]
+    assert "clip1" in one_at_a_time and len(one_at_a_time) <= 2
+    assert sorted(stem for _, stem in _RecordingPool.submitted) == sorted(
+        stems + ["clip1"] + one_at_a_time
+    )
+
+
+def _collision_run(tmp_path, names, capsys):
+    src = tmp_path / "in"
+    for name in names:
+        (src / name).parent.mkdir(parents=True, exist_ok=True)
+        write_wav(src / name, synth.tone(220.0, 0.2))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "utt_sr1.000_0.wav").write_bytes(b"earlier output")
+    code = cli_main(
+        ["augment", "--in", str(src), "--out", str(out),
+         "--ratio-min", "1.0", "--ratio-max", "1.0"]
+    )
+    assert code == 1
+    # Nothing was written or overwritten.
+    assert [p.name for p in out.iterdir()] == ["utt_sr1.000_0.wav"]
+    assert (out / "utt_sr1.000_0.wav").read_bytes() == b"earlier output"
+    err = capsys.readouterr().err
+    for name in names:
+        assert str(src / name) in err
+
+
+def test_run_rejects_same_stem_in_two_directories(tmp_path, capsys):
+    _collision_run(tmp_path, ["a/utt.wav", "b/utt.wav"], capsys)
+
+
+def test_run_rejects_stems_differing_in_suffix_case(tmp_path, capsys):
+    _collision_run(tmp_path, ["utt.wav", "utt.WAV"], capsys)
+
+
+def test_collision_is_a_typed_error(tmp_path):
+    for name in ("a/utt.wav", "b/utt.wav"):
+        (tmp_path / "in" / name).parent.mkdir(parents=True, exist_ok=True)
+        write_wav(tmp_path / "in" / name, synth.tone(220.0, 0.2))
+    cfg = PipelineConfig(
+        input=str(tmp_path / "in"), output_dir=str(tmp_path / "out"),
+        ratio_range=RatioRange(1.0, 1.0),
+    )
+    with pytest.raises(OutputCollision):
+        run(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+class _FailingFile:
+    """A file object whose writes stop with an error half way through."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("target", ["utt.wav", MANIFEST_NAME])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, target):
+    monkeypatch.setattr(
+        audio_io, "open", lambda path, mode: _FailingFile(open(path, mode)), raising=False
+    )
+    path = tmp_path / target
+    with pytest.raises(IoFailure):
+        if target == MANIFEST_NAME:
+            pipeline.AugmentManifest(records=[{"source_path": "x.wav"}]).write_jsonl(path)
+        else:
+            write_wav(path, synth.tone(220.0, 0.1))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "utt.wav"
+    path.write_bytes(b"earlier output")
+    monkeypatch.setattr(
+        audio_io, "open", lambda path, mode: _FailingFile(open(path, mode)), raising=False
+    )
+    with pytest.raises(IoFailure):
+        write_wav(path, synth.tone(220.0, 0.1))
+    assert [p.name for p in tmp_path.iterdir()] == ["utt.wav"]
+    assert path.read_bytes() == b"earlier output"
+
+
 def test_run_horizontal_frame_count(tmp_path):
     src = tmp_path / "in"
     small_corpus(src, n=1)
@@ -385,6 +564,37 @@ def test_cli_config_rejects_unknown_key(tmp_path):
     proc = run_cli("augment", "--config", str(config))
     assert proc.returncode == 1
     assert "bogus_key" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [
+        ('in = "take#2"  # quoted', "take#2"),
+        ("in = 'take#2'", "take#2"),
+        ("in = take  # a trailing comment", "take"),
+        ("in = take#2", "take"),
+        ("vocoder_cmd = \"voc --tag 'a#b' {mel} {wav}\"  # note", "voc --tag 'a#b' {mel} {wav}"),
+        ('vocoder_cmd = "voc --tag a#b {mel} {wav}"', "voc --tag a#b {mel} {wav}"),
+        ("in = /data/speaker's corpus  # main", "/data/speaker's corpus"),
+        ("in = 'open#quote  # note", "'open"),
+        ("# in = take", None),
+    ],
+)
+def test_config_hash_starts_a_comment_only_outside_quotes(tmp_path, line, value):
+    config = tmp_path / "settings.conf"
+    config.write_text(line + "\n")
+    key = line.split("=", 1)[0].strip()
+    assert _read_config_file(config) == ({} if value is None else {key: value})
+
+
+def test_cli_config_input_path_with_hash(tmp_path):
+    src = tmp_path / "take#2"
+    small_corpus(src, n=1)
+    out = tmp_path / "out"
+    config = tmp_path / "settings.conf"
+    config.write_text(f'in = "{src}"\nout = {out}  # output\ngl_iters = 2\n')
+    assert cli_main(["augment", "--config", str(config)]) == 0
+    assert len(list(out.glob("*.wav"))) == 1
 
 
 def test_cli_config_type_error_names_line_and_key(tmp_path):

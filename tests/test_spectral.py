@@ -30,6 +30,7 @@ from sraug.spectral import (
     write_melf,
 )
 
+import serial_reference as ref
 import synth
 
 CFG = SpectralConfig()
@@ -163,6 +164,27 @@ def test_istft_degenerate_window_sum():
     s = stft(w, cfg)
     with pytest.raises(DegenerateWindowSum):
         istft(s)
+
+
+# Configurations whose frame buffer has a zero tail (hop does not divide
+# n_fft) or whose window is shorter than the FFT.
+_LAYOUTS = [
+    {},
+    {"win_size": 1000},
+    {"hop_size": 300},
+    {"n_fft": 1000, "win_size": 900, "hop_size": 240},
+]
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("n", [1, 2, 5, 319, 640, 641, 1281, 8000])
+def test_stft_istft_match_serial_reference(layout, n):
+    # Lengths up to n_fft/2 need np.pad's repeated reflection.
+    cfg = SpectralConfig(**layout)
+    x = np.random.default_rng(n).standard_normal(n)
+    values = stft(Waveform(x, 16000), cfg).values
+    assert np.array_equal(values, ref.stft_raw(x, cfg))
+    assert np.array_equal(istft(ComplexSpectrogram(values, cfg)).samples, ref.istft_raw(values, cfg))
 
 
 # ---------------------------------------------------------------------------

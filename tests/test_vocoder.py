@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from sraug import vocoder
 from sraug.audio_io import Waveform, read_wav, write_wav
-from sraug.errors import VocoderOutputMissing, VocoderProcessFailure
+from sraug.errors import DegenerateWindowSum, VocoderOutputMissing, VocoderProcessFailure
 from sraug.pitch_eval import PitchConfig, yin_f0
 from sraug.spectral import (
     LinearSpectrogram,
@@ -18,6 +19,7 @@ from sraug.spectral import (
 )
 from sraug.vocoder import GriffinLimConfig, external_vocoder, griffin_lim, reconstruct_from_mel
 
+import serial_reference as ref
 import synth
 
 CFG = SpectralConfig()
@@ -103,6 +105,87 @@ def test_gl_limits_output_peak():
     loud = LinearSpectrogram(magnitudes(synth.tone(300.0, 0.5, amp=1.0)).mags * 40.0, CFG)
     out = griffin_lim(loud, GriffinLimConfig(n_iters=5))
     assert np.max(np.abs(out.samples)) <= 0.95 + 1e-12
+
+
+class _CountingPool(vocoder.ThreadPoolExecutor):
+    sizes: list = []
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.sizes.append(n)
+
+
+# (frames, threads, n_iters, config): 2 and 3 frames give a single slab,
+# 31/32/65 frames sit at the 32-frame slab floor, and 301 frames give each
+# of 2 or 3 threads a slab of about 100 frames.
+_GL_CASES = [
+    (2, 2, 3, {}),
+    (3, 3, 3, {}),
+    (31, 2, 3, {}),
+    (32, 2, 3, {}),
+    (65, 1, 3, {}),
+    (65, 2, 3, {}),
+    (65, 3, 3, {}),
+    (301, 2, 2, {}),
+    (301, 3, 2, {}),
+    (126, 3, 1, {}),
+    (126, 2, 3, {"win_size": 1000}),
+    (126, 3, 3, {"hop_size": 300}),
+    (126, 2, 3, {"n_fft": 1000, "win_size": 900, "hop_size": 240}),
+]
+
+
+@pytest.mark.parametrize("n_frames, threads, n_iters, layout", _GL_CASES)
+def test_gl_matches_serial_reference(monkeypatch, n_frames, threads, n_iters, layout):
+    cfg = SpectralConfig(**layout)
+    mags = np.random.default_rng(n_frames).gamma(0.5, size=(n_frames, cfg.n_bins))
+    _CountingPool.sizes = []
+    monkeypatch.setattr(vocoder, "ThreadPoolExecutor", _CountingPool)
+    monkeypatch.setattr(vocoder, "_threads", None)  # restored after the test
+    vocoder._set_threads(threads)
+    got = griffin_lim(LinearSpectrogram(mags, cfg), GriffinLimConfig(n_iters=n_iters))
+    want = ref.griffin_lim(mags, cfg, n_iters)
+    assert np.array_equal(got.samples, want.samples)
+    slabs = min(threads, n_frames // 32)
+    assert _CountingPool.sizes == ([slabs] if slabs > 1 else [])
+
+
+def test_gl_slabs_under_thread_pressure(monkeypatch):
+    # More threads than cores, switching every microsecond: a slab that
+    # wrote outside its own rows would change the output bytes.
+    mags = np.random.default_rng(7).gamma(0.5, size=(301, CFG.n_bins))
+    monkeypatch.setattr(vocoder, "_threads", None)
+    vocoder._set_threads(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = griffin_lim(LinearSpectrogram(mags, CFG), GriffinLimConfig(n_iters=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got.samples, ref.griffin_lim(mags, CFG, 4).samples)
+
+
+def test_gl_default_threads_match_serial_reference():
+    mags = magnitudes(synth.voiced(1.0, 170, 260, seed=3)).mags
+    got = griffin_lim(LinearSpectrogram(mags, CFG), GriffinLimConfig(n_iters=5))
+    assert np.array_equal(got.samples, ref.griffin_lim(mags, CFG, 5).samples)
+
+
+def test_gl_degenerate_window_sum_raises_before_first_iteration(monkeypatch):
+    # hop == win leaves the Hann window's zero sample uncovered.
+    cfg = SpectralConfig(win_size=320, hop_size=320)
+
+    def no_analysis(*args):
+        raise AssertionError("an iteration ran")
+
+    monkeypatch.setattr(vocoder, "_analyze", no_analysis)
+    with pytest.raises(DegenerateWindowSum):
+        griffin_lim(LinearSpectrogram(np.ones((40, cfg.n_bins)), cfg), GriffinLimConfig())
+
+
+def test_thread_count_rejects_zero():
+    with pytest.raises(ValueError):
+        vocoder._set_threads(0)
 
 
 # ---------------------------------------------------------------------------
