@@ -1,9 +1,13 @@
-"""Mono waveform container, RIFF/WAVE file I/O, and sample-rate conversion.
+"""Mono waveform container, file I/O, and sample-rate conversion.
 
 All audio inside the toolkit is a single channel of float64 samples with a
 nominal range of [-1, 1].  Files are plain RIFF/WAVE: PCM-16, PCM-24 and
 IEEE float-32 are accepted on read, also under WAVE_FORMAT_EXTENSIBLE;
 PCM-16 mono is written.
+
+This is the one module that opens files: every other module reads through
+read_bytes and writes through write_atomic, which turn an OSError into
+IoFailure.
 """
 
 from __future__ import annotations
@@ -75,12 +79,7 @@ def read_wav(path) -> Waveform:
     read through its sub-format GUID, which must name PCM or IEEE float.
     Integer samples are scaled by 2^(bits-1).  Unknown chunks are skipped.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return _decode_wav(blob, str(path))
+    return _decode_wav(read_bytes(path), str(path))
 
 
 def _decode_wav(blob: bytes, name: str) -> Waveform:
@@ -170,10 +169,16 @@ def write_wav(path, w: Waveform) -> None:
         "<IHHIIHH", 16, WAVE_FORMAT_PCM, 1, w.sample_rate, w.sample_rate * 2, 2, 16
     )
     header += b"data" + struct.pack("<I", len(data))
+    write_atomic(path, [header, data])
+
+
+def read_bytes(path) -> bytes:
+    """The whole content of a file; IoFailure if it cannot be read."""
     try:
-        write_atomic(path, [header, data])
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
 def write_atomic(path, parts) -> None:
@@ -181,7 +186,8 @@ def write_atomic(path, parts) -> None:
 
     The bytes go to a temp file beside ``path`` (a dot name ending in
     ``.tmp``, so ``*.wav`` never matches it), which os.replace then moves
-    into place.  The temp file is removed if the write fails.
+    into place.  The temp file is removed if the write fails, and an
+    OSError becomes IoFailure.
     """
     path = os.fspath(path)
     head, name = os.path.split(path)
@@ -191,9 +197,11 @@ def write_atomic(path, parts) -> None:
             for part in parts:
                 fh.write(part)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
         raise
 
 

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .audio_io import read_wav, resample, write_wav
+from .audio_io import read_bytes, read_wav, resample, write_wav
 from .errors import SraugError
 from .pipeline import MANIFEST_NAME, PipelineConfig, run
 from .pitch_eval import PitchConfig, f0_pcc, write_f0_csv, yin_f0
@@ -60,7 +60,7 @@ def _read_config_file(path) -> dict:
     the value.
     """
     settings = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_bytes(path).decode("utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -200,8 +200,7 @@ def _cmd_f0pcc(args) -> int:
 
 
 def _load_gaussian(path) -> DiagGaussian:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads(read_bytes(path))
     return DiagGaussian(data["mean"], data["log_std"])
 
 

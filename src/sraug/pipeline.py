@@ -23,7 +23,6 @@ from .audio_io import read_wav, resample, write_atomic, write_wav
 from .errors import EmptyCorpus, IoFailure, OutputCollision, StageFailure
 from .spectral import SpectralConfig, mel_spectrogram
 from .sr_ops import (
-    HORIZONTAL,
     VERTICAL,
     RatioRange,
     ResizeSpec,
@@ -64,20 +63,17 @@ class PipelineConfig:
         object.__setattr__(self, "output_dir", str(self.output_dir))
         if self.variants_per_file < 1:
             raise ValueError("variants_per_file must be >= 1")
-        if self.axis not in (VERTICAL, HORIZONTAL):
-            raise ValueError(f"axis must be '{VERTICAL}' or '{HORIZONTAL}'")
+        ResizeSpec(1.0, self.axis, self.pad_noise_std)  # the rules for axis and noise
         if not 0 <= int(self.master_seed) < 2**64:
             raise ValueError("master_seed must fit in 64 unsigned bits")
-        if self.pad_noise_std < 0:
-            raise ValueError("pad_noise_std must be >= 0")
         in_path = Path(self.input)
-        if in_path.is_dir():
-            in_dir = in_path
-        elif in_path.suffix or in_path.is_file():
-            in_dir = in_path.parent
-        else:
-            in_dir = in_path
-        if Path(self.output_dir).resolve() == in_dir.resolve():
+        out_dir = Path(self.output_dir).resolve()
+        if in_path.is_dir() or not (in_path.suffix or in_path.is_file()):
+            # A directory input is searched recursively, so its outputs
+            # must not land anywhere under it.
+            if out_dir.is_relative_to(in_path.resolve()):
+                raise ValueError("output_dir must not be the input directory or below it")
+        elif out_dir == in_path.parent.resolve():
             raise ValueError("output_dir must differ from the input directory")
 
 
@@ -91,10 +87,7 @@ class AugmentManifest:
     def write_jsonl(self, path) -> None:
         """Write one JSON object per line, in record order, atomically."""
         lines = "".join(json.dumps(record) + "\n" for record in self.records)
-        try:
-            write_atomic(path, [lines.encode("ascii")])
-        except OSError as exc:
-            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        write_atomic(path, [lines.encode("ascii")])
 
 
 def derive_seed(master_seed: int, item_index: int, variant: int) -> int:

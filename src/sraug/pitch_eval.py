@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import Waveform
-from .errors import (
-    DegenerateVariance,
-    InputTooShort,
-    InsufficientVoicedOverlap,
-    IoFailure,
-)
+from .audio_io import Waveform, write_atomic
+from .errors import DegenerateVariance, InputTooShort, InsufficientVoicedOverlap
 
 # A sequence whose total variation is this small (relative to its mean
 # magnitude) carries no usable contour and is treated as constant.
@@ -215,13 +210,9 @@ def f0_pcc(
 
 
 def write_f0_csv(path, track: F0Track) -> None:
-    """Export a pitch track as CSV: frame,time_sec,f0_hz (6 decimals)."""
+    """Export a pitch track as CSV: frame,time_sec,f0_hz (6 decimals), atomically."""
     times = track.times()
     lines = ["frame,time_sec,f0_hz"]
     for i, (t, f) in enumerate(zip(times, track.f0)):
         lines.append(f"{i},{t:.6f},{f:.6f}")
-    try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, [("\n".join(lines) + "\n").encode("ascii")])

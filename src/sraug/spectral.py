@@ -18,14 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio_io import Waveform
-from .errors import (
-    ConfigMismatch,
-    DegenerateWindowSum,
-    IoFailure,
-    MalformedContainer,
-    UnsupportedFormat,
-)
+from .audio_io import Waveform, read_bytes, write_atomic
+from .errors import ConfigMismatch, DegenerateWindowSum, MalformedContainer, UnsupportedFormat
 
 _MELF_MAGIC = b"MELF"
 _MELF_VERSION = 1
@@ -142,12 +136,12 @@ def _check_frames(values: np.ndarray, n_bins: int, finite: bool) -> None:
 # ---------------------------------------------------------------------------
 # windows and framing
 #
-# Analysis and synthesis work on a frame buffer of shape [n_frames, width],
-# width being n_fft rounded up to a multiple of hop_size: columns past n_fft
-# stay zero, so overlap-add sums whole hop-wide chunks.  stft/istft and
-# Griffin-Lim share these helpers; Griffin-Lim passes buffers it reuses
-# across iterations, and rows may be split into slabs, since every helper
-# but the overlap-add treats each frame on its own.
+# Analysis and synthesis work on a frame buffer of shape [n_frames, n_fft];
+# overlap-add sums it in hop-wide chunks, the last one narrower when hop
+# does not divide n_fft.  stft/istft and Griffin-Lim share these helpers;
+# Griffin-Lim passes buffers it reuses across iterations, and rows may be
+# split into slabs, since every helper but the overlap-add treats each
+# frame on its own.
 
 
 @lru_cache(maxsize=32)
@@ -164,19 +158,10 @@ def _analysis_window(cfg: SpectralConfig) -> np.ndarray:
     return hann
 
 
-def _n_chunks(cfg: SpectralConfig) -> int:
-    """Hop-wide chunks per frame: n_fft rounded up to whole hops."""
-    return -(-cfg.n_fft // cfg.hop_size)
-
-
-def _frame_buffer(n_frames: int, cfg: SpectralConfig) -> np.ndarray:
-    """Zeroed [n_frames, n_chunks * hop] frame buffer; frames live in [:, :n_fft]."""
-    return np.zeros((n_frames, _n_chunks(cfg) * cfg.hop_size))
-
-
 def _ola_buffer(n_frames: int, cfg: SpectralConfig) -> np.ndarray:
     """Overlap-add accumulator for n_frames frames, one hop per row."""
-    return np.empty((n_frames + _n_chunks(cfg) - 1, cfg.hop_size))
+    chunks = -(-cfg.n_fft // cfg.hop_size)  # hop-wide chunks per frame
+    return np.empty((n_frames + chunks - 1, cfg.hop_size))
 
 
 def _frames(padded: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
@@ -199,12 +184,12 @@ def _synthesize(values: np.ndarray, cfg: SpectralConfig, out: np.ndarray) -> np.
 
 
 def _sum_frames(frames: np.ndarray, hop: int, acc: np.ndarray) -> np.ndarray:
-    """Overlap-add a [n_frames, width] buffer into ``acc``, chunk by chunk."""
-    n_frames, width = frames.shape
-    chunks = frames.reshape(n_frames, width // hop, hop)
+    """Overlap-add [n_frames, n_fft] frames into ``acc``, chunk by chunk."""
+    n_frames, n_fft = frames.shape
     acc.fill(0.0)
-    for j in range(width // hop):
-        acc[j : j + n_frames] += chunks[:, j, :]
+    for j, start in enumerate(range(0, n_fft, hop)):
+        chunk = frames[:, start : start + hop]
+        acc[j : j + n_frames, : chunk.shape[1]] += chunk
     return acc.reshape(-1)
 
 
@@ -221,9 +206,7 @@ def _window_sum(cfg: SpectralConfig, n_frames: int) -> np.ndarray:
     Raises DegenerateWindowSum where it falls below 1e-9, since the
     normalization would then divide by (nearly) zero.
     """
-    win_sq = _frame_buffer(1, cfg)[0]
-    win_sq[: cfg.n_fft] = _analysis_window(cfg) ** 2
-    frames = np.broadcast_to(win_sq, (n_frames, win_sq.size))
+    frames = np.broadcast_to(_analysis_window(cfg) ** 2, (n_frames, cfg.n_fft))
     denom = _sum_frames(frames, cfg.hop_size, _ola_buffer(n_frames, cfg))
     denom = denom[_output_region(n_frames, cfg)]
     if denom.min() < 1e-9:
@@ -280,8 +263,7 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     cfg = s.config
     if s.n_frames < 2:
         return Waveform(np.zeros(0), cfg.sample_rate)
-    frames = _frame_buffer(s.n_frames, cfg)
-    _synthesize(s.values, cfg, frames[:, : cfg.n_fft])
+    frames = _synthesize(s.values, cfg, np.empty((s.n_frames, cfg.n_fft)))
     samples = _overlap_add(frames, cfg, _ola_buffer(s.n_frames, cfg))
     return Waveform(samples, cfg.sample_rate)
 
@@ -359,7 +341,8 @@ def write_melf(path, m: MelSpectrogram) -> None:
 
     Layout: magic "MELF", then u32 version=1, n_frames, n_bins,
     sample_rate, hop_size (little-endian), then the frames as row-major
-    (time-major) IEEE-754 float32.  Byte-for-byte reproducible.
+    (time-major) IEEE-754 float32.  Byte-for-byte reproducible; written
+    atomically.
     """
     header = _MELF_HEADER.pack(
         _MELF_MAGIC,
@@ -369,13 +352,7 @@ def write_melf(path, m: MelSpectrogram) -> None:
         m.config.sample_rate,
         m.config.hop_size,
     )
-    data = m.logmels.astype("<f4").tobytes()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(data)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, [header, m.logmels.astype("<f4").tobytes()])
 
 
 def read_melf(path, base_config: SpectralConfig | None = None) -> MelSpectrogram:
@@ -385,11 +362,7 @@ def read_melf(path, base_config: SpectralConfig | None = None) -> MelSpectrogram
     analysis parameters are taken from ``base_config`` (defaults when not
     given).
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    blob = read_bytes(path)
     if len(blob) < _MELF_HEADER.size:
         raise MalformedContainer(f"{path}: too short for a MELF header")
     magic, version, n_frames, n_bins, sample_rate, hop_size = _MELF_HEADER.unpack_from(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import shlex
-import shutil
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +24,6 @@ from .spectral import (
     LinearSpectrogram,
     MelSpectrogram,
     _analyze,
-    _frame_buffer,
     _frames,
     _ola_buffer,
     _overlap_add,
@@ -104,19 +102,18 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     previous = np.zeros_like(angles)
     scratch = np.empty_like(angles)  # accelerated value, then mags * angles
     magnitude = np.empty((n_frames, n_bins))
-    frames = _frame_buffer(n_frames, spectral_cfg)
-    windowed = frames[:, : spectral_cfg.n_fft]  # analysis and synthesis frames
+    frames = np.empty((n_frames, spectral_cfg.n_fft))  # analysis and synthesis frames
     acc = _ola_buffer(n_frames, spectral_cfg)
     pad = spectral_cfg.n_fft // 2
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
 
     def synthesize(rows):
         np.multiply(mags[rows], angles[rows], out=scratch[rows])
-        _synthesize(scratch[rows], spectral_cfg, windowed[rows])
+        _synthesize(scratch[rows], spectral_cfg, frames[rows])
 
     def update(rows):
         # ``rebuilt`` and ``previous`` are swapped between iterations.
-        _analyze(analysis_frames[rows], spectral_cfg, windowed[rows], rebuilt[rows])
+        _analyze(analysis_frames[rows], spectral_cfg, frames[rows], rebuilt[rows])
         accelerated = scratch[rows]
         np.multiply(previous[rows], blend, out=accelerated)
         np.subtract(rebuilt[rows], accelerated, out=accelerated)
@@ -168,10 +165,11 @@ def external_vocoder(
     """
     if "{mel}" not in command or "{wav}" not in command:
         raise ValueError("command template must contain {mel} and {wav}")
-    tmpdir = Path(tempfile.mkdtemp(prefix="sraug-vocoder-"))
-    try:
-        mel_path = tmpdir / "in.melf"
-        wav_path = tmpdir / "out.wav"
+    with tempfile.TemporaryDirectory(
+        prefix="sraug-vocoder-", ignore_cleanup_errors=True
+    ) as tmpdir:
+        mel_path = Path(tmpdir) / "in.melf"
+        wav_path = Path(tmpdir) / "out.wav"
         write_melf(mel_path, m)
         argv = [
             arg.replace("{mel}", str(mel_path)).replace("{wav}", str(wav_path))
@@ -195,8 +193,6 @@ def external_vocoder(
         if not wav_path.exists():
             raise VocoderOutputMissing(f"vocoder exited 0 but wrote no {wav_path}")
         out = read_wav(wav_path)
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
     if out.sample_rate != m.config.sample_rate:
         out = resample(out, m.config.sample_rate)
     return out

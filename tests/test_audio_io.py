@@ -1,19 +1,24 @@
 """WAV container parsing/writing, the Waveform type, and resampling."""
 
+import ast
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sraug
 from sraug.audio_io import (
     Waveform,
     _kaiser,
     _round_half_up,
+    read_bytes,
     read_wav,
     resample,
+    write_atomic,
     write_wav,
 )
 from sraug.errors import IoFailure, MalformedContainer, UnsupportedFormat
@@ -231,6 +236,35 @@ def test_rejects_partial_frame(tmp_path):
 def test_missing_file_is_io_failure(tmp_path):
     with pytest.raises(IoFailure):
         read_wav(tmp_path / "nope.wav")
+
+
+def test_read_bytes_and_write_atomic_raise_io_failure(tmp_path):
+    with pytest.raises(IoFailure, match="cannot read"):
+        read_bytes(tmp_path)  # a directory
+    with pytest.raises(IoFailure, match="cannot write"):
+        write_atomic(tmp_path / "missing" / "x.bin", [b"x"])
+    write_atomic(tmp_path / "x.bin", [b"ab", b"cd"])
+    assert read_bytes(tmp_path / "x.bin") == b"abcd"
+
+
+# Method names that open a file (Path.open, os.open, Path.read_text, ...).
+_FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def test_only_audio_io_opens_files():
+    offenders = []
+    for path in sorted(Path(sraug.__file__).parent.glob("*.py")):
+        if path.name == "audio_io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr in _FILE_METHODS
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 # ---------------------------------------------------------------------------

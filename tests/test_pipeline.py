@@ -26,7 +26,8 @@ from sraug.pipeline import (
     discover_wavs,
     run,
 )
-from sraug.spectral import SpectralConfig, mel_spectrogram
+from sraug.pitch_eval import PitchConfig, write_f0_csv, yin_f0
+from sraug.spectral import SpectralConfig, mel_spectrogram, write_melf
 from sraug.sr_ops import HORIZONTAL, VERTICAL, RatioRange, resize_axis
 
 MANIFEST_FIELDS = [
@@ -91,6 +92,12 @@ def test_config_rejects_output_into_input_dir(tmp_path):
     src.mkdir()
     with pytest.raises(ValueError):
         PipelineConfig(input=str(src), output_dir=str(src))
+    # The corpus is searched recursively: a second run would augment the
+    # outputs of the first one.
+    for nested in (src / "aug", src / "aug" / "deeper", src / "aug" / ".."):
+        with pytest.raises(ValueError):
+            PipelineConfig(input=str(src), output_dir=str(nested))
+    PipelineConfig(input=str(src), output_dir=str(tmp_path / "corpus_aug"))
 
 
 def test_config_rejects_output_beside_input_file(tmp_path):
@@ -407,17 +414,39 @@ class _FailingFile:
         raise OSError(28, "No space left on device")
 
 
-@pytest.mark.parametrize("target", ["utt.wav", MANIFEST_NAME])
+_TONE = synth.tone(220.0, 0.5)
+# Every writer of the package, keyed by the name of the file it writes.
+_WRITERS = {
+    "utt.wav": lambda path: write_wav(path, _TONE),
+    MANIFEST_NAME: lambda path: pipeline.AugmentManifest(
+        records=[{"source_path": "x.wav"}]
+    ).write_jsonl(path),
+    "utt.melf": lambda path: write_melf(path, mel_spectrogram(_TONE, SpectralConfig())),
+    "utt.csv": lambda path: write_f0_csv(path, yin_f0(_TONE, PitchConfig())),
+}
+
+
+@pytest.mark.parametrize("target", list(_WRITERS))
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch, target):
     monkeypatch.setattr(
         audio_io, "open", lambda path, mode: _FailingFile(open(path, mode)), raising=False
     )
-    path = tmp_path / target
     with pytest.raises(IoFailure):
-        if target == MANIFEST_NAME:
-            pipeline.AugmentManifest(records=[{"source_path": "x.wav"}]).write_jsonl(path)
-        else:
-            write_wav(path, synth.tone(220.0, 0.1))
+        _WRITERS[target](tmp_path / target)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_write_leaves_no_file_and_reraises(tmp_path, monkeypatch):
+    class Interrupting(_FailingFile):
+        def write(self, data):
+            self._fh.write(data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(
+        audio_io, "open", lambda path, mode: Interrupting(open(path, mode)), raising=False
+    )
+    with pytest.raises(KeyboardInterrupt):
+        write_wav(tmp_path / "utt.wav", _TONE)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -624,6 +653,21 @@ def test_cli_rejects_unknown_axis(tmp_path):
     )
     assert proc.returncode == 1
     assert "axis" in proc.stderr
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("noise_std", ["nan", "inf"])
+def test_cli_rejects_nonfinite_noise_std(tmp_path, noise_std, jobs):
+    src = tmp_path / "in"
+    small_corpus(src, n=1)
+    out = tmp_path / "out"
+    proc = run_cli(
+        "augment", "--in", str(src), "--out", str(out), "--ratio-max", "0.9",
+        "--noise-std", noise_std, "--jobs", jobs,
+    )
+    assert proc.returncode == 1
+    assert "pad_noise_std" in proc.stderr
+    assert not out.exists()  # rejected before any work
 
 
 # A non-default value for each augment setting; in, out, vocoder_cmd and
