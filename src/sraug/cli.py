@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .audio_io import read_bytes, read_wav, resample, write_wav
-from .errors import SraugError
+from .errors import MalformedContainer, SraugError
 from .pipeline import MANIFEST_NAME, PipelineConfig, run
 from .pitch_eval import PitchConfig, f0_pcc, write_f0_csv, yin_f0
 from .spectral import SpectralConfig, mel_spectrogram, read_melf, write_melf
@@ -161,9 +161,7 @@ def _cmd_augment(args) -> int:
 
 def _cmd_mel(args) -> int:
     cfg = SpectralConfig()
-    wave = read_wav(args.wav)
-    if wave.sample_rate != cfg.sample_rate:
-        wave = resample(wave, cfg.sample_rate)
+    wave = resample(read_wav(args.wav), cfg.sample_rate)
     write_melf(args.melf, mel_spectrogram(wave, cfg))
     return 0
 
@@ -201,7 +199,12 @@ def _cmd_f0pcc(args) -> int:
 
 def _load_gaussian(path) -> DiagGaussian:
     data = json.loads(read_bytes(path))
-    return DiagGaussian(data["mean"], data["log_std"])
+    try:
+        return DiagGaussian(data["mean"], data["log_std"])
+    except (KeyError, TypeError) as exc:  # a missing key, a JSON list, or an object for a vector
+        raise MalformedContainer(
+            f'{path}: expected a JSON object with numeric "mean" and "log_std" lists'
+        ) from exc
 
 
 def _cmd_kl(args) -> int:

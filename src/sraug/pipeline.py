@@ -133,8 +133,7 @@ def augment_file(path, cfg: PipelineConfig, item_index: int) -> list[dict]:
 
     wave = run_stage("read", read_wav, path)
     duration_in = wave.duration
-    if wave.sample_rate != cfg.spectral.sample_rate:
-        wave = run_stage("resample", resample, wave, cfg.spectral.sample_rate)
+    wave = run_stage("resample", resample, wave, cfg.spectral.sample_rate)
     mel = run_stage("mel", mel_spectrogram, wave, cfg.spectral)
 
     records = []

@@ -73,9 +73,7 @@ class ComplexSpectrogram:
     config: SpectralConfig
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.complex128)
-        _check_frames(values, self.config.n_bins, finite=True)
-        values.flags.writeable = False
+        values = _frozen_frames(self.values, np.complex128, self.config.n_bins)
         object.__setattr__(self, "values", values)
 
     @property
@@ -91,11 +89,9 @@ class LinearSpectrogram:
     config: SpectralConfig
 
     def __post_init__(self):
-        mags = np.array(self.mags, dtype=np.float64)
-        _check_frames(mags, self.config.n_bins, finite=True)
+        mags = _frozen_frames(self.mags, np.float64, self.config.n_bins)
         if mags.size and mags.min() < 0:
             raise ValueError("magnitudes must be non-negative")
-        mags.flags.writeable = False
         object.__setattr__(self, "mags", mags)
 
     @property
@@ -111,12 +107,10 @@ class MelSpectrogram:
     config: SpectralConfig
 
     def __post_init__(self):
-        logmels = np.array(self.logmels, dtype=np.float64)
-        _check_frames(logmels, self.config.n_mels, finite=True)
+        logmels = _frozen_frames(self.logmels, np.float64, self.config.n_mels)
         floor = math.log(self.config.log_floor)
         if logmels.size and logmels.min() < floor - _FLOOR_SLACK:
             raise ValueError(f"log-mel entries below ln(log_floor) = {floor:.6f}")
-        logmels.flags.writeable = False
         object.__setattr__(self, "logmels", logmels)
 
     @property
@@ -124,13 +118,17 @@ class MelSpectrogram:
         return self.logmels.shape[0]
 
 
-def _check_frames(values: np.ndarray, n_bins: int, finite: bool) -> None:
+def _frozen_frames(values, dtype, n_bins: int) -> np.ndarray:
+    """A private, read-only copy of finite [n_frames, n_bins] frames."""
+    values = np.array(values, dtype=dtype)
     if values.ndim != 2:
         raise ValueError(f"expected 2-D [n_frames, bins], got shape {values.shape}")
     if values.shape[1] != n_bins:
         raise ValueError(f"expected {n_bins} bins per frame, got {values.shape[1]}")
-    if finite and values.size and not np.isfinite(values).all():
+    if values.size and not np.isfinite(values).all():
         raise ValueError("entries must be finite")
+    values.flags.writeable = False
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +162,9 @@ def _ola_buffer(n_frames: int, cfg: SpectralConfig) -> np.ndarray:
     return np.empty((n_frames + chunks - 1, cfg.hop_size))
 
 
-def _frames(padded: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
-    """Read-only view of the hop-spaced n_fft-sample frames of a padded signal."""
+def _frames(signal: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+    """Read-only view of the hop-spaced n_fft-sample frames of ``signal``, center-padded."""
+    padded = np.pad(signal, cfg.n_fft // 2, mode="reflect")
     return np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop_size]
 
 
@@ -248,7 +247,7 @@ def stft(w: Waveform, cfg: SpectralConfig) -> ComplexSpectrogram:
         )
     if len(w) < 1:
         raise ValueError("cannot analyze an empty waveform")
-    frames = _frames(np.pad(w.samples, cfg.n_fft // 2, mode="reflect"), cfg)
+    frames = _frames(w.samples, cfg)
     values = np.empty((frames.shape[0], cfg.n_bins), dtype=np.complex128)
     return ComplexSpectrogram(_analyze(frames, cfg, np.empty(frames.shape), values), cfg)
 
@@ -360,7 +359,8 @@ def read_melf(path, base_config: SpectralConfig | None = None) -> MelSpectrogram
 
     The container stores band count, sample rate and hop size; remaining
     analysis parameters are taken from ``base_config`` (defaults when not
-    given).
+    given).  A header or payload that these parameters or MelSpectrogram
+    reject raises MalformedContainer.
     """
     blob = read_bytes(path)
     if len(blob) < _MELF_HEADER.size:
@@ -379,10 +379,13 @@ def read_melf(path, base_config: SpectralConfig | None = None) -> MelSpectrogram
             f"{path}: expected {expected} data bytes, found {len(payload)}"
         )
     values = np.frombuffer(payload, dtype="<f4").reshape(n_frames, n_bins)
-    cfg = replace(
-        base_config or SpectralConfig(),
-        n_mels=int(n_bins),
-        sample_rate=int(sample_rate),
-        hop_size=int(hop_size),
-    )
-    return MelSpectrogram(values.astype(np.float64), cfg)
+    try:
+        cfg = replace(
+            base_config or SpectralConfig(),
+            n_mels=int(n_bins),
+            sample_rate=int(sample_rate),
+            hop_size=int(hop_size),
+        )
+        return MelSpectrogram(values, cfg)
+    except ValueError as exc:
+        raise MalformedContainer(f"{path}: {exc}") from exc

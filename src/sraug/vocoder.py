@@ -104,7 +104,6 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     magnitude = np.empty((n_frames, n_bins))
     frames = np.empty((n_frames, spectral_cfg.n_fft))  # analysis and synthesis frames
     acc = _ola_buffer(n_frames, spectral_cfg)
-    pad = spectral_cfg.n_fft // 2
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
 
     def synthesize(rows):
@@ -131,7 +130,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         list(each_slab(synthesize, slabs))
         for _ in range(cfg.n_iters):
             signal = _overlap_add(frames, spectral_cfg, acc)
-            analysis_frames = _frames(np.pad(signal, pad, mode="reflect"), spectral_cfg)
+            analysis_frames = _frames(signal, spectral_cfg)
             list(each_slab(update, slabs))
             rebuilt, previous = previous, rebuilt
 
@@ -193,6 +192,4 @@ def external_vocoder(
         if not wav_path.exists():
             raise VocoderOutputMissing(f"vocoder exited 0 but wrote no {wav_path}")
         out = read_wav(wav_path)
-    if out.sample_rate != m.config.sample_rate:
-        out = resample(out, m.config.sample_rate)
-    return out
+    return resample(out, m.config.sample_rate)

@@ -782,3 +782,18 @@ def test_cli_kl_malformed_json(tmp_path):
     proc = run_cli("kl", str(q), str(q))
     assert proc.returncode == 1
     assert "sraug kl" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"mean": [0.0]}', "[1, 2]", '{"mean": {"a": 1}, "log_std": [0.0]}'],
+    ids=["missing_log_std", "list", "object_for_mean"],
+)
+def test_cli_kl_json_not_two_vectors(tmp_path, text):
+    q = tmp_path / "q.json"
+    q.write_text(text)
+    proc = run_cli("kl", str(q), str(q))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"sraug kl: {q}: ")
+    assert proc.stderr.count("\n") == 1

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sraug.audio_io import Waveform
 from sraug.errors import (
@@ -12,6 +14,7 @@ from sraug.errors import (
     DegenerateWindowSum,
     IoFailure,
     MalformedContainer,
+    SraugError,
     UnsupportedFormat,
 )
 from sraug.spectral import (
@@ -346,6 +349,47 @@ def test_melf_rejects_truncated_payload(tmp_path):
     path.write_bytes(blob[:-4])
     with pytest.raises(MalformedContainer):
         read_melf(path)
+
+
+# Values near the SpectralConfig limits, mixed with arbitrary u32s.
+_U32_FIELD = st.one_of(
+    st.sampled_from([0, 1, 2, 80, 320, 1280, 1281, 15999, 16000, 2**32 - 1]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.tuples(st.one_of(st.just(1), _U32_FIELD), *[_U32_FIELD] * 4),
+    fill=st.sampled_from([FLOOR, 0.0, np.nan, -np.inf]),
+    cut=st.one_of(st.none(), st.integers(0, 2000)),
+)
+# Headers (version, n_frames, n_bins, sample_rate, hop_size) that SpectralConfig rejects:
+@example(header=(1, 2, 80, 0, 320), fill=0.0, cut=None)  # sample rate 0
+@example(header=(1, 2, 0, 16000, 320), fill=0.0, cut=None)  # no bands
+@example(header=(1, 2, 80, 16000, 0), fill=0.0, cut=None)  # hop 0
+@example(header=(1, 2, 80, 16000, 1281), fill=0.0, cut=None)  # hop > win_size
+@example(header=(1, 2, 80, 15999, 320), fill=0.0, cut=None)  # rate < 2 * fmax
+@example(header=(1, 0, 80, 16000, 320), fill=np.nan, cut=None)  # no frames: the fill is never read
+def test_melf_bad_header_or_payload_raises_sraug_error(tmp_path_factory, header, fill, cut):
+    version, n_frames, n_bins, rate, hop = header
+    n_values = n_frames * n_bins
+    payload = np.full(n_values if n_values <= 4096 else 7, fill, dtype="<f4").tobytes()
+    blob = struct.pack("<4sIIIII", b"MELF", *header) + payload
+    path = tmp_path_factory.getbasetemp() / "fuzz.melf"
+    path.write_bytes(blob[:cut])
+    try:
+        mel = read_melf(path)
+    except SraugError as exc:
+        expected = MalformedContainer
+        if len(blob[:cut]) >= struct.calcsize("<4sIIIII") and version != 1:
+            expected = UnsupportedFormat  # a whole header of another version
+        assert type(exc) is expected
+        assert str(path) in str(exc)
+    else:  # a file that reads back must be well formed
+        assert cut is None or cut >= len(blob)
+        assert version == 1 and n_values <= 4096 and (n_values == 0 or np.isfinite(fill))
+        assert mel.logmels.shape == (n_frames, n_bins) and np.isfinite(mel.logmels).all()
 
 
 def test_melf_missing_file(tmp_path):
