@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .audio_io import read_bytes, read_wav, resample, write_wav
-from .errors import MalformedContainer, SraugError
+from .errors import DimensionMismatch, MalformedContainer, SraugError
 from .pipeline import MANIFEST_NAME, PipelineConfig, run
 from .pitch_eval import PitchConfig, f0_pcc, write_f0_csv, yin_f0
 from .spectral import SpectralConfig, mel_spectrogram, read_melf, write_melf
@@ -198,12 +198,16 @@ def _cmd_f0pcc(args) -> int:
 
 
 def _load_gaussian(path) -> DiagGaussian:
-    data = json.loads(read_bytes(path))
     try:
+        data = json.loads(read_bytes(path))
         return DiagGaussian(data["mean"], data["log_std"])
-    except (KeyError, TypeError) as exc:  # a missing key, a JSON list, or an object for a vector
+    # KeyError: a missing key; TypeError: a JSON list; ValueError: not UTF-8,
+    # not JSON, or a vector DiagGaussian rejects; DimensionMismatch: two
+    # vectors of different lengths.
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise MalformedContainer(
-            f'{path}: expected a JSON object with numeric "mean" and "log_std" lists'
+            f'{path}: expected a JSON object with numeric "mean" and "log_std" '
+            f"lists of one length ({exc})"
         ) from exc
 
 

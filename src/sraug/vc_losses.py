@@ -32,8 +32,11 @@ class DiagGaussian:
     log_std: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.array(self.mean, dtype=np.float64))
-        log_std = np.atleast_1d(np.array(self.log_std, dtype=np.float64))
+        try:
+            mean = np.atleast_1d(np.array(self.mean, dtype=np.float64))
+            log_std = np.atleast_1d(np.array(self.log_std, dtype=np.float64))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"mean and log_std must be numeric: {exc}") from exc
         if mean.ndim != 1 or log_std.ndim != 1:
             raise ValueError("mean and log_std must be vectors")
         if mean.size != log_std.size:

@@ -3,6 +3,9 @@
 These are the allocating, single-threaded forms that spectral.stft/istft
 and vocoder.griffin_lim replaced with in-place, slab-parallel work.  Tests
 require the library to give exactly the same arrays (np.array_equal).
+The phase-vocoder start finds each bin's peak by filling every peak's
+index left and right up to a local minimum, not by counting basins in
+blocks of frames as the library does.
 """
 
 import numpy as np
@@ -52,10 +55,38 @@ def istft_raw(values: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     return acc[region] / denom
 
 
+def start_angles(mags: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+    logmag = np.log(np.maximum(mags, 1e-16))
+    n_frames, n_bins = logmag.shape
+    padded = np.pad(logmag, ((0, 0), (1, 1)), constant_values=-np.inf)
+    left, right = padded[:, :-2], padded[:, 2:]
+    is_peak = (logmag > left) & (logmag >= right)
+    is_min = (logmag <= left) & (logmag < right)
+    bins = np.arange(n_bins)
+    inner = is_peak & (bins > 0) & (bins < n_bins - 1)
+    up, down = logmag - left, right - logmag
+    freqs = np.zeros_like(logmag)
+    np.divide(up + down, up - down, out=freqs, where=inner)
+    freqs = (freqs * 0.5 + bins) * (2.0 * np.pi * cfg.hop_size / cfg.n_fft)
+    turns = np.cos(freqs) + 1j * np.sin(freqs)
+    # A bin follows the last peak at or below it unless a minimum lies
+    # between the two; then it follows the next peak above it.
+    last_peak = np.maximum.accumulate(np.where(is_peak, bins, -1), axis=1)
+    next_peak = np.minimum.accumulate(np.where(is_peak, bins, n_bins)[:, ::-1], axis=1)[:, ::-1]
+    last_min = np.maximum.accumulate(np.where(is_min, bins, -1), axis=1)
+    source = np.where(last_min < last_peak, last_peak, next_peak)
+    turns = np.take_along_axis(turns, source, axis=1)
+    angles = np.empty_like(turns)
+    angles[0] = (-1.0) ** bins
+    for t in range(1, n_frames):
+        angles[t] = angles[t - 1] * turns[t - 1]
+    return angles
+
+
 def griffin_lim(mags: np.ndarray, cfg: SpectralConfig, n_iters: int) -> Waveform:
     if mags.shape[0] < 2:
         return Waveform(np.zeros(0), cfg.sample_rate)
-    angles = np.ones_like(mags, dtype=np.complex128)
+    angles = start_angles(mags, cfg)
     previous = np.zeros_like(mags, dtype=np.complex128)
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
     for _ in range(n_iters):

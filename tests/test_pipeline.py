@@ -786,8 +786,13 @@ def test_cli_kl_malformed_json(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"mean": [0.0]}', "[1, 2]", '{"mean": {"a": 1}, "log_std": [0.0]}'],
-    ids=["missing_log_std", "list", "object_for_mean"],
+    [
+        '{"mean": [0.0]}',
+        "[1, 2]",
+        '{"mean": {"a": 1}, "log_std": [0.0]}',
+        '{"mean": [0.0, 1.0], "log_std": [0.0]}',
+    ],
+    ids=["missing_log_std", "list", "object_for_mean", "unequal_lengths"],
 )
 def test_cli_kl_json_not_two_vectors(tmp_path, text):
     q = tmp_path / "q.json"
@@ -796,4 +801,17 @@ def test_cli_kl_json_not_two_vectors(tmp_path, text):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"sraug kl: {q}: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload", [b"{not json", b"\xff"], ids=["not_json", "not_utf8"])
+def test_cli_kl_unreadable_json_names_the_file(tmp_path, payload):
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"mean": [0.0], "log_std": [0.0]}))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    proc = run_cli("kl", str(ok), str(bad))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"sraug kl: {bad}: ")
     assert proc.stderr.count("\n") == 1

@@ -58,6 +58,14 @@ def test_diag_gaussian_validation():
         DiagGaussian([[0.0, 1.0]], [[0.0, 1.0]])
 
 
+@pytest.mark.parametrize("vector", [{"a": 1}, ["x"], [[0.0], [0.0, 1.0]]], ids=["dict", "str", "ragged"])
+def test_diag_gaussian_rejects_non_numeric(vector):
+    with pytest.raises(ValueError):
+        DiagGaussian(vector, [0.0])
+    with pytest.raises(ValueError):
+        DiagGaussian([0.0], vector)
+
+
 # ---------------------------------------------------------------------------
 # KL divergence
 
