@@ -7,13 +7,15 @@ PCM-16 mono is written.
 
 This is the one module that opens files: every other module reads through
 read_bytes and writes through write_atomic, which turn an OSError into
-IoFailure.
+IoFailure.  It also holds the array and integer rules that every value
+type and settings class checks its fields with.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -46,17 +48,12 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.float64)  # private copy
-        if samples.ndim != 1:
-            raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        if samples.size and not np.isfinite(samples).all():
-            raise ValueError("samples contain NaN or Inf")
-        rate = self.sample_rate
-        if not (isinstance(rate, (int, np.integer)) and rate > 0):
+        rate = _integer(self.sample_rate, "sample_rate")
+        if rate <= 0:
             raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
-        samples.flags.writeable = False
+        samples = _frozen_array(self.samples, np.float64, 1, "samples")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(rate))
+        object.__setattr__(self, "sample_rate", rate)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -65,6 +62,34 @@ class Waveform:
     def duration(self) -> float:
         """Length in seconds."""
         return self.samples.size / self.sample_rate
+
+
+def _frozen_array(values, dtype, ndim: int, name: str, lower=None) -> np.ndarray:
+    """A private, read-only copy of ``values`` as a finite ``ndim``-D ``dtype`` array.
+
+    ValueError, naming ``name``, for a non-numeric entry, another rank,
+    NaN, Inf, or an entry below ``lower`` when one is given.
+    """
+    try:
+        array = np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be numeric: {exc}") from exc
+    if array.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {array.shape}")
+    if array.size and not np.isfinite(array).all():
+        raise ValueError(f"{name} entries must be finite")
+    if lower is not None and array.size and array.min() < lower:
+        raise ValueError(f"{name} entries must be >= {lower:.6f}")
+    array.flags.writeable = False
+    return array
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ValueError naming ``name`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _round_half_up(x: float) -> int:
@@ -79,14 +104,11 @@ def read_wav(path) -> Waveform:
     read through its sub-format GUID, which must name PCM or IEEE float.
     Integer samples are scaled by 2^(bits-1).  Unknown chunks are skipped.
     """
-    return _decode_wav(read_bytes(path), str(path))
-
-
-def _decode_wav(blob: bytes, name: str) -> Waveform:
+    blob = read_bytes(path)
     if len(blob) < 12:
-        raise MalformedContainer(f"{name}: too short for a RIFF header")
+        raise MalformedContainer(f"{path}: too short for a RIFF header")
     if blob[0:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise MalformedContainer(f"{name}: not a RIFF/WAVE file")
+        raise MalformedContainer(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
     data = None
@@ -96,7 +118,7 @@ def _decode_wav(blob: bytes, name: str) -> Waveform:
         (chunk_size,) = struct.unpack_from("<I", blob, pos + 4)
         body = blob[pos + 8 : pos + 8 + chunk_size]
         if len(body) < chunk_size:
-            raise MalformedContainer(f"{name}: truncated '{chunk_id!r}' chunk")
+            raise MalformedContainer(f"{path}: truncated '{chunk_id!r}' chunk")
         if chunk_id == b"fmt ":
             fmt = body
         elif chunk_id == b"data":
@@ -104,39 +126,39 @@ def _decode_wav(blob: bytes, name: str) -> Waveform:
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None:
-        raise MalformedContainer(f"{name}: missing fmt chunk")
+        raise MalformedContainer(f"{path}: missing fmt chunk")
     if data is None:
-        raise MalformedContainer(f"{name}: missing data chunk")
+        raise MalformedContainer(f"{path}: missing data chunk")
     if len(fmt) < 16:
-        raise MalformedContainer(f"{name}: fmt chunk too small")
+        raise MalformedContainer(f"{path}: fmt chunk too small")
 
     format_tag, n_channels, sample_rate, _, block_align, bits = struct.unpack_from(
         "<HHIIHH", fmt
     )
     if format_tag == WAVE_FORMAT_EXTENSIBLE:
         if len(fmt) < 40:
-            raise MalformedContainer(f"{name}: extensible fmt chunk too small")
+            raise MalformedContainer(f"{path}: extensible fmt chunk too small")
         guid = fmt[24:40]
         if guid[2:] != _SUBFORMAT_GUID_TAIL:
-            raise UnsupportedFormat(f"{name}: sub-format GUID {guid.hex()}")
+            raise UnsupportedFormat(f"{path}: sub-format GUID {guid.hex()}")
         (format_tag,) = struct.unpack_from("<H", guid)
     if format_tag not in (WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT):
-        raise UnsupportedFormat(f"{name}: format tag {format_tag} (want 1 or 3)")
+        raise UnsupportedFormat(f"{path}: format tag {format_tag} (want 1 or 3)")
     if n_channels not in (1, 2):
-        raise UnsupportedFormat(f"{name}: {n_channels} channels (want 1 or 2)")
+        raise UnsupportedFormat(f"{path}: {n_channels} channels (want 1 or 2)")
     if format_tag == WAVE_FORMAT_PCM and bits not in (16, 24):
-        raise UnsupportedFormat(f"{name}: {bits}-bit PCM (want 16 or 24)")
+        raise UnsupportedFormat(f"{path}: {bits}-bit PCM (want 16 or 24)")
     if format_tag == WAVE_FORMAT_IEEE_FLOAT and bits != 32:
-        raise UnsupportedFormat(f"{name}: {bits}-bit float (want 32)")
+        raise UnsupportedFormat(f"{path}: {bits}-bit float (want 32)")
     if sample_rate == 0:
-        raise MalformedContainer(f"{name}: zero sample rate")
+        raise MalformedContainer(f"{path}: zero sample rate")
 
     bytes_per_sample = bits // 8
     frame_size = bytes_per_sample * n_channels
     if block_align not in (0, frame_size):
-        raise MalformedContainer(f"{name}: block align {block_align} != {frame_size}")
+        raise MalformedContainer(f"{path}: block align {block_align} != {frame_size}")
     if len(data) % frame_size != 0:
-        raise MalformedContainer(f"{name}: data chunk is not a whole number of frames")
+        raise MalformedContainer(f"{path}: data chunk is not a whole number of frames")
 
     if bits == 16:
         samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 2.0**15
@@ -148,7 +170,7 @@ def _decode_wav(blob: bytes, name: str) -> Waveform:
     else:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
         if samples.size and not np.isfinite(samples).all():
-            raise MalformedContainer(f"{name}: non-finite float samples")
+            raise MalformedContainer(f"{path}: non-finite float samples")
 
     if n_channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)

@@ -17,7 +17,7 @@ from .errors import DimensionMismatch, MalformedContainer, SraugError
 from .pipeline import MANIFEST_NAME, PipelineConfig, run
 from .pitch_eval import PitchConfig, f0_pcc, write_f0_csv, yin_f0
 from .spectral import SpectralConfig, mel_spectrogram, read_melf, write_melf
-from .sr_ops import HORIZONTAL, VERTICAL, RatioRange, ResizeSpec, horizontal_sr, vertical_sr
+from .sr_ops import HORIZONTAL, VERTICAL, RatioRange, ResizeSpec, resize
 from .vc_losses import DiagGaussian, kl_diag_gaussian
 from .vocoder import GriffinLimConfig, reconstruct_from_mel
 
@@ -57,10 +57,13 @@ def _read_config_file(path) -> dict:
     """Parse a key=value settings file (one pair per line, # comments).
 
     A ``#`` inside a value wrapped in single or double quotes is part of
-    the value.
+    the value.  A file that is not UTF-8 raises MalformedContainer.
     """
     settings = {}
-    text = read_bytes(path).decode("utf-8")
+    try:
+        text = read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedContainer(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -171,11 +174,7 @@ def _cmd_resize(args) -> int:
     spec = ResizeSpec(
         ratio=args.ratio, axis=args.axis, pad_noise_std=args.noise_std, seed=args.seed
     )
-    if args.axis == VERTICAL:
-        out = vertical_sr(mel, spec)
-    else:
-        out = horizontal_sr(mel, spec)
-    write_melf(args.melf_out, out)
+    write_melf(args.melf_out, resize(mel, spec))
     return 0
 
 

@@ -19,17 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import read_wav, resample, write_atomic, write_wav
+from .audio_io import _integer, read_wav, resample, write_atomic, write_wav
 from .errors import EmptyCorpus, IoFailure, OutputCollision, StageFailure
 from .spectral import SpectralConfig, mel_spectrogram
-from .sr_ops import (
-    VERTICAL,
-    RatioRange,
-    ResizeSpec,
-    horizontal_sr,
-    sample_ratio,
-    vertical_sr,
-)
+from .sr_ops import VERTICAL, RatioRange, ResizeSpec, resize, sample_ratio
 from .vocoder import (
     GriffinLimConfig,
     available_cpus,
@@ -61,11 +54,10 @@ class PipelineConfig:
     def __post_init__(self):
         object.__setattr__(self, "input", str(self.input))
         object.__setattr__(self, "output_dir", str(self.output_dir))
-        if self.variants_per_file < 1:
+        if _integer(self.variants_per_file, "variants_per_file") < 1:
             raise ValueError("variants_per_file must be >= 1")
-        ResizeSpec(1.0, self.axis, self.pad_noise_std)  # the rules for axis and noise
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
+        # The rules for axis, noise and seed.
+        ResizeSpec(1.0, self.axis, self.pad_noise_std, self.master_seed)
         in_path = Path(self.input)
         out_dir = Path(self.output_dir).resolve()
         if in_path.is_dir() or not (in_path.suffix or in_path.is_file()):
@@ -142,10 +134,7 @@ def augment_file(path, cfg: PipelineConfig, item_index: int) -> list[dict]:
         spec = ResizeSpec(
             ratio=ratio, axis=cfg.axis, pad_noise_std=cfg.pad_noise_std, seed=seed
         )
-        if cfg.axis == VERTICAL:
-            resized = run_stage("resize", vertical_sr, mel, spec, rng)
-        else:
-            resized = run_stage("resize", horizontal_sr, mel, spec)
+        resized = run_stage("resize", resize, mel, spec, rng)
         if cfg.vocoder_cmd:
             out = run_stage("reconstruct", external_vocoder, resized, cfg.vocoder_cmd)
         else:

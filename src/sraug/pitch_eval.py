@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import Waveform, write_atomic
+from .audio_io import Waveform, _frozen_array, _integer, write_atomic
 from .errors import DegenerateVariance, InputTooShort, InsufficientVoicedOverlap
 
 # A sequence whose total variation is this small (relative to its mean
@@ -36,8 +36,9 @@ class PitchConfig:
     def __post_init__(self):
         if not 0 < self.f0_min < self.f0_max:
             raise ValueError("need 0 < f0_min < f0_max")
-        if self.frame_size <= 0 or self.hop_size <= 0:
-            raise ValueError("frame_size and hop_size must be positive")
+        for name in ("frame_size", "hop_size"):
+            if _integer(getattr(self, name), name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.hop_size > self.frame_size:
             raise ValueError("hop_size must not exceed frame_size")
         if not 0 < self.yin_threshold < 1:
@@ -53,13 +54,7 @@ class F0Track:
     sample_rate: int
 
     def __post_init__(self):
-        f0 = np.array(self.f0, dtype=np.float64)
-        if f0.ndim != 1:
-            raise ValueError("f0 must be 1-D")
-        if f0.size and (not np.isfinite(f0).all() or f0.min() < 0):
-            raise ValueError("f0 values must be finite and >= 0")
-        f0.flags.writeable = False
-        object.__setattr__(self, "f0", f0)
+        object.__setattr__(self, "f0", _frozen_array(self.f0, np.float64, 1, "f0", lower=0.0))
 
     def __len__(self) -> int:
         return self.f0.size

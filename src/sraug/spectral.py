@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio_io import Waveform, read_bytes, write_atomic
+from .audio_io import Waveform, _frozen_array, _integer, read_bytes, write_atomic
 from .errors import ConfigMismatch, DegenerateWindowSum, MalformedContainer, UnsupportedFormat
 
 _MELF_MAGIC = b"MELF"
@@ -48,7 +48,7 @@ class SpectralConfig:
 
     def __post_init__(self):
         for name in ("n_fft", "win_size", "hop_size", "n_mels", "sample_rate"):
-            if getattr(self, name) <= 0:
+            if _integer(getattr(self, name), name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.win_size > self.n_fft:
             raise ValueError("win_size must not exceed n_fft")
@@ -73,7 +73,7 @@ class ComplexSpectrogram:
     config: SpectralConfig
 
     def __post_init__(self):
-        values = _frozen_frames(self.values, np.complex128, self.config.n_bins)
+        values = _frozen_frames(self.values, np.complex128, self.config.n_bins, "values")
         object.__setattr__(self, "values", values)
 
     @property
@@ -89,9 +89,7 @@ class LinearSpectrogram:
     config: SpectralConfig
 
     def __post_init__(self):
-        mags = _frozen_frames(self.mags, np.float64, self.config.n_bins)
-        if mags.size and mags.min() < 0:
-            raise ValueError("magnitudes must be non-negative")
+        mags = _frozen_frames(self.mags, np.float64, self.config.n_bins, "mags", lower=0.0)
         object.__setattr__(self, "mags", mags)
 
     @property
@@ -107,10 +105,9 @@ class MelSpectrogram:
     config: SpectralConfig
 
     def __post_init__(self):
-        logmels = _frozen_frames(self.logmels, np.float64, self.config.n_mels)
-        floor = math.log(self.config.log_floor)
-        if logmels.size and logmels.min() < floor - _FLOOR_SLACK:
-            raise ValueError(f"log-mel entries below ln(log_floor) = {floor:.6f}")
+        floor = math.log(self.config.log_floor) - _FLOOR_SLACK
+        n_mels = self.config.n_mels
+        logmels = _frozen_frames(self.logmels, np.float64, n_mels, "logmels", floor)
         object.__setattr__(self, "logmels", logmels)
 
     @property
@@ -118,16 +115,11 @@ class MelSpectrogram:
         return self.logmels.shape[0]
 
 
-def _frozen_frames(values, dtype, n_bins: int) -> np.ndarray:
-    """A private, read-only copy of finite [n_frames, n_bins] frames."""
-    values = np.array(values, dtype=dtype)
-    if values.ndim != 2:
-        raise ValueError(f"expected 2-D [n_frames, bins], got shape {values.shape}")
+def _frozen_frames(values, dtype, n_bins: int, name: str, lower=None) -> np.ndarray:
+    """The _frozen_array of [n_frames, n_bins] frames."""
+    values = _frozen_array(values, dtype, 2, name, lower)
     if values.shape[1] != n_bins:
         raise ValueError(f"expected {n_bins} bins per frame, got {values.shape[1]}")
-    if values.size and not np.isfinite(values).all():
-        raise ValueError("entries must be finite")
-    values.flags.writeable = False
     return values
 
 
@@ -156,12 +148,6 @@ def _analysis_window(cfg: SpectralConfig) -> np.ndarray:
     return hann
 
 
-def _ola_buffer(n_frames: int, cfg: SpectralConfig) -> np.ndarray:
-    """Overlap-add accumulator for n_frames frames, one hop per row."""
-    chunks = -(-cfg.n_fft // cfg.hop_size)  # hop-wide chunks per frame
-    return np.empty((n_frames + chunks - 1, cfg.hop_size))
-
-
 def _frames(signal: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     """Read-only view of the hop-spaced n_fft-sample frames of ``signal``, center-padded."""
     padded = np.pad(signal, cfg.n_fft // 2, mode="reflect")
@@ -182,10 +168,10 @@ def _synthesize(values: np.ndarray, cfg: SpectralConfig, out: np.ndarray) -> np.
     return np.multiply(out, _analysis_window(cfg), out=out)
 
 
-def _sum_frames(frames: np.ndarray, hop: int, acc: np.ndarray) -> np.ndarray:
-    """Overlap-add [n_frames, n_fft] frames into ``acc``, chunk by chunk."""
+def _sum_frames(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Overlap-add [n_frames, n_fft] frames, chunk by chunk, one hop per row."""
     n_frames, n_fft = frames.shape
-    acc.fill(0.0)
+    acc = np.zeros((n_frames + -(-n_fft // hop) - 1, hop))
     for j, start in enumerate(range(0, n_fft, hop)):
         chunk = frames[:, start : start + hop]
         acc[j : j + n_frames, : chunk.shape[1]] += chunk
@@ -206,7 +192,7 @@ def _window_sum(cfg: SpectralConfig, n_frames: int) -> np.ndarray:
     normalization would then divide by (nearly) zero.
     """
     frames = np.broadcast_to(_analysis_window(cfg) ** 2, (n_frames, cfg.n_fft))
-    denom = _sum_frames(frames, cfg.hop_size, _ola_buffer(n_frames, cfg))
+    denom = _sum_frames(frames, cfg.hop_size)
     denom = denom[_output_region(n_frames, cfg)]
     if denom.min() < 1e-9:
         raise DegenerateWindowSum(
@@ -217,16 +203,15 @@ def _window_sum(cfg: SpectralConfig, n_frames: int) -> np.ndarray:
     return denom
 
 
-def _overlap_add(frames: np.ndarray, cfg: SpectralConfig, acc: np.ndarray) -> np.ndarray:
+def _overlap_add(frames: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     """Overlap-add plus normalization: the trimmed signal of a frame buffer.
 
-    Sums the windowed frames into ``acc`` (from _ola_buffer) and divides
-    the (n_frames - 1) * hop_size samples left after trimming by the
-    window sum.
+    Sums the windowed frames and divides the (n_frames - 1) * hop_size
+    samples left after trimming by the window sum.
     """
     n_frames = frames.shape[0]
     denom = _window_sum(cfg, n_frames)
-    summed = _sum_frames(frames, cfg.hop_size, acc)
+    summed = _sum_frames(frames, cfg.hop_size)
     return summed[_output_region(n_frames, cfg)] / denom
 
 
@@ -263,8 +248,7 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     if s.n_frames < 2:
         return Waveform(np.zeros(0), cfg.sample_rate)
     frames = _synthesize(s.values, cfg, np.empty((s.n_frames, cfg.n_fft)))
-    samples = _overlap_add(frames, cfg, _ola_buffer(s.n_frames, cfg))
-    return Waveform(samples, cfg.sample_rate)
+    return Waveform(_overlap_add(frames, cfg), cfg.sample_rate)
 
 
 def hz_to_mel(f):

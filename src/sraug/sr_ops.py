@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import _round_half_up
+from .audio_io import _integer, _round_half_up
 from .spectral import MelSpectrogram
 
 VERTICAL = "vertical"
@@ -51,7 +51,7 @@ class ResizeSpec:
             raise ValueError(f"axis must be '{VERTICAL}' or '{HORIZONTAL}'")
         if not (math.isfinite(self.pad_noise_std) and self.pad_noise_std >= 0):
             raise ValueError("pad_noise_std must be finite and >= 0")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= _integer(self.seed, "seed") < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
@@ -158,6 +158,15 @@ def horizontal_sr(m: MelSpectrogram, spec: ResizeSpec) -> MelSpectrogram:
         raise ValueError("need at least 2 frames to resize the time axis")
     t_resized = max(1, _round_half_up(n_frames * spec.ratio))
     return MelSpectrogram(resize_axis(m.logmels, t_resized, HORIZONTAL), m.config)
+
+
+def resize(
+    m: MelSpectrogram, spec: ResizeSpec, rng: np.random.Generator | None = None
+) -> MelSpectrogram:
+    """Resize along spec.axis: vertical_sr (padding noise from ``rng``) or horizontal_sr."""
+    if spec.axis == VERTICAL:
+        return vertical_sr(m, spec, rng)
+    return horizontal_sr(m, spec)
 
 
 def sample_ratio(ratio_range: RatioRange, rng: np.random.Generator) -> float:

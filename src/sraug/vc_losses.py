@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .audio_io import _frozen_array
 from .errors import DimensionMismatch, NonFinite
 from .spectral import MelSpectrogram
 
@@ -32,23 +33,13 @@ class DiagGaussian:
     log_std: np.ndarray
 
     def __post_init__(self):
-        try:
-            mean = np.atleast_1d(np.array(self.mean, dtype=np.float64))
-            log_std = np.atleast_1d(np.array(self.log_std, dtype=np.float64))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"mean and log_std must be numeric: {exc}") from exc
-        if mean.ndim != 1 or log_std.ndim != 1:
-            raise ValueError("mean and log_std must be vectors")
+        # A scalar is a one-entry vector.
+        mean = _frozen_array(np.atleast_1d(self.mean), np.float64, 1, "mean")
+        log_std = _frozen_array(np.atleast_1d(self.log_std), np.float64, 1, "log_std")
         if mean.size != log_std.size:
             raise DimensionMismatch(
                 f"mean has {mean.size} entries, log_std has {log_std.size}"
             )
-        if mean.size and not (
-            np.isfinite(mean).all() and np.isfinite(log_std).all()
-        ):
-            raise ValueError("entries must be finite")
-        mean.flags.writeable = False
-        log_std.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "log_std", log_std)
 
@@ -89,14 +80,27 @@ def recon_l1(target_mel: MelSpectrogram, pred_mel: MelSpectrogram) -> float:
     return float(np.mean(np.abs(a - b)))
 
 
-def _check_scores(scores: ScoreSet, name: str) -> list[np.ndarray]:
-    if len(scores) == 0:
-        raise ValueError(f"{name} must contain at least one sub-scale")
-    arrays = [np.asarray(s, dtype=np.float64) for s in scores]
-    for s in arrays:
-        if s.size == 0 or not np.isfinite(s).all():
+def _check_pairs(real, fake, unit: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pair up two sets of arrays, one ``unit`` each.
+
+    Each set must hold at least one array, every array numeric,
+    non-empty and finite, and the two sets must be of one length.
+    """
+    sets = []
+    for name, arrays in (("real", real), ("fake", fake)):
+        if len(arrays) == 0:
+            raise ValueError(f"{name} must contain at least one {unit}")
+        try:
+            arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name} entries must be numeric: {exc}") from exc
+        if any(a.size == 0 or not np.isfinite(a).all() for a in arrays):
             raise ValueError(f"{name} entries must be non-empty and finite")
-    return arrays
+        sets.append(arrays)
+    real_arrays, fake_arrays = sets
+    if len(real_arrays) != len(fake_arrays):
+        raise DimensionMismatch(f"{len(real_arrays)} real {unit}s vs {len(fake_arrays)} fake")
+    return list(zip(real_arrays, fake_arrays))
 
 
 def lsgan_losses(real: ScoreSet, fake: ScoreSet) -> tuple[float, float]:
@@ -106,15 +110,9 @@ def lsgan_losses(real: ScoreSet, fake: ScoreSet) -> tuple[float, float]:
     D: sum over scales of mean((real - 1)^2) + mean(fake^2);
     G: sum over scales of mean((fake - 1)^2).
     """
-    real_arrays = _check_scores(real, "real")
-    fake_arrays = _check_scores(fake, "fake")
-    if len(real_arrays) != len(fake_arrays):
-        raise DimensionMismatch(
-            f"{len(real_arrays)} real sub-scales vs {len(fake_arrays)} fake"
-        )
     loss_d = 0.0
     loss_g = 0.0
-    for r, f in zip(real_arrays, fake_arrays):
+    for r, f in _check_pairs(real, fake, "sub-scale"):
         loss_d += float(np.mean((r - 1.0) ** 2) + np.mean(f**2))
         loss_g += float(np.mean((f - 1.0) ** 2))
     return loss_d, loss_g
@@ -126,18 +124,13 @@ def feature_matching(real: FeatureSet, fake: FeatureSet) -> float:
     Averages mean|real_l - fake_l| over layers; the factor 2 follows the
     usual vocoder-GAN convention for this term.
     """
-    real_arrays = _check_scores(real, "real")
-    fake_arrays = _check_scores(fake, "fake")
-    if len(real_arrays) != len(fake_arrays):
-        raise DimensionMismatch(
-            f"{len(real_arrays)} real layers vs {len(fake_arrays)} fake"
-        )
+    pairs = _check_pairs(real, fake, "layer")
     total = 0.0
-    for r, f in zip(real_arrays, fake_arrays):
+    for r, f in pairs:
         if r.shape != f.shape:
             raise DimensionMismatch(f"layer shapes differ: {r.shape} vs {f.shape}")
         total += float(np.mean(np.abs(r - f)))
-    return _FM_WEIGHT * total / len(real_arrays)
+    return _FM_WEIGHT * total / len(pairs)
 
 
 def generator_total(

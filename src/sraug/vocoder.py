@@ -18,14 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import Waveform, read_wav, resample
+from .audio_io import Waveform, _integer, read_wav, resample
 from .errors import VocoderOutputMissing, VocoderProcessFailure
 from .spectral import (
     LinearSpectrogram,
     MelSpectrogram,
     _analyze,
     _frames,
-    _ola_buffer,
     _overlap_add,
     _synthesize,
     mel_filterbank,
@@ -54,7 +53,7 @@ class GriffinLimConfig:
     n_iters: int = 30
 
     def __post_init__(self):
-        if self.n_iters < 1:
+        if _integer(self.n_iters, "n_iters") < 1:
             raise ValueError("n_iters must be >= 1")
 
 
@@ -139,12 +138,12 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     peak.
 
     The per-frame buffers are allocated once and filled in place; only
-    the signal and its reflect-padded copy are new each iteration.  The
-    per-frame work of each iteration (stft, phase update, istft up to
-    the overlap-add) runs on contiguous slabs of frames, one thread
-    each, and gives the same bytes as a single slab: every element goes
-    through the same operations.  The start and the overlap-add run on
-    the calling thread.
+    the overlap-add's accumulator, the signal and its reflect-padded
+    copy are new each iteration.  The per-frame work of each iteration
+    (stft, phase update, istft up to the overlap-add) runs on contiguous
+    slabs of frames, one thread each, and gives the same bytes as a
+    single slab: every element goes through the same operations.  The
+    start and the overlap-add run on the calling thread.
     """
     mags = s.mags
     spectral_cfg = s.config
@@ -159,7 +158,6 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     scratch = np.empty_like(angles)  # accelerated value, then mags * angles
     magnitude = np.empty((n_frames, n_bins))
     frames = np.empty((n_frames, spectral_cfg.n_fft))  # analysis and synthesis frames
-    acc = _ola_buffer(n_frames, spectral_cfg)
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
     step = 2.0 * np.pi * spectral_cfg.hop_size / spectral_cfg.n_fft
 
@@ -199,12 +197,12 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         each_slab = pool.map if pool else map
         list(each_slab(synthesize, slabs))
         for _ in range(cfg.n_iters):
-            signal = _overlap_add(frames, spectral_cfg, acc)
+            signal = _overlap_add(frames, spectral_cfg)
             analysis_frames = _frames(signal, spectral_cfg)
             list(each_slab(update, slabs))
             rebuilt, previous = previous, rebuilt
 
-    out = _overlap_add(frames, spectral_cfg, acc)
+    out = _overlap_add(frames, spectral_cfg)
     peak = np.max(np.abs(out))
     if peak > _PEAK_LIMIT:
         out *= _PEAK_LIMIT / peak

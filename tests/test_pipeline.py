@@ -118,6 +118,11 @@ def test_config_validation(tmp_path):
         PipelineConfig(input=str(src), output_dir=str(out), master_seed=-1)
     with pytest.raises(ValueError):
         PipelineConfig(input=str(src), output_dir=str(out), pad_noise_std=-0.1)
+    # Integer settings reject a float when the config is built.
+    with pytest.raises(ValueError):
+        PipelineConfig(input=str(src), output_dir=str(out), master_seed=1.5)
+    with pytest.raises(ValueError):
+        PipelineConfig(input=str(src), output_dir=str(out), variants_per_file=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +637,16 @@ def test_cli_config_type_error_names_line_and_key(tmp_path):
     proc = run_cli("augment", "--config", str(config), "--out", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert f"{config}:3: jobs: " in proc.stderr
+
+
+def test_cli_config_not_utf8_names_the_file(tmp_path):
+    config = tmp_path / "settings.conf"
+    config.write_bytes(b"\xff\xfein = a\n")
+    proc = run_cli("augment", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"sraug augment: {config}: ")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -32,6 +32,8 @@ PCFG = PitchConfig()
         {"hop_size": 0},
         {"yin_threshold": 0.0},
         {"yin_threshold": 1.5},
+        {"frame_size": 1280.0},  # integer fields reject a float
+        {"hop_size": 320.5},
     ],
 )
 def test_pitch_config_validation(kwargs):

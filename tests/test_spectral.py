@@ -17,6 +17,7 @@ from sraug.errors import (
     SraugError,
     UnsupportedFormat,
 )
+from sraug.pitch_eval import F0Track
 from sraug.spectral import (
     ComplexSpectrogram,
     LinearSpectrogram,
@@ -32,6 +33,7 @@ from sraug.spectral import (
     stft,
     write_melf,
 )
+from sraug.vc_losses import DiagGaussian
 
 import serial_reference as ref
 import synth
@@ -62,6 +64,11 @@ def test_config_defaults_and_n_bins():
         {"fmin": 8000.0, "fmax": 4000.0},
         {"fmax": 9000.0},  # beyond Nyquist
         {"log_floor": 0.0},
+        {"n_fft": 1280.5},  # integer fields reject a float
+        {"win_size": 1280.0},
+        {"hop_size": 320.0},
+        {"n_mels": 80.0},
+        {"sample_rate": 16000.0},
     ],
 )
 def test_config_validation(kwargs):
@@ -78,6 +85,43 @@ def test_value_types_validate_shape_and_range():
         MelSpectrogram(np.full((3, 80), FLOOR - 1.0), CFG)  # below the log floor
     with pytest.raises(ValueError):
         MelSpectrogram(np.full((3, 80), np.nan), CFG)
+    # The lower bounds are inclusive, and log-mels keep the float32 slack.
+    LinearSpectrogram(np.zeros((3, 641)), CFG)
+    MelSpectrogram(np.full((3, 80), FLOOR - 5e-5), CFG)
+
+
+# Each value type against a constructor of its one checked array, and a
+# valid value for that array.
+_VALUE_TYPES = {
+    "Waveform": (lambda v: Waveform(v, 16000).samples, np.zeros(4)),
+    "F0Track": (lambda v: F0Track(v, 320, 16000).f0, np.zeros(4)),
+    "DiagGaussian": (lambda v: DiagGaussian(np.zeros(4), v).log_std, np.zeros(4)),
+    "ComplexSpectrogram": (
+        lambda v: ComplexSpectrogram(v, CFG).values,
+        np.zeros((2, 641), dtype=complex),
+    ),
+    "LinearSpectrogram": (lambda v: LinearSpectrogram(v, CFG).mags, np.zeros((2, 641))),
+    "MelSpectrogram": (lambda v: MelSpectrogram(v, CFG).logmels, np.full((2, 80), FLOOR)),
+}
+
+
+@pytest.mark.parametrize("type_name", list(_VALUE_TYPES))
+def test_value_types_share_one_array_rule(type_name):
+    build, good = _VALUE_TYPES[type_name]
+    not_numeric = good.astype(object)
+    not_numeric.flat[0] = {"a": 1}
+    with pytest.raises(ValueError):
+        build(not_numeric)
+    not_finite = good.copy()
+    not_finite.flat[0] = np.nan
+    with pytest.raises(ValueError):
+        build(not_finite)
+    with pytest.raises(ValueError):
+        build(good[None])  # one rank too many
+    out = build(good)
+    assert not out.flags.writeable
+    assert not np.shares_memory(out, good)
+    np.testing.assert_array_equal(out, good)
 
 
 def test_value_arrays_are_frozen():

@@ -16,6 +16,7 @@ from sraug.sr_ops import (
     RatioRange,
     ResizeSpec,
     horizontal_sr,
+    resize,
     resize_axis,
     sample_ratio,
     vertical_sr,
@@ -114,6 +115,7 @@ def test_resize_axis_properties(rows, cols, new_len, seed):
         {"ratio": 1.0, "axis": "sideways"},
         {"ratio": 1.0, "pad_noise_std": -0.1},
         {"ratio": 1.0, "seed": -1},
+        {"ratio": 1.0, "seed": 1.5},
     ],
 )
 def test_resize_spec_validation(kwargs):
@@ -243,6 +245,18 @@ def test_horizontal_frame_count_formula(n_frames, ratio):
     m = mel_from(np.full((n_frames, 80), FLOOR))
     out = horizontal_sr(m, ResizeSpec(ratio=ratio, axis=HORIZONTAL))
     assert out.n_frames == max(1, _round_half_up(n_frames * ratio))
+
+
+@pytest.mark.parametrize("axis", [VERTICAL, HORIZONTAL])
+def test_resize_dispatches_on_axis(axis):
+    m = mel_from(np.random.default_rng(3).uniform(FLOOR, 0.0, (6, 80)))
+    spec = ResizeSpec(ratio=0.8, axis=axis, seed=5)
+    if axis == VERTICAL:
+        expected = vertical_sr(m, spec, np.random.default_rng(8))
+    else:
+        expected = horizontal_sr(m, spec)
+    out = resize(m, spec, np.random.default_rng(8))
+    np.testing.assert_array_equal(out.logmels, expected.logmels)
 
 
 # ---------------------------------------------------------------------------

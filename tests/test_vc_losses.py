@@ -209,6 +209,12 @@ def test_lsgan_validation():
         lsgan_losses([np.array([np.inf])], [np.ones(1)])
     with pytest.raises(ValueError):
         lsgan_losses([np.zeros(0)], [np.ones(1)])
+    # Both losses check both sets, non-numeric entries included.
+    for loss in (lsgan_losses, feature_matching):
+        with pytest.raises(ValueError):
+            loss([[{"a": 1}]], [np.ones(1)])
+        with pytest.raises(ValueError):
+            loss([np.ones(1)], [np.array([np.nan])])
 
 
 # ---------------------------------------------------------------------------

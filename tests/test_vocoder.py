@@ -41,7 +41,7 @@ def median_f0(w: Waveform) -> float:
 # configuration
 
 
-@pytest.mark.parametrize("kwargs", [{"n_iters": 0}])
+@pytest.mark.parametrize("kwargs", [{"n_iters": 0}, {"n_iters": 2.5}])
 def test_gl_config_validation(kwargs):
     with pytest.raises(ValueError):
         GriffinLimConfig(**kwargs)
