@@ -48,9 +48,7 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        rate = _integer(self.sample_rate, "sample_rate")
-        if rate <= 0:
-            raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
+        rate = _integer(self.sample_rate, "sample_rate", 1)
         samples = _frozen_array(self.samples, np.float64, 1, "samples")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", rate)
@@ -84,12 +82,19 @@ def _frozen_array(values, dtype, ndim: int, name: str, lower=None) -> np.ndarray
     return array
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; ValueError naming ``name`` if it is not an integer."""
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int.
+
+    ValueError, naming ``name``, if it is not an integer or is below
+    ``minimum`` when one is given.
+    """
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {number}")
+    return number
 
 
 def _round_half_up(x: float) -> int:
@@ -242,14 +247,13 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     sinc x Kaiser once per distinct phase (at most min(L, chunk) rows) and
     gathers its rows from that table.
     """
-    if target_rate <= 0:
-        raise ValueError(f"target_rate must be positive, got {target_rate}")
+    target_rate = _integer(target_rate, "target_rate", 1)
     if target_rate == w.sample_rate:
         return w
     n_in = len(w)
     n_out = _round_half_up(n_in * target_rate / w.sample_rate)
     if n_in == 0 or n_out == 0:
-        return Waveform(np.zeros(n_out), int(target_rate))
+        return Waveform(np.zeros(n_out), target_rate)
 
     scale = min(1.0, target_rate / w.sample_rate)  # anti-alias cutoff factor
     half_width = _ZERO_CROSSINGS / scale  # kernel support per side, input samples
@@ -257,8 +261,8 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     padded = np.concatenate([np.zeros(width), w.samples, np.zeros(width)])
     offsets = np.arange(-width, width + 1)
 
-    g = math.gcd(int(target_rate), w.sample_rate)
-    up, down = int(target_rate) // g, w.sample_rate // g
+    g = math.gcd(target_rate, w.sample_rate)
+    up, down = target_rate // g, w.sample_rate // g
     out = np.empty(n_out)
     # Chunk over output samples so the gather matrix stays small.
     chunk = max(1, int(4e6) // (2 * width + 1))
@@ -270,7 +274,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         table = scale * np.sinc(scale * tau) * _kaiser(tau / half_width)
         gathered = padded[base[:, None] + offsets[None, :] + width]
         out[n] = np.einsum("ij,ij->i", gathered, table[row])
-    return Waveform(out, int(target_rate))
+    return Waveform(out, target_rate)
 
 
 def _kaiser(u: np.ndarray) -> np.ndarray:

@@ -54,8 +54,7 @@ class PipelineConfig:
     def __post_init__(self):
         object.__setattr__(self, "input", str(self.input))
         object.__setattr__(self, "output_dir", str(self.output_dir))
-        if _integer(self.variants_per_file, "variants_per_file") < 1:
-            raise ValueError("variants_per_file must be >= 1")
+        _integer(self.variants_per_file, "variants_per_file", 1)
         # The rules for axis, noise and seed.
         ResizeSpec(1.0, self.axis, self.pad_noise_std, self.master_seed)
         in_path = Path(self.input)
@@ -259,8 +258,7 @@ def run(cfg: PipelineConfig, jobs: int = 1) -> AugmentManifest:
     are processed in worker processes; outputs are identical to a serial
     run because seeds are keyed by item index.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = _integer(jobs, "jobs", 1)
     wavs = discover_wavs(cfg.input)
     _check_unique_outputs(wavs, cfg)
     out_dir = Path(cfg.output_dir)

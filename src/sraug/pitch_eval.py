@@ -37,8 +37,7 @@ class PitchConfig:
         if not 0 < self.f0_min < self.f0_max:
             raise ValueError("need 0 < f0_min < f0_max")
         for name in ("frame_size", "hop_size"):
-            if _integer(getattr(self, name), name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            _integer(getattr(self, name), name, 1)
         if self.hop_size > self.frame_size:
             raise ValueError("hop_size must not exceed frame_size")
         if not 0 < self.yin_threshold < 1:
@@ -55,6 +54,8 @@ class F0Track:
 
     def __post_init__(self):
         object.__setattr__(self, "f0", _frozen_array(self.f0, np.float64, 1, "f0", lower=0.0))
+        object.__setattr__(self, "hop_size", _integer(self.hop_size, "hop_size", 1))
+        object.__setattr__(self, "sample_rate", _integer(self.sample_rate, "sample_rate", 1))
 
     def __len__(self) -> int:
         return self.f0.size
@@ -167,10 +168,10 @@ def pearson(x, y) -> float:
     Sequences with (relatively) zero total variation cannot be
     correlated and raise DegenerateVariance.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.size != y.size:
-        raise ValueError("x and y must be 1-D and the same length")
+    x = _frozen_array(x, np.float64, 1, "x")
+    y = _frozen_array(y, np.float64, 1, "y")
+    if x.size != y.size:
+        raise ValueError("x and y must be the same length")
     if x.size < 2:
         raise ValueError("need at least 2 points")
     for name, v in (("x", x), ("y", y)):

@@ -48,15 +48,14 @@ class SpectralConfig:
 
     def __post_init__(self):
         for name in ("n_fft", "win_size", "hop_size", "n_mels", "sample_rate"):
-            if _integer(getattr(self, name), name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            _integer(getattr(self, name), name, 1)
         if self.win_size > self.n_fft:
             raise ValueError("win_size must not exceed n_fft")
         if self.hop_size > self.win_size:
             raise ValueError("hop_size must not exceed win_size")
         if not 0 <= self.fmin < self.fmax <= self.sample_rate / 2:
             raise ValueError("need 0 <= fmin < fmax <= sample_rate/2")
-        if self.log_floor <= 0:
+        if not self.log_floor > 0:
             raise ValueError("log_floor must be positive")
 
     @property
@@ -302,6 +301,7 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     min ||W x - exp(logmels)||^2 over x >= 0 with 50 multiplicative
     updates from x0 = W^T m, where W is the mel_filterbank ``weights``.
     """
+    weights = _frozen_array(weights, np.float64, 2, "weights")
     if m.config.n_mels != weights.shape[0]:
         raise ConfigMismatch(
             f"mel has {m.config.n_mels} bands but filterbank has {weights.shape[0]}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import _integer, _round_half_up
+from .audio_io import _frozen_array, _integer, _round_half_up
 from .spectral import MelSpectrogram
 
 VERTICAL = "vertical"
@@ -39,10 +39,7 @@ class ResizeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (
-            math.isfinite(self.ratio)
-            and RATIO_GUARD_LO <= self.ratio <= RATIO_GUARD_HI
-        ):
+        if not RATIO_GUARD_LO <= self.ratio <= RATIO_GUARD_HI:
             raise ValueError(
                 f"ratio must be within [{RATIO_GUARD_LO}, {RATIO_GUARD_HI}], "
                 f"got {self.ratio}"
@@ -51,7 +48,7 @@ class ResizeSpec:
             raise ValueError(f"axis must be '{VERTICAL}' or '{HORIZONTAL}'")
         if not (math.isfinite(self.pad_noise_std) and self.pad_noise_std >= 0):
             raise ValueError("pad_noise_std must be finite and >= 0")
-        if not 0 <= _integer(self.seed, "seed") < 2**64:
+        if _integer(self.seed, "seed", 0) >= 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
@@ -79,11 +76,10 @@ def resize_axis(mat: np.ndarray, new_len: int, axis: str) -> np.ndarray:
     the per-frame bin vectors (second dimension), 'horizontal' the time
     dimension.
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValueError("mat must be a non-empty 2-D matrix")
-    if new_len < 1:
-        raise ValueError("new_len must be >= 1")
+    mat = _frozen_array(mat, np.float64, 2, "mat")
+    if mat.size == 0:
+        raise ValueError("mat must be non-empty")
+    new_len = _integer(new_len, "new_len", 1)
     if axis not in (VERTICAL, HORIZONTAL):
         raise ValueError(f"axis must be '{VERTICAL}' or '{HORIZONTAL}'")
     dim = 1 if axis == VERTICAL else 0
@@ -130,7 +126,7 @@ def vertical_sr(
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     h = m.config.n_mels
-    h_resized = max(1, _round_half_up(h * spec.ratio))
+    h_resized = _round_half_up(h * spec.ratio)
     resized = resize_axis(m.logmels, h_resized, VERTICAL)
     if h_resized == h:
         out = resized
@@ -156,7 +152,7 @@ def horizontal_sr(m: MelSpectrogram, spec: ResizeSpec) -> MelSpectrogram:
     n_frames = m.n_frames
     if n_frames < 2:
         raise ValueError("need at least 2 frames to resize the time axis")
-    t_resized = max(1, _round_half_up(n_frames * spec.ratio))
+    t_resized = _round_half_up(n_frames * spec.ratio)
     return MelSpectrogram(resize_axis(m.logmels, t_resized, HORIZONTAL), m.config)
 
 

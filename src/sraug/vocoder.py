@@ -53,8 +53,7 @@ class GriffinLimConfig:
     n_iters: int = 30
 
     def __post_init__(self):
-        if _integer(self.n_iters, "n_iters") < 1:
-            raise ValueError("n_iters must be >= 1")
+        _integer(self.n_iters, "n_iters", 1)
 
 
 def available_cpus() -> int:
@@ -72,9 +71,7 @@ def _set_threads(n: int) -> None:
     griffin_lim uses every available CPU.
     """
     global _threads
-    if n < 1:
-        raise ValueError(f"need at least one thread, got {n}")
-    _threads = n
+    _threads = _integer(n, "threads", 1)
 
 
 def _peak_turns(logmag: np.ndarray, step: float, out: np.ndarray) -> None:

@@ -328,8 +328,9 @@ def test_resample_equal_rate_returns_input():
 
 
 def test_resample_rejects_bad_rate():
-    with pytest.raises(ValueError):
-        resample(synth.tone(440.0, 0.1), 0)
+    for rate in (0, 8000.5, "8000"):
+        with pytest.raises(ValueError):
+            resample(synth.tone(440.0, 0.1), rate)
 
 
 def test_downsample_400hz_sine_keeps_peak():

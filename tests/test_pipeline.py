@@ -658,6 +658,9 @@ def test_cli_rejects_jobs_below_one(tmp_path, jobs):
     assert proc.returncode == 1
     assert "jobs" in proc.stderr
     assert not out.exists()  # rejected before any work
+    with pytest.raises(ValueError, match="jobs"):
+        run(PipelineConfig(input=src, output_dir=out), jobs=1.5)
+    assert not out.exists()
 
 
 def test_cli_rejects_unknown_axis(tmp_path):

@@ -46,6 +46,9 @@ def test_f0_track_validation_and_helpers():
         F0Track(np.array([100.0, -1.0]), 320, 16000)
     with pytest.raises(ValueError):
         F0Track(np.array([[100.0]]), 320, 16000)
+    for hop_size, sample_rate in ((0, 16000), (2.5, 16000), (320, 0)):
+        with pytest.raises(ValueError):
+            F0Track(np.array([100.0]), hop_size, sample_rate)
     track = F0Track(np.array([0.0, 220.0, 0.0, 230.0]), 320, 16000)
     assert len(track) == 4
     assert np.array_equal(track.voiced, [False, True, False, True])
@@ -144,6 +147,10 @@ def test_pearson_rejects_bad_shapes():
         pearson([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         pearson([1.0], [2.0])
+    with pytest.raises(ValueError):
+        pearson([{"a": 1}, 1.0], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        pearson([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
 
 
 @settings(max_examples=100, deadline=None)

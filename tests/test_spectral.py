@@ -69,6 +69,7 @@ def test_config_defaults_and_n_bins():
         {"hop_size": 320.0},
         {"n_mels": 80.0},
         {"sample_rate": 16000.0},
+        {"log_floor": float("nan")},
     ],
 )
 def test_config_validation(kwargs):
@@ -323,6 +324,9 @@ def test_mel_to_linear_single_band_stays_in_support():
     inside = lin.mags[:, support].sum()
     outside = lin.mags[:, ~support].sum()
     assert outside <= 0.01 * inside
+    # The filterbank as a nested list is the same filterbank.
+    from_list = mel_to_linear(MelSpectrogram(logmels, CFG), fb.tolist())
+    assert np.array_equal(from_list.mags, lin.mags)
 
 
 def test_mel_to_linear_band_count_mismatch():
@@ -330,6 +334,8 @@ def test_mel_to_linear_band_count_mismatch():
     m = mel_spectrogram(synth.tone(300.0, 0.5), CFG)
     with pytest.raises(ConfigMismatch):
         mel_to_linear(m, mel_filterbank(cfg40))
+    with pytest.raises(ValueError):
+        mel_to_linear(m, mel_filterbank(CFG)[0])  # a single row
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,9 @@ def test_resize_axis_time_dimension():
         (np.zeros((2, 3)), 0, VERTICAL),
         (np.zeros(3), 2, VERTICAL),  # 1-D
         (np.zeros((2, 3)), 2, "diagonal"),
+        (np.ones((3, 4)), 2.5, VERTICAL),  # a fractional length
+        ([[{"a": 1}]], 2, VERTICAL),  # a non-numeric entry
+        (np.full((2, 3), np.nan), 2, VERTICAL),
     ],
 )
 def test_resize_axis_rejects_bad_input(mat, new_len, axis):
