@@ -7,14 +7,15 @@ PCM-16 mono is written.
 
 This is the one module that opens files: every other module reads through
 read_bytes and writes through write_atomic, which turn an OSError into
-IoFailure.  It also holds the array and integer rules that every value
-type and settings class checks its fields with.
+IoFailure.  It also holds the array, integer and real-number rules that
+every value type and settings class checks its fields with.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
 import os
 import struct
@@ -82,19 +83,32 @@ def _frozen_array(values, dtype, ndim: int, name: str, lower=None) -> np.ndarray
     return array
 
 
-def _integer(value, name: str, minimum: int | None = None) -> int:
+def _integer(value, name: str, minimum: int) -> int:
     """``value`` as an int.
 
     ValueError, naming ``name``, if it is not an integer or is below
-    ``minimum`` when one is given.
+    ``minimum``.
     """
     try:
         number = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if minimum is not None and number < minimum:
+    if number < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {number}")
     return number
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float.
+
+    ValueError, naming ``name``, if it is not a finite real number.
+    """
+    if isinstance(value, numbers.Real):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            number = float(value)
+            if math.isfinite(number):
+                return number
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _round_half_up(x: float) -> int:
@@ -186,7 +200,10 @@ def write_wav(path, w: Waveform) -> None:
     """Write a Waveform as mono PCM-16 little-endian RIFF/WAVE.
 
     Samples are clamped to [-1, 1] and rounded half away from zero.
+    UnsupportedFormat if the u32 byte rate, 2 * sample_rate, overflows.
     """
+    if w.sample_rate * 2 >= 2**32:
+        raise UnsupportedFormat(f"{path}: sample rate {w.sample_rate} Hz is too high for WAV")
     x = np.clip(w.samples, -1.0, 1.0) * 2.0**15
     ints = np.trunc(x + np.copysign(0.5, x))  # round half away from zero
     data = np.clip(ints, -32768, 32767).astype("<i2").tobytes()

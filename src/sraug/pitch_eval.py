@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import Waveform, _frozen_array, _integer, write_atomic
+from .audio_io import Waveform, _frozen_array, _integer, _real, write_atomic
 from .errors import DegenerateVariance, InputTooShort, InsufficientVoicedOverlap
 
 # A sequence whose total variation is this small (relative to its mean
@@ -34,13 +34,13 @@ class PitchConfig:
     yin_threshold: float = 0.15
 
     def __post_init__(self):
-        if not 0 < self.f0_min < self.f0_max:
+        if not 0 < _real(self.f0_min, "f0_min") < _real(self.f0_max, "f0_max"):
             raise ValueError("need 0 < f0_min < f0_max")
         for name in ("frame_size", "hop_size"):
             _integer(getattr(self, name), name, 1)
         if self.hop_size > self.frame_size:
             raise ValueError("hop_size must not exceed frame_size")
-        if not 0 < self.yin_threshold < 1:
+        if not 0 < _real(self.yin_threshold, "yin_threshold") < 1:
             raise ValueError("yin_threshold must lie in (0, 1)")
 
 

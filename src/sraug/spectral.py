@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .audio_io import Waveform, _frozen_array, _integer, read_bytes, write_atomic
+from .audio_io import Waveform, _frozen_array, _integer, _real, read_bytes, write_atomic
 from .errors import ConfigMismatch, DegenerateWindowSum, MalformedContainer, UnsupportedFormat
 
 _MELF_MAGIC = b"MELF"
@@ -38,7 +38,6 @@ class SpectralConfig:
     """Analysis parameters shared by every spectral value."""
 
     n_fft: int = 1280
-    win_size: int = 1280
     hop_size: int = 320
     n_mels: int = 80
     sample_rate: int = 16000
@@ -47,15 +46,13 @@ class SpectralConfig:
     log_floor: float = 1e-5
 
     def __post_init__(self):
-        for name in ("n_fft", "win_size", "hop_size", "n_mels", "sample_rate"):
+        for name in ("n_fft", "hop_size", "n_mels", "sample_rate"):
             _integer(getattr(self, name), name, 1)
-        if self.win_size > self.n_fft:
-            raise ValueError("win_size must not exceed n_fft")
-        if self.hop_size > self.win_size:
-            raise ValueError("hop_size must not exceed win_size")
-        if not 0 <= self.fmin < self.fmax <= self.sample_rate / 2:
+        if self.hop_size > self.n_fft:
+            raise ValueError("hop_size must not exceed n_fft")
+        if not 0 <= _real(self.fmin, "fmin") < _real(self.fmax, "fmax") <= self.sample_rate / 2:
             raise ValueError("need 0 <= fmin < fmax <= sample_rate/2")
-        if not self.log_floor > 0:
+        if _real(self.log_floor, "log_floor") <= 0:
             raise ValueError("log_floor must be positive")
 
     @property
@@ -135,14 +132,9 @@ def _frozen_frames(values, dtype, n_bins: int, name: str, lower=None) -> np.ndar
 
 @lru_cache(maxsize=32)
 def _analysis_window(cfg: SpectralConfig) -> np.ndarray:
-    """Periodic Hann of win_size, zero-padded (centered) out to n_fft."""
-    n = np.arange(cfg.win_size)
-    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / cfg.win_size)
-    if cfg.win_size < cfg.n_fft:
-        lpad = (cfg.n_fft - cfg.win_size) // 2
-        out = np.zeros(cfg.n_fft)
-        out[lpad : lpad + cfg.win_size] = hann
-        hann = out
+    """Periodic Hann of n_fft samples."""
+    n = np.arange(cfg.n_fft)
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / cfg.n_fft)
     hann.flags.writeable = False
     return hann
 
@@ -338,13 +330,12 @@ def write_melf(path, m: MelSpectrogram) -> None:
     write_atomic(path, [header, m.logmels.astype("<f4").tobytes()])
 
 
-def read_melf(path, base_config: SpectralConfig | None = None) -> MelSpectrogram:
+def read_melf(path) -> MelSpectrogram:
     """Read a MELF container written by write_melf.
 
-    The container stores band count, sample rate and hop size; remaining
-    analysis parameters are taken from ``base_config`` (defaults when not
-    given).  A header or payload that these parameters or MelSpectrogram
-    reject raises MalformedContainer.
+    The container stores band count, sample rate and hop size; the other
+    settings are SpectralConfig's defaults.  A header or payload that
+    SpectralConfig or MelSpectrogram rejects raises MalformedContainer.
     """
     blob = read_bytes(path)
     if len(blob) < _MELF_HEADER.size:
@@ -364,12 +355,7 @@ def read_melf(path, base_config: SpectralConfig | None = None) -> MelSpectrogram
         )
     values = np.frombuffer(payload, dtype="<f4").reshape(n_frames, n_bins)
     try:
-        cfg = replace(
-            base_config or SpectralConfig(),
-            n_mels=int(n_bins),
-            sample_rate=int(sample_rate),
-            hop_size=int(hop_size),
-        )
+        cfg = SpectralConfig(n_mels=n_bins, sample_rate=sample_rate, hop_size=hop_size)
         return MelSpectrogram(values, cfg)
     except ValueError as exc:
         raise MalformedContainer(f"{path}: {exc}") from exc

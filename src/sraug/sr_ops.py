@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import _frozen_array, _integer, _round_half_up
+from .audio_io import _frozen_array, _integer, _real, _round_half_up
 from .spectral import MelSpectrogram
 
 VERTICAL = "vertical"
@@ -39,15 +39,15 @@ class ResizeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not RATIO_GUARD_LO <= self.ratio <= RATIO_GUARD_HI:
+        if not RATIO_GUARD_LO <= _real(self.ratio, "ratio") <= RATIO_GUARD_HI:
             raise ValueError(
                 f"ratio must be within [{RATIO_GUARD_LO}, {RATIO_GUARD_HI}], "
                 f"got {self.ratio}"
             )
         if self.axis not in (VERTICAL, HORIZONTAL):
             raise ValueError(f"axis must be '{VERTICAL}' or '{HORIZONTAL}'")
-        if not (math.isfinite(self.pad_noise_std) and self.pad_noise_std >= 0):
-            raise ValueError("pad_noise_std must be finite and >= 0")
+        if _real(self.pad_noise_std, "pad_noise_std") < 0:
+            raise ValueError("pad_noise_std must be >= 0")
         if _integer(self.seed, "seed", 0) >= 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -60,7 +60,7 @@ class RatioRange:
     hi: float = 1.15
 
     def __post_init__(self):
-        if not RATIO_GUARD_LO <= self.lo <= self.hi <= RATIO_GUARD_HI:
+        if not RATIO_GUARD_LO <= _real(self.lo, "lo") <= _real(self.hi, "hi") <= RATIO_GUARD_HI:
             raise ValueError(
                 f"need {RATIO_GUARD_LO} <= lo <= hi <= {RATIO_GUARD_HI}, "
                 f"got [{self.lo}, {self.hi}]"
@@ -128,9 +128,7 @@ def vertical_sr(
     h = m.config.n_mels
     h_resized = _round_half_up(h * spec.ratio)
     resized = resize_axis(m.logmels, h_resized, VERTICAL)
-    if h_resized == h:
-        out = resized
-    elif h_resized < h:
+    if h_resized < h:
         n_frames = resized.shape[0]
         base = resized[:, -1:]  # highest surviving bin, per frame
         noise = rng.normal(0.0, spec.pad_noise_std, size=(n_frames, h - h_resized))

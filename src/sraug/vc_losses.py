@@ -9,13 +9,12 @@ matrix per discriminator sub-scale, one feature matrix per layer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .audio_io import _frozen_array
+from .audio_io import _frozen_array, _real
 from .errors import DimensionMismatch, NonFinite
 from .spectral import MelSpectrogram
 
@@ -148,13 +147,13 @@ def generator_total(
 
     All weights default to 1 so the total is the plain sum of the terms.
     Conventional vocoder-GAN recipes weight the reconstruction term by 45
-    (pass rec_weight=45 to opt in).
+    (pass rec_weight=45 to opt in).  A non-finite term or weight is NonFinite.
     """
-    values = (l_rec, l_kl, l_adv_g, l_fm)
-    weights = (rec_weight, kl_weight, adv_weight, fm_weight)
-    for v in (*values, *weights):
-        if not math.isfinite(v):
-            raise NonFinite(f"loss terms and weights must be finite, got {v!r}")
+    try:
+        for v in (l_rec, l_kl, l_adv_g, l_fm, rec_weight, kl_weight, adv_weight, fm_weight):
+            _real(v, "each loss term and weight")
+    except ValueError as exc:
+        raise NonFinite(str(exc)) from None
     return (
         rec_weight * l_rec
         + kl_weight * l_kl

@@ -251,19 +251,34 @@ def test_read_bytes_and_write_atomic_raise_io_failure(tmp_path):
 _FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
 
 
-def test_only_audio_io_opens_files():
-    offenders = []
+def _calls_outside_audio_io():
+    """(file name, call node) for every call in the package's other modules."""
     for path in sorted(Path(sraug.__file__).parent.glob("*.py")):
         if path.name == "audio_io.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (isinstance(func, ast.Name) and func.id == "open") or (
-                isinstance(func, ast.Attribute) and func.attr in _FILE_METHODS
-            ):
-                offenders.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call):
+                yield path.name, node
+
+
+def test_only_audio_io_opens_files():
+    offenders = []
+    for name, call in _calls_outside_audio_io():
+        func = call.func
+        if (isinstance(func, ast.Name) and func.id == "open") or (
+            isinstance(func, ast.Attribute) and func.attr in _FILE_METHODS
+        ):
+            offenders.append(f"{name}:{call.lineno}")
+    assert offenders == []
+
+
+def test_only_audio_io_calls_math_isfinite():
+    # A real-valued setting is checked by audio_io._real, not by hand.
+    offenders = [
+        f"{name}:{call.lineno}"
+        for name, call in _calls_outside_audio_io()
+        if ast.unparse(call.func) in ("math.isfinite", "isfinite")
+    ]
     assert offenders == []
 
 
@@ -309,6 +324,17 @@ def test_empty_waveform_round_trip(tmp_path):
 def test_write_to_missing_dir_is_io_failure(tmp_path):
     with pytest.raises(IoFailure):
         write_wav(tmp_path / "no" / "dir" / "x.wav", Waveform(np.zeros(4), 16000))
+
+
+def test_write_rejects_a_rate_beyond_the_header(tmp_path):
+    # The header's byte rate, 2 * sample_rate, is a u32.
+    path = tmp_path / "fast.wav"
+    with pytest.raises(UnsupportedFormat) as info:
+        write_wav(path, Waveform(np.zeros(4), 2**31))
+    assert str(path) in str(info.value)
+    assert list(tmp_path.iterdir()) == []
+    write_wav(path, Waveform(np.zeros(4), 2**31 - 1))
+    assert read_wav(path).sample_rate == 2**31 - 1
 
 
 def test_write_is_deterministic(tmp_path):

@@ -1,6 +1,8 @@
 """Mutated inputs: a damaged WAV file or augment config file raises only a
-typed SraugError or a ValueError, never another exception."""
+typed SraugError or a ValueError, never another exception, and a
+real-valued setting that is not a finite real number raises ValueError."""
 
+import math
 import struct
 
 import pytest
@@ -10,6 +12,9 @@ from hypothesis import strategies as st
 from sraug.audio_io import read_wav
 from sraug.cli import _AUGMENT_SETTINGS, _read_config_file
 from sraug.errors import SraugError
+from sraug.pitch_eval import PitchConfig
+from sraug.spectral import SpectralConfig
+from sraug.sr_ops import RatioRange, ResizeSpec
 
 from test_audio_io import build_wav, extensible_fmt_ext
 
@@ -138,3 +143,34 @@ def test_mutated_config_raises_only_typed_errors(scratch, blob):
     path = scratch / "mutated.conf"
     path.write_bytes(blob)
     _typed_errors_only(_read_config_file, path)
+
+
+# The ten real-valued settings, and values that are not finite real numbers.
+_REAL_FIELDS = [
+    (SpectralConfig, "fmin"),
+    (SpectralConfig, "fmax"),
+    (SpectralConfig, "log_floor"),
+    (PitchConfig, "f0_min"),
+    (PitchConfig, "f0_max"),
+    (PitchConfig, "yin_threshold"),
+    (ResizeSpec, "ratio"),
+    (ResizeSpec, "pad_noise_std"),
+    (RatioRange, "lo"),
+    (RatioRange, "hi"),
+]
+_NOT_REAL = st.one_of(
+    st.text(),
+    st.none(),
+    st.complex_numbers(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from(_REAL_FIELDS), value=_NOT_REAL)
+def test_bad_real_setting_raises_value_error_naming_it(field, value):
+    cls, name = field
+    kwargs = {"ratio": 1.0} if cls is ResizeSpec else {}
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+        cls(**kwargs)

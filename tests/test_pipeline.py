@@ -118,6 +118,8 @@ def test_config_validation(tmp_path):
         PipelineConfig(input=str(src), output_dir=str(out), master_seed=-1)
     with pytest.raises(ValueError):
         PipelineConfig(input=str(src), output_dir=str(out), pad_noise_std=-0.1)
+    with pytest.raises(ValueError, match="pad_noise_std"):
+        PipelineConfig(input=str(src), output_dir=str(out), pad_noise_std="0.1")
     # Integer settings reject a float when the config is built.
     with pytest.raises(ValueError):
         PipelineConfig(input=str(src), output_dir=str(out), master_seed=1.5)

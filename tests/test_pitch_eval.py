@@ -34,6 +34,8 @@ PCFG = PitchConfig()
         {"yin_threshold": 1.5},
         {"frame_size": 1280.0},  # integer fields reject a float
         {"hop_size": 320.5},
+        {"yin_threshold": "0.1"},  # real fields reject a string and Inf
+        {"f0_max": float("inf")},
     ],
 )
 def test_pitch_config_validation(kwargs):

@@ -47,7 +47,7 @@ FLOOR = math.log(CFG.log_floor)
 
 
 def test_config_defaults_and_n_bins():
-    assert (CFG.n_fft, CFG.win_size, CFG.hop_size) == (1280, 1280, 320)
+    assert (CFG.n_fft, CFG.hop_size) == (1280, 320)
     assert (CFG.n_mels, CFG.sample_rate) == (80, 16000)
     assert (CFG.fmin, CFG.fmax, CFG.log_floor) == (0.0, 8000.0, 1e-5)
     assert CFG.n_bins == 641
@@ -58,18 +58,18 @@ def test_config_defaults_and_n_bins():
     [
         {"n_fft": 0},
         {"hop_size": 0},
-        {"win_size": 2000},  # exceeds n_fft
-        {"hop_size": 1500},  # exceeds win_size
+        {"hop_size": 1500},  # exceeds n_fft
         {"fmin": -1.0},
         {"fmin": 8000.0, "fmax": 4000.0},
         {"fmax": 9000.0},  # beyond Nyquist
         {"log_floor": 0.0},
         {"n_fft": 1280.5},  # integer fields reject a float
-        {"win_size": 1280.0},
         {"hop_size": 320.0},
         {"n_mels": 80.0},
         {"sample_rate": 16000.0},
         {"log_floor": float("nan")},
+        {"fmax": "8000"},  # real fields reject a string and Inf
+        {"log_floor": float("inf")},
     ],
 )
 def test_config_validation(kwargs):
@@ -172,7 +172,7 @@ def test_stft_matches_direct_dft():
     s = stft(w, CFG)
     padded = np.pad(w.samples, CFG.n_fft // 2, mode="reflect")
     n = np.arange(CFG.n_fft)
-    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / CFG.win_size)
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / CFG.n_fft)
     dft = np.exp(-2j * np.pi * np.outer(np.arange(CFG.n_bins), n) / CFG.n_fft)
     for frame_idx in (0, 10):
         seg = padded[frame_idx * CFG.hop_size :][: CFG.n_fft] * hann
@@ -205,22 +205,22 @@ def test_istft_single_frame_trims_to_nothing():
 
 
 def test_istft_degenerate_window_sum():
-    # hop == win means the periodic Hann's zero sample is never covered by
-    # a neighbouring frame, so normalization would divide by zero.
-    cfg = SpectralConfig(win_size=320, hop_size=320)
+    # hop == n_fft means the periodic Hann's zero sample is never covered
+    # by a neighbouring frame, so normalization would divide by zero.
+    cfg = SpectralConfig(n_fft=320, hop_size=320)
     w = Waveform(np.random.default_rng(1).standard_normal(8000), 16000)
     s = stft(w, cfg)
     with pytest.raises(DegenerateWindowSum):
         istft(s)
 
 
-# Configurations whose frame buffer has a zero tail (hop does not divide
-# n_fft) or whose window is shorter than the FFT.
+# The default layout and three whose hop does not divide n_fft, so the
+# last overlap-add chunk is narrower than a hop.
 _LAYOUTS = [
     {},
-    {"win_size": 1000},
+    {"n_fft": 1000},
     {"hop_size": 300},
-    {"n_fft": 1000, "win_size": 900, "hop_size": 240},
+    {"n_fft": 1000, "hop_size": 240},
 ]
 
 
@@ -418,7 +418,7 @@ _U32_FIELD = st.one_of(
 @example(header=(1, 2, 80, 0, 320), fill=0.0, cut=None)  # sample rate 0
 @example(header=(1, 2, 0, 16000, 320), fill=0.0, cut=None)  # no bands
 @example(header=(1, 2, 80, 16000, 0), fill=0.0, cut=None)  # hop 0
-@example(header=(1, 2, 80, 16000, 1281), fill=0.0, cut=None)  # hop > win_size
+@example(header=(1, 2, 80, 16000, 1281), fill=0.0, cut=None)  # hop > n_fft
 @example(header=(1, 2, 80, 15999, 320), fill=0.0, cut=None)  # rate < 2 * fmax
 @example(header=(1, 0, 80, 16000, 320), fill=np.nan, cut=None)  # no frames: the fill is never read
 def test_melf_bad_header_or_payload_raises_sraug_error(tmp_path_factory, header, fill, cut):

@@ -119,6 +119,7 @@ def test_resize_axis_properties(rows, cols, new_len, seed):
         {"ratio": 1.0, "pad_noise_std": -0.1},
         {"ratio": 1.0, "seed": -1},
         {"ratio": 1.0, "seed": 1.5},
+        {"ratio": "1.0"},
     ],
 )
 def test_resize_spec_validation(kwargs):
@@ -131,6 +132,8 @@ def test_ratio_range_validation():
         RatioRange(1.2, 0.9)
     with pytest.raises(ValueError):
         RatioRange(0.1, 1.0)
+    with pytest.raises(ValueError, match="lo"):
+        RatioRange("0.9", 1.0)
     assert RatioRange(1.0, 1.0).lo == 1.0
 
 

@@ -266,6 +266,8 @@ def test_generator_total_rejects_non_finite():
         generator_total(np.nan, 0.0, 0.0, 0.0)
     with pytest.raises(NonFinite):
         generator_total(1.0, 0.0, 0.0, 0.0, fm_weight=np.inf)
+    with pytest.raises(NonFinite):
+        generator_total("1", 0.0, 0.0, 0.0)
 
 
 @settings(max_examples=100, deadline=None)

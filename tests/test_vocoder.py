@@ -162,9 +162,9 @@ _GL_CASES = [
     (301, 2, 2, {}),
     (301, 3, 2, {}),
     (126, 3, 1, {}),
-    (126, 2, 3, {"win_size": 1000}),
+    (126, 2, 3, {"n_fft": 1000}),
     (126, 3, 3, {"hop_size": 300}),
-    (126, 2, 3, {"n_fft": 1000, "win_size": 900, "hop_size": 240}),
+    (126, 2, 3, {"n_fft": 1000, "hop_size": 240}),
 ]
 
 
@@ -205,8 +205,8 @@ def test_gl_default_threads_match_serial_reference():
 
 
 def test_gl_degenerate_window_sum_raises_before_first_iteration(monkeypatch):
-    # hop == win leaves the Hann window's zero sample uncovered.
-    cfg = SpectralConfig(win_size=320, hop_size=320)
+    # hop == n_fft leaves the Hann window's zero sample uncovered.
+    cfg = SpectralConfig(n_fft=320, hop_size=320)
 
     def no_analysis(*args):
         raise AssertionError("an iteration ran")
