@@ -21,15 +21,9 @@ import numpy as np
 
 from .audio_io import _integer, read_wav, resample, write_atomic, write_wav
 from .errors import EmptyCorpus, IoFailure, OutputCollision, StageFailure
-from .spectral import SpectralConfig, mel_spectrogram
+from .spectral import SpectralConfig, _set_threads, available_cpus, mel_spectrogram
 from .sr_ops import VERTICAL, RatioRange, ResizeSpec, resize, sample_ratio
-from .vocoder import (
-    GriffinLimConfig,
-    available_cpus,
-    external_vocoder,
-    reconstruct_from_mel,
-    _set_threads,
-)
+from .vocoder import GriffinLimConfig, external_vocoder, reconstruct_from_mel
 
 MANIFEST_NAME = "manifest.jsonl"
 
@@ -205,7 +199,7 @@ def _run_pools(work: list, indices, jobs: int, results: list) -> dict:
     flight, so a worker that dies breaks its pool for at most ``jobs``
     items; the items not yet started go on in a fresh pool.  Returns the
     items that were in flight when a pool broke, index -> exception.
-    Each worker runs Griffin-Lim on an equal share of the CPUs.
+    Each worker runs NNLS and Griffin-Lim on an equal share of the CPUs.
     """
     threads = max(1, available_cpus() // jobs)
     todo = deque(indices)

@@ -88,9 +88,10 @@ def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> F0Track:
             f"need at least {cfg.frame_size} samples, got {x.size}"
         )
     tau_min = max(2, int(math.floor(sr / cfg.f0_max)))
-    tau_max = int(math.ceil(sr / cfg.f0_min))
-    if tau_max >= cfg.frame_size:
+    # Compared as a float first: a subnormal f0_min makes sr / f0_min inf.
+    if sr / cfg.f0_min > cfg.frame_size - 1:
         raise ValueError("frame_size too small for f0_min at this sample rate")
+    tau_max = math.ceil(sr / cfg.f0_min)
 
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_size)[
         :: cfg.hop_size

@@ -12,7 +12,10 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +34,21 @@ _FLOOR_SLACK = 1e-4
 
 _NNLS_ITERS = 50
 _NNLS_EPS = 1e-18
+# Frames per NNLS block.  Blocks start at multiples of it from frame 0,
+# and a block's arrays (about 330 kB each) stay in cache for all 50
+# updates.
+_NNLS_BLOCK = 64
+
+# _matmul_rows keeps each gemm at 4 rows and at most 65,536 inner x
+# output columns, so at most 65,536 x 4 multiply-adds: OpenBLAS splits a
+# gemm over its threads only above that.  A 4-row product with the
+# default filterbank is 4 x 80 x 641 = 205k, below it; 8 rows would be
+# above it.
+_GEMM_ROWS = 4
+_GEMM_MAX_INNER_X_COLUMNS = 65_536
+
+# Slab threads in this process; None uses every available CPU.
+_threads: int | None = None
 
 
 @dataclass(frozen=True)
@@ -117,6 +135,90 @@ def _frozen_frames(values, dtype, n_bins: int, name: str, lower=None) -> np.ndar
     if values.shape[1] != n_bins:
         raise ValueError(f"expected {n_bins} bins per frame, got {values.shape[1]}")
     return values
+
+
+# ---------------------------------------------------------------------------
+# slab threads and row products
+#
+# mel_to_linear and griffin_lim split their frames into contiguous slabs,
+# one thread each, from one pool per reconstruction.  Frames are
+# independent in both and go through the same operations in any slab, so
+# output bytes do not depend on the number of slab threads; through
+# _matmul_rows they do not depend on the number of BLAS threads either.
+
+
+def available_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _set_threads(n: int) -> None:
+    """Run later mel_to_linear and griffin_lim calls in this process on ``n`` threads.
+
+    The initializer of pipeline's worker pools; without a call, both use
+    every available CPU.
+    """
+    global _threads
+    _threads = _integer(n, "threads", 1)
+
+
+def _slabs(n_rows: int, unit: int, fewest: int) -> list[slice]:
+    """Contiguous slabs of ``n_rows`` rows, one per slab thread.
+
+    Each slab is a run of whole ``unit``-row units (the last unit may be
+    short).  There are at most n_units // ``fewest`` slabs, and at least
+    one.
+    """
+    n_units = -(-n_rows // unit)
+    n_slabs = max(1, min(_threads or available_cpus(), n_units // fewest))
+    cuts = [min(n_rows, unit * (n_units * i // n_slabs)) for i in range(n_slabs + 1)]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+@contextmanager
+def _slab_pool():
+    """Yield ``run(fn, slabs, *args)``, which maps ``fn`` over ``slabs`` (and ``args``).
+
+    A single slab runs on the calling thread, several on a pool of the
+    slab threads.  The pool's threads end with the ``with`` block, so
+    pool workers may fork.
+    """
+    with ThreadPoolExecutor(_threads or available_cpus()) as pool:
+
+        def run(fn, slabs, *args):
+            list((pool.map if len(slabs) > 1 else map)(fn, slabs, *args))
+
+        yield run
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` as stacked matmuls of 4-row products, [n/4, 4, k] @ [k, m].
+
+    numpy runs one gemm per 4-row group, and ``b``'s columns are taken
+    in runs short enough that each gemm stays too small for OpenBLAS to
+    split over threads (which would round it differently); for the
+    default filterbank that is all of them at once.  So every row of the
+    result is rounded the same way whatever the BLAS thread count, the
+    calling thread and the rows around it.  A short last group is padded
+    with zero rows, so no product falls back to gemv.  ``out``, if given,
+    is C-contiguous with ``a``'s row count, a multiple of 4.
+    """
+    n_rows, k = a.shape
+    m = b.shape[1]
+    padded = -(-n_rows // _GEMM_ROWS) * _GEMM_ROWS
+    if padded != n_rows:
+        a = np.concatenate([a, np.zeros((padded - n_rows, k))])
+    if out is None:
+        out = np.empty((padded, m))
+    groups = a.reshape(-1, _GEMM_ROWS, k)
+    out_groups = out.reshape(-1, _GEMM_ROWS, m)
+    step = max(1, _GEMM_MAX_INNER_X_COLUMNS // k)
+    for lo in range(0, m, step):
+        np.matmul(groups, b[:, lo : lo + step], out=out_groups[:, :, lo : lo + step])
+    return out[:n_rows]
 
 
 # ---------------------------------------------------------------------------
@@ -282,29 +384,64 @@ def mel_spectrogram(w: Waveform, cfg: SpectralConfig) -> MelSpectrogram:
     """
     spec = stft(w, cfg)
     mags = np.abs(spec.values)
-    mel = mags @ mel_filterbank(cfg).T
+    mel = _matmul_rows(mags, mel_filterbank(cfg).T)
     return MelSpectrogram(np.log(np.maximum(mel, cfg.log_floor)), cfg)
 
 
-def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
+def mel_to_linear(m: MelSpectrogram, weights: np.ndarray, *, run=None) -> LinearSpectrogram:
     """Approximately invert a log-mel matrix to linear magnitudes.
 
     Solves, per frame, the non-negative least-squares problem
     min ||W x - exp(logmels)||^2 over x >= 0 with 50 multiplicative
     updates from x0 = W^T m, where W is the mel_filterbank ``weights``.
+
+    The frames are solved in blocks of 64, which start at multiples of
+    64 from frame 0, on the slab threads (see _set_threads); ``run``, a
+    runner from _slab_pool, lets a caller share one pool between stages.
+    Every product is a stack of 4-row gemms (see _matmul_rows) and the
+    last block is padded with zero frames to a multiple of 4, which
+    solve to 0.  So the output bytes do not depend on the slab or BLAS
+    thread counts.
     """
+    if run is None:
+        with _slab_pool() as run:
+            return mel_to_linear(m, weights, run=run)
     weights = _frozen_array(weights, np.float64, 2, "weights")
-    if m.config.n_mels != weights.shape[0]:
+    n_mels, n_bins = weights.shape
+    if m.config.n_mels != n_mels:
         raise ConfigMismatch(
-            f"mel has {m.config.n_mels} bands but filterbank has {weights.shape[0]}"
+            f"mel has {m.config.n_mels} bands but filterbank has {n_mels}"
         )
-    target = np.exp(m.logmels)  # [T, M]
-    numer = target @ weights  # W^T m for every frame, constant
-    x = numer.copy()
-    for _ in range(_NNLS_ITERS):
-        denom = (x @ weights.T) @ weights
-        x *= numer / (denom + _NNLS_EPS)
-    return LinearSpectrogram(x, m.config)
+    weights_t = np.ascontiguousarray(weights.T)
+    n_frames = m.n_frames
+    padded = -(-n_frames // _GEMM_ROWS) * _GEMM_ROWS
+    target = np.zeros((padded, n_mels))
+    np.exp(m.logmels, out=target[:n_frames])
+    x = np.empty((padded, n_bins))
+    slabs = _slabs(padded, _NNLS_BLOCK, 1)
+    # Each slab's scratch for one block: W^T m, W x, and W^T W x then the
+    # update factor.  Allocated on this thread: arrays allocated on the
+    # slab threads would grow their own malloc arenas and peak memory.
+    numer = np.empty((len(slabs), _NNLS_BLOCK, n_bins))
+    denom = np.empty_like(numer)
+    mixed = np.empty((len(slabs), _NNLS_BLOCK, n_mels))
+
+    def solve(slab, numer, denom, mixed):
+        for lo in range(slab.start, slab.stop, _NNLS_BLOCK):
+            xb = x[lo : min(lo + _NNLS_BLOCK, slab.stop)]
+            rows = len(xb)
+            numer_b, denom_b, mixed_b = numer[:rows], denom[:rows], mixed[:rows]
+            _matmul_rows(target[lo : lo + rows], weights, numer_b)
+            xb[:] = numer_b
+            for _ in range(_NNLS_ITERS):
+                _matmul_rows(xb, weights_t, mixed_b)
+                _matmul_rows(mixed_b, weights, denom_b)
+                denom_b += _NNLS_EPS
+                np.divide(numer_b, denom_b, out=denom_b)
+                xb *= denom_b
+
+    run(solve, slabs, numer, denom, mixed)
+    return LinearSpectrogram(x[:n_frames], m.config)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,9 @@ available.
 
 from __future__ import annotations
 
-import os
 import shlex
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +23,8 @@ from .spectral import (
     _analyze,
     _frames,
     _overlap_add,
+    _slab_pool,
+    _slabs,
     _synthesize,
     mel_filterbank,
     mel_to_linear,
@@ -42,9 +41,6 @@ _MIN_SLAB_FRAMES = 32
 # start leaves peak memory where it was.
 _START_BLOCK = 16
 
-# Griffin-Lim threads in this process; None uses every available CPU.
-_threads: int | None = None
-
 
 @dataclass(frozen=True)
 class GriffinLimConfig:
@@ -54,24 +50,6 @@ class GriffinLimConfig:
 
     def __post_init__(self):
         _integer(self.n_iters, "n_iters", 1)
-
-
-def available_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _set_threads(n: int) -> None:
-    """Run later griffin_lim calls in this process on ``n`` threads.
-
-    The initializer of pipeline's worker pools; without a call,
-    griffin_lim uses every available CPU.
-    """
-    global _threads
-    _threads = _integer(n, "threads", 1)
 
 
 def _peak_turns(logmag: np.ndarray, step: float, out: np.ndarray) -> None:
@@ -112,7 +90,7 @@ def _peak_turns(logmag: np.ndarray, step: float, out: np.ndarray) -> None:
     out.reshape(-1)[:] = np.repeat(turns, lengths)
 
 
-def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
+def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig, *, run=None) -> Waveform:
     """Recover a waveform whose STFT magnitudes approximate ``s``.
 
     Fast Griffin-Lim (Perraudin et al. 2013): alternate istft/stft
@@ -138,10 +116,15 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     the overlap-add's accumulator, the signal and its reflect-padded
     copy are new each iteration.  The per-frame work of each iteration
     (stft, phase update, istft up to the overlap-add) runs on contiguous
-    slabs of frames, one thread each, and gives the same bytes as a
-    single slab: every element goes through the same operations.  The
-    start and the overlap-add run on the calling thread.
+    slabs of frames, one slab thread each (see spectral._set_threads),
+    and gives the same bytes as a single slab: every element goes
+    through the same operations.  The start and the overlap-add run on
+    the calling thread.  ``run``, a runner from spectral._slab_pool, lets
+    a caller share one pool between stages.
     """
+    if run is None:
+        with _slab_pool() as run:
+            return griffin_lim(s, cfg, run=run)
     mags = s.mags
     spectral_cfg = s.config
     n_frames, n_bins = mags.shape
@@ -186,18 +169,13 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     for t in range(1, n_frames):
         np.multiply(angles[t - 1], rebuilt[t - 1], out=angles[t])
 
-    n_slabs = max(1, min(_threads or available_cpus(), n_frames // _MIN_SLAB_FRAMES))
-    bounds = [n_frames * i // n_slabs for i in range(n_slabs + 1)]
-    slabs = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    # A pool per call: no thread outlives it, so pool workers may fork.
-    with ThreadPoolExecutor(n_slabs) if n_slabs > 1 else nullcontext() as pool:
-        each_slab = pool.map if pool else map
-        list(each_slab(synthesize, slabs))
-        for _ in range(cfg.n_iters):
-            signal = _overlap_add(frames, spectral_cfg)
-            analysis_frames = _frames(signal, spectral_cfg)
-            list(each_slab(update, slabs))
-            rebuilt, previous = previous, rebuilt
+    slabs = _slabs(n_frames, 1, _MIN_SLAB_FRAMES)
+    run(synthesize, slabs)
+    for _ in range(cfg.n_iters):
+        signal = _overlap_add(frames, spectral_cfg)
+        analysis_frames = _frames(signal, spectral_cfg)
+        run(update, slabs)
+        rebuilt, previous = previous, rebuilt
 
     out = _overlap_add(frames, spectral_cfg)
     peak = np.max(np.abs(out))
@@ -212,8 +190,9 @@ def reconstruct_from_mel(m: MelSpectrogram, glcfg: GriffinLimConfig) -> Waveform
     Output is at m.config.sample_rate with (n_frames - 1) * hop_size
     samples.
     """
-    linear = mel_to_linear(m, mel_filterbank(m.config))
-    return griffin_lim(linear, glcfg)
+    with _slab_pool() as run:
+        linear = mel_to_linear(m, mel_filterbank(m.config), run=run)
+        return griffin_lim(linear, glcfg, run=run)
 
 
 def external_vocoder(

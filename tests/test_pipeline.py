@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import synth
-from sraug import audio_io, pipeline, vocoder
+from sraug import audio_io, pipeline, spectral, vocoder
 from sraug.audio_io import read_wav, write_wav
 from sraug.cli import _AUGMENT_SETTINGS, _read_config_file, main as cli_main
 from sraug.errors import EmptyCorpus, IoFailure, OutputCollision, StageFailure
@@ -281,7 +281,7 @@ needs_fork = pytest.mark.skipif(
 
 def _report_threads(item):
     path, _, item_index = item
-    return [{"source_path": path, "threads": vocoder._threads}], None
+    return [{"source_path": path, "threads": spectral._threads}], None
 
 
 @needs_fork
@@ -546,6 +546,48 @@ def test_cli_augment_round_trip(tmp_path):
     assert "wrote 4 files" in proc.stdout
     assert (out / MANIFEST_NAME).is_file()
     assert len(list(out.glob("*.wav"))) == 4
+
+
+_BLAS_PROBE = """
+import sys
+import numpy as np
+from sraug.audio_io import read_wav
+from sraug.spectral import SpectralConfig, mel_filterbank, mel_spectrogram, mel_to_linear
+wave = read_wav(sys.argv[1])
+# 400 bands: a 4-row product with 641 bins is then large enough for
+# OpenBLAS to split, unless its columns are taken in shorter runs.
+for cfg in (SpectralConfig(), SpectralConfig(n_mels=400)):
+    mel = mel_spectrogram(wave, cfg)
+    linear = mel_to_linear(mel, mel_filterbank(cfg))
+    sys.stdout.buffer.write(mel.logmels.tobytes() + linear.mags.tobytes())
+"""
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count when numpy loads, so each setting
+    # needs its own process.
+    src = tmp_path / "in"
+    src.mkdir()
+    write_wav(src / "clip.wav", synth.voiced(6.0, 150, 230, seed=11, vibrato=4.0))
+    results = []
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+        probe = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE, str(src / "clip.wav")],
+            capture_output=True, env=env,
+        )
+        assert probe.returncode == 0, probe.stderr
+        out = tmp_path / f"out{blas}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sraug.cli", "augment", "--in", str(src),
+             "--out", str(out), "--variants", "2"],
+            capture_output=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        wavs = {p.name: p.read_bytes() for p in sorted(out.glob("*.wav"))}
+        assert len(wavs) == 2
+        results.append((probe.stdout, wavs))
+    assert results[0] == results[1]
 
 
 def test_cli_augment_requires_in_and_out(tmp_path):

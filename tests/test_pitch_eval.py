@@ -124,6 +124,12 @@ def test_yin_frame_must_cover_lowest_period():
         yin_f0(synth.tone(220.0, 1.0), PitchConfig(f0_min=10.0))
 
 
+def test_yin_subnormal_f0_min_raises_value_error():
+    # 16000 / 5e-324 overflows to inf, which int() cannot take.
+    with pytest.raises(ValueError, match="frame_size too small"):
+        yin_f0(synth.tone(220.0, 1.0), PitchConfig(f0_min=5e-324))
+
+
 # ---------------------------------------------------------------------------
 # pearson
 

@@ -6,12 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sraug import vocoder
+from sraug import spectral, vocoder
 from sraug.audio_io import Waveform, read_wav, write_wav
 from sraug.errors import DegenerateWindowSum, VocoderOutputMissing, VocoderProcessFailure
 from sraug.pitch_eval import PitchConfig, yin_f0
 from sraug.spectral import (
     LinearSpectrogram,
+    MelSpectrogram,
     SpectralConfig,
     mel_filterbank,
     mel_spectrogram,
@@ -140,12 +141,12 @@ def test_gl_limits_output_peak():
     assert np.max(np.abs(out.samples)) <= 0.95 + 1e-12
 
 
-class _CountingPool(vocoder.ThreadPoolExecutor):
-    sizes: list = []
+class _CountingPool(spectral.ThreadPoolExecutor):
+    slab_counts: list = []
 
-    def __init__(self, n):
-        super().__init__(n)
-        self.sizes.append(n)
+    def map(self, fn, *iterables):
+        self.slab_counts.append(len(iterables[0]))
+        return super().map(fn, *iterables)
 
 
 # (frames, threads, n_iters, config): 2 and 3 frames give a single slab,
@@ -172,23 +173,25 @@ _GL_CASES = [
 def test_gl_matches_serial_reference(monkeypatch, n_frames, threads, n_iters, layout):
     cfg = SpectralConfig(**layout)
     mags = np.random.default_rng(n_frames).gamma(0.5, size=(n_frames, cfg.n_bins))
-    _CountingPool.sizes = []
-    monkeypatch.setattr(vocoder, "ThreadPoolExecutor", _CountingPool)
-    monkeypatch.setattr(vocoder, "_threads", None)  # restored after the test
-    vocoder._set_threads(threads)
+    _CountingPool.slab_counts = []
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", _CountingPool)
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    spectral._set_threads(threads)
     got = griffin_lim(LinearSpectrogram(mags, cfg), GriffinLimConfig(n_iters=n_iters))
     want = ref.griffin_lim(mags, cfg, n_iters)
     assert np.array_equal(got.samples, want.samples)
+    # The first synthesis and every iteration map over the same slabs;
+    # a single slab runs on the calling thread.
     slabs = min(threads, n_frames // 32)
-    assert _CountingPool.sizes == ([slabs] if slabs > 1 else [])
+    assert _CountingPool.slab_counts == ([slabs] * (n_iters + 1) if slabs > 1 else [])
 
 
 def test_gl_slabs_under_thread_pressure(monkeypatch):
     # More threads than cores, switching every microsecond: a slab that
     # wrote outside its own rows would change the output bytes.
     mags = np.random.default_rng(7).gamma(0.5, size=(301, CFG.n_bins))
-    monkeypatch.setattr(vocoder, "_threads", None)
-    vocoder._set_threads(8)
+    monkeypatch.setattr(spectral, "_threads", None)
+    spectral._set_threads(8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -218,11 +221,61 @@ def test_gl_degenerate_window_sum_raises_before_first_iteration(monkeypatch):
 
 def test_thread_count_rejects_zero():
     with pytest.raises(ValueError):
-        vocoder._set_threads(0)
+        spectral._set_threads(0)
 
 
 # ---------------------------------------------------------------------------
 # reconstruct_from_mel
+
+
+# 1, 3, 63 and 65 frames end in a padded 4-row group; 63, 64 and 65
+# frames sit at the 64-frame block edge, 129 and 301 frames give 3 and
+# 5 blocks, so 2 or 3 slabs of whole blocks.
+@pytest.mark.parametrize("n_frames", [1, 3, 63, 64, 65, 129, 301])
+def test_nnls_and_reconstruction_bytes_do_not_depend_on_slab_threads(
+    monkeypatch, n_frames
+):
+    rng = np.random.default_rng(n_frames)
+    m = MelSpectrogram(np.log(rng.gamma(0.5, size=(n_frames, CFG.n_mels)) + 1e-5), CFG)
+    fb = mel_filterbank(CFG)
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", _CountingPool)
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    mags, waves = [], []
+    for threads in (1, 2, 3):
+        spectral._set_threads(threads)
+        _CountingPool.slab_counts = []
+        mags.append(mel_to_linear(m, fb).mags)
+        blocks = -(-n_frames // 64)
+        slabs = min(threads, blocks)
+        assert _CountingPool.slab_counts == ([slabs] if slabs > 1 else [])
+        waves.append(reconstruct_from_mel(m, GriffinLimConfig(n_iters=2)).samples)
+    for got in mags[1:]:
+        assert np.array_equal(got, mags[0])
+    for got in waves[1:]:
+        assert np.array_equal(got, waves[0])
+    # Zero frames padding the last 4-row group solve to 0, so they leave
+    # no NaN, and each frame is solved on its own.
+    assert np.isfinite(mags[0]).all() and mags[0].min() >= 0.0
+    last = MelSpectrogram(m.logmels[-1:], CFG)
+    assert np.array_equal(mel_to_linear(last, fb).mags, mags[0][-1:])
+
+
+def test_nnls_slabs_under_thread_pressure(monkeypatch):
+    # More threads than cores, switching every microsecond: a slab that
+    # wrote outside its own blocks would change the output bytes.
+    rng = np.random.default_rng(5)
+    m = MelSpectrogram(np.log(rng.gamma(0.5, size=(301, CFG.n_mels)) + 1e-5), CFG)
+    monkeypatch.setattr(spectral, "_threads", None)
+    spectral._set_threads(1)
+    want = mel_to_linear(m, mel_filterbank(CFG)).mags
+    spectral._set_threads(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = mel_to_linear(m, mel_filterbank(CFG)).mags
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
 
 
 def test_reconstruct_silence_is_quiet():
