@@ -198,8 +198,10 @@ def _run_pools(work: list, indices, jobs: int, results: list) -> dict:
     Stores each result in ``results[i]``.  At most ``jobs`` items are in
     flight, so a worker that dies breaks its pool for at most ``jobs``
     items; the items not yet started go on in a fresh pool.  Returns the
-    items that were in flight when a pool broke, index -> exception.
-    Each worker runs NNLS and Griffin-Lim on an equal share of the CPUs.
+    items that were in flight when a pool broke, index -> exception, and
+    once a worker cannot be started (an OSError such as EAGAIN from fork)
+    every item not yet started, index -> that OSError.  Each worker runs
+    NNLS and Griffin-Lim on an equal share of the CPUs.
     """
     threads = max(1, available_cpus() // jobs)
     todo = deque(indices)
@@ -214,6 +216,9 @@ def _run_pools(work: list, indices, jobs: int, results: list) -> dict:
                         future = pool.submit(_run_item, work[todo[0]])
                     except BrokenProcessPool:
                         intact = False
+                    except OSError as exc:
+                        broken.update(dict.fromkeys(todo, exc))
+                        todo.clear()
                     else:
                         running[future] = todo.popleft()
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
@@ -234,10 +239,13 @@ def _run_pool(work: list, jobs: int) -> list:
 
     The items in flight when a worker died run again at the end, one at
     a time, so only an item that kills its worker on its own is lost.
+    Once a worker cannot be started, no further pool starts.
     """
     results: list = [None] * len(work)
-    suspects = _run_pools(work, range(len(work)), jobs, results)
-    for i, exc in _run_pools(work, sorted(suspects), 1, results).items():
+    lost = _run_pools(work, range(len(work)), jobs, results)
+    if not any(isinstance(exc, OSError) for exc in lost.values()):
+        lost = _run_pools(work, sorted(lost), 1, results)
+    for i, exc in lost.items():
         results[i] = _worker_failure(work[i], exc)
     return results
 

@@ -34,9 +34,8 @@ _FLOOR_SLACK = 1e-4
 
 _NNLS_ITERS = 50
 _NNLS_EPS = 1e-18
-# Frames per NNLS block.  Blocks start at multiples of it from frame 0,
-# and a block's arrays (about 330 kB each) stay in cache for all 50
-# updates.
+# Frames per NNLS block.  A block's arrays (about 330 kB each) stay in
+# cache for all 50 updates.
 _NNLS_BLOCK = 64
 
 # _matmul_rows keeps each gemm at 4 rows and at most 65,536 inner x
@@ -49,6 +48,8 @@ _GEMM_MAX_INNER_X_COLUMNS = 65_536
 
 # Slab threads in this process; None uses every available CPU.
 _threads: int | None = None
+# Fewest rows worth a slab thread of their own.
+_MIN_SLAB_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -140,11 +141,11 @@ def _frozen_frames(values, dtype, n_bins: int, name: str, lower=None) -> np.ndar
 # ---------------------------------------------------------------------------
 # slab threads and row products
 #
-# mel_to_linear and griffin_lim split their frames into contiguous slabs,
-# one thread each, from one pool per reconstruction.  Frames are
-# independent in both and go through the same operations in any slab, so
-# output bytes do not depend on the number of slab threads; through
-# _matmul_rows they do not depend on the number of BLAS threads either.
+# mel_to_linear and griffin_lim each split their frames into contiguous
+# slabs (see _slabs), one thread a slab, on a pool of their own.  Frames
+# are independent in both and go through the same operations in any
+# slab, so output bytes do not depend on the number of slab threads;
+# through _matmul_rows, not on the number of BLAS threads either.
 
 
 def available_cpus() -> int:
@@ -165,16 +166,16 @@ def _set_threads(n: int) -> None:
     _threads = _integer(n, "threads", 1)
 
 
-def _slabs(n_rows: int, unit: int, fewest: int) -> list[slice]:
+def _slabs(n_rows: int) -> list[slice]:
     """Contiguous slabs of ``n_rows`` rows, one per slab thread.
 
-    Each slab is a run of whole ``unit``-row units (the last unit may be
-    short).  There are at most n_units // ``fewest`` slabs, and at least
-    one.
+    There are max(1, min(slab threads, n_rows // 32)) slabs, and every
+    cut between two falls on a multiple of 4 rows, so no 4-row group of
+    _matmul_rows straddles two slabs.
     """
-    n_units = -(-n_rows // unit)
-    n_slabs = max(1, min(_threads or available_cpus(), n_units // fewest))
-    cuts = [min(n_rows, unit * (n_units * i // n_slabs)) for i in range(n_slabs + 1)]
+    n_groups = -(-n_rows // _GEMM_ROWS)
+    n_slabs = max(1, min(_threads or available_cpus(), n_rows // _MIN_SLAB_ROWS))
+    cuts = [min(n_rows, _GEMM_ROWS * (n_groups * i // n_slabs)) for i in range(n_slabs + 1)]
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
@@ -388,24 +389,20 @@ def mel_spectrogram(w: Waveform, cfg: SpectralConfig) -> MelSpectrogram:
     return MelSpectrogram(np.log(np.maximum(mel, cfg.log_floor)), cfg)
 
 
-def mel_to_linear(m: MelSpectrogram, weights: np.ndarray, *, run=None) -> LinearSpectrogram:
+def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     """Approximately invert a log-mel matrix to linear magnitudes.
 
     Solves, per frame, the non-negative least-squares problem
     min ||W x - exp(logmels)||^2 over x >= 0 with 50 multiplicative
     updates from x0 = W^T m, where W is the mel_filterbank ``weights``.
 
-    The frames are solved in blocks of 64, which start at multiples of
-    64 from frame 0, on the slab threads (see _set_threads); ``run``, a
-    runner from _slab_pool, lets a caller share one pool between stages.
-    Every product is a stack of 4-row gemms (see _matmul_rows) and the
-    last block is padded with zero frames to a multiple of 4, which
-    solve to 0.  So the output bytes do not depend on the slab or BLAS
-    thread counts.
+    The frames are padded with zero frames, which solve to 0, to a
+    multiple of 4 and split into slabs (see _slabs) on the slab threads
+    (see _set_threads); each slab is solved in 64-frame blocks from its
+    first frame.  Every product is a stack of 4-row gemms (see
+    _matmul_rows), grouped in fours from frame 0 whatever the slabs.  So
+    the output bytes do not depend on the slab or BLAS thread counts.
     """
-    if run is None:
-        with _slab_pool() as run:
-            return mel_to_linear(m, weights, run=run)
     weights = _frozen_array(weights, np.float64, 2, "weights")
     n_mels, n_bins = weights.shape
     if m.config.n_mels != n_mels:
@@ -418,7 +415,7 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray, *, run=None) -> Linear
     target = np.zeros((padded, n_mels))
     np.exp(m.logmels, out=target[:n_frames])
     x = np.empty((padded, n_bins))
-    slabs = _slabs(padded, _NNLS_BLOCK, 1)
+    slabs = _slabs(padded)
     # Each slab's scratch for one block: W^T m, W x, and W^T W x then the
     # update factor.  Allocated on this thread: arrays allocated on the
     # slab threads would grow their own malloc arenas and peak memory.
@@ -440,7 +437,8 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray, *, run=None) -> Linear
                 np.divide(numer_b, denom_b, out=denom_b)
                 xb *= denom_b
 
-    run(solve, slabs, numer, denom, mixed)
+    with _slab_pool() as run:
+        run(solve, slabs, numer, denom, mixed)
     return LinearSpectrogram(x[:n_frames], m.config)
 
 

@@ -34,8 +34,6 @@ from .spectral import (
 EXTERNAL_VOCODER_TIMEOUT = 120.0
 _PEAK_LIMIT = 0.95
 _MOMENTUM = 0.99
-# Fewest frames worth a thread of their own.
-_MIN_SLAB_FRAMES = 32
 # Frames per block of the start phase's peak picking.  Its temporaries
 # (about 20 bytes per bin) then stay far below the loop's own, so the
 # start leaves peak memory where it was.
@@ -90,7 +88,7 @@ def _peak_turns(logmag: np.ndarray, step: float, out: np.ndarray) -> None:
     out.reshape(-1)[:] = np.repeat(turns, lengths)
 
 
-def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig, *, run=None) -> Waveform:
+def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     """Recover a waveform whose STFT magnitudes approximate ``s``.
 
     Fast Griffin-Lim (Perraudin et al. 2013): alternate istft/stft
@@ -116,15 +114,11 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig, *, run=None) -> Wav
     the overlap-add's accumulator, the signal and its reflect-padded
     copy are new each iteration.  The per-frame work of each iteration
     (stft, phase update, istft up to the overlap-add) runs on contiguous
-    slabs of frames, one slab thread each (see spectral._set_threads),
-    and gives the same bytes as a single slab: every element goes
-    through the same operations.  The start and the overlap-add run on
-    the calling thread.  ``run``, a runner from spectral._slab_pool, lets
-    a caller share one pool between stages.
+    slabs of frames (see spectral._slabs), one slab thread each (see
+    spectral._set_threads), and gives the same bytes as a single slab:
+    every element goes through the same operations.  The start and the
+    overlap-add run on the calling thread.
     """
-    if run is None:
-        with _slab_pool() as run:
-            return griffin_lim(s, cfg, run=run)
     mags = s.mags
     spectral_cfg = s.config
     n_frames, n_bins = mags.shape
@@ -169,13 +163,14 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig, *, run=None) -> Wav
     for t in range(1, n_frames):
         np.multiply(angles[t - 1], rebuilt[t - 1], out=angles[t])
 
-    slabs = _slabs(n_frames, 1, _MIN_SLAB_FRAMES)
-    run(synthesize, slabs)
-    for _ in range(cfg.n_iters):
-        signal = _overlap_add(frames, spectral_cfg)
-        analysis_frames = _frames(signal, spectral_cfg)
-        run(update, slabs)
-        rebuilt, previous = previous, rebuilt
+    slabs = _slabs(n_frames)
+    with _slab_pool() as run:
+        run(synthesize, slabs)
+        for _ in range(cfg.n_iters):
+            signal = _overlap_add(frames, spectral_cfg)
+            analysis_frames = _frames(signal, spectral_cfg)
+            run(update, slabs)
+            rebuilt, previous = previous, rebuilt
 
     out = _overlap_add(frames, spectral_cfg)
     peak = np.max(np.abs(out))
@@ -190,9 +185,7 @@ def reconstruct_from_mel(m: MelSpectrogram, glcfg: GriffinLimConfig) -> Waveform
     Output is at m.config.sample_rate with (n_frames - 1) * hop_size
     samples.
     """
-    with _slab_pool() as run:
-        linear = mel_to_linear(m, mel_filterbank(m.config), run=run)
-        return griffin_lim(linear, glcfg, run=run)
+    return griffin_lim(mel_to_linear(m, mel_filterbank(m.config)), glcfg)
 
 
 def external_vocoder(

@@ -1,6 +1,7 @@
 """Batch pipeline: seed derivation, corpus discovery, manifest output,
 failure isolation, parallel/serial equivalence, and the CLI surface."""
 
+import errno
 import json
 import multiprocessing
 import os
@@ -359,6 +360,50 @@ def test_dead_worker_reruns_only_the_items_in_flight(tmp_path, monkeypatch):
     assert "clip1" in one_at_a_time and len(one_at_a_time) <= 2
     assert sorted(stem for _, stem in _RecordingPool.submitted) == sorted(
         stems + ["clip1"] + one_at_a_time
+    )
+
+
+class _LaunchFailingPool(ProcessPoolExecutor):
+    """A process pool whose submit fails as fork does with EAGAIN, from the second pool on."""
+
+    pools = 0
+
+    def __init__(self, workers, **kwargs):
+        super().__init__(workers, **kwargs)
+        _LaunchFailingPool.pools += 1
+        self.launches = _LaunchFailingPool.pools == 1
+
+    def submit(self, fn, item):
+        if not self.launches:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return super().submit(fn, item)
+
+
+@needs_fork
+def test_run_writes_the_manifest_when_a_worker_cannot_start(tmp_path, monkeypatch):
+    # clip1 kills its worker; the fresh pool for the items left cannot
+    # start one.  Every item without a result is a worker failure, no
+    # further pool starts, and the manifest is written.
+    small_corpus(tmp_path / "in", n=6)
+    out = tmp_path / "out"
+    monkeypatch.setattr(pipeline, "augment_file", _crash_on_clip1)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _LaunchFailingPool)
+    monkeypatch.setattr(_LaunchFailingPool, "pools", 0)
+    cfg = PipelineConfig(
+        input=str(tmp_path / "in"), output_dir=str(out),
+        gl=vocoder.GriffinLimConfig(n_iters=2),
+    )
+    manifest = run(cfg, jobs=2)
+    assert _LaunchFailingPool.pools == 2
+    assert read_manifest(out) == manifest.records
+    done = [Path(r["source_path"]).stem for r in manifest.records]
+    failed = {Path(f["source_path"]).stem: f for f in manifest.failures}
+    assert sorted(done + list(failed)) == [f"clip{i}" for i in range(6)]
+    assert "clip1" in failed and {f["stage"] for f in failed.values()} == {"worker"}
+    launch_error = f"BlockingIOError: [Errno {errno.EAGAIN}] Resource temporarily unavailable"
+    assert launch_error in [f["error"] for f in failed.values()]
+    assert sorted(p.name for p in out.glob("*.wav")) == sorted(
+        Path(r["output_path"]).name for r in manifest.records
     )
 
 

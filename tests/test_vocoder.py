@@ -1,6 +1,7 @@
 """Griffin-Lim reconstruction and the external vocoder hook."""
 
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -224,14 +225,27 @@ def test_thread_count_rejects_zero():
         spectral._set_threads(0)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_slabs_cover_the_rows_with_cuts_on_4_row_groups(monkeypatch, threads):
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    spectral._set_threads(threads)
+    for n_rows in range(401):
+        slabs = spectral._slabs(n_rows)
+        assert len(slabs) == max(1, min(threads, n_rows // 32))
+        assert slabs[0].start == 0 and slabs[-1].stop == n_rows
+        for before, after in zip(slabs, slabs[1:]):
+            assert before.stop == after.start and after.start % 4 == 0
+
+
 # ---------------------------------------------------------------------------
 # reconstruct_from_mel
 
 
 # 1, 3, 63 and 65 frames end in a padded 4-row group; 63, 64 and 65
-# frames sit at the 64-frame block edge, 129 and 301 frames give 3 and
-# 5 blocks, so 2 or 3 slabs of whole blocks.
-@pytest.mark.parametrize("n_frames", [1, 3, 63, 64, 65, 129, 301])
+# frames sit at the 64-frame block edge; 68 and 100 frames give slabs
+# that end inside a 64-frame block; 129 and 301 frames give a slab per
+# thread of several blocks.
+@pytest.mark.parametrize("n_frames", [1, 3, 63, 64, 65, 68, 100, 129, 301])
 def test_nnls_and_reconstruction_bytes_do_not_depend_on_slab_threads(
     monkeypatch, n_frames
 ):
@@ -245,8 +259,7 @@ def test_nnls_and_reconstruction_bytes_do_not_depend_on_slab_threads(
         spectral._set_threads(threads)
         _CountingPool.slab_counts = []
         mags.append(mel_to_linear(m, fb).mags)
-        blocks = -(-n_frames // 64)
-        slabs = min(threads, blocks)
+        slabs = min(threads, -(-n_frames // 4) * 4 // 32)
         assert _CountingPool.slab_counts == ([slabs] if slabs > 1 else [])
         waves.append(reconstruct_from_mel(m, GriffinLimConfig(n_iters=2)).samples)
     for got in mags[1:]:
@@ -276,6 +289,23 @@ def test_nnls_slabs_under_thread_pressure(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, want)
+
+
+def test_no_slab_thread_outlives_a_call(monkeypatch):
+    # Pipeline's worker processes fork from a process that has run
+    # these calls; a slab thread still alive would be copied half-way.
+    rng = np.random.default_rng(11)
+    m = MelSpectrogram(np.log(rng.gamma(0.5, size=(301, CFG.n_mels)) + 1e-5), CFG)
+    s = LinearSpectrogram(rng.gamma(0.5, size=(301, CFG.n_bins)), CFG)
+    monkeypatch.setattr(spectral, "_threads", None)
+    spectral._set_threads(2)
+    before = threading.active_count()
+    mel_to_linear(m, mel_filterbank(CFG))
+    assert threading.active_count() == before
+    griffin_lim(s, GriffinLimConfig(n_iters=2))
+    assert threading.active_count() == before
+    reconstruct_from_mel(m, GriffinLimConfig(n_iters=2))
+    assert threading.active_count() == before
 
 
 def test_reconstruct_silence_is_quiet():
