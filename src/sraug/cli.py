@@ -16,7 +16,7 @@ from .audio_io import read_bytes, read_wav, resample, write_wav
 from .errors import DimensionMismatch, MalformedContainer, SraugError
 from .pipeline import MANIFEST_NAME, PipelineConfig, run
 from .pitch_eval import PitchConfig, f0_pcc, write_f0_csv, yin_f0
-from .spectral import SpectralConfig, mel_spectrogram, read_melf, write_melf
+from .spectral import mel_spectrogram, read_melf, write_melf
 from .sr_ops import HORIZONTAL, VERTICAL, RatioRange, ResizeSpec, resize
 from .vc_losses import DiagGaussian, kl_diag_gaussian
 from .vocoder import GriffinLimConfig, reconstruct_from_mel
@@ -163,7 +163,7 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_mel(args) -> int:
-    cfg = SpectralConfig()
+    cfg = PipelineConfig.spectral
     wave = resample(read_wav(args.wav), cfg.sample_rate)
     write_melf(args.melf, mel_spectrogram(wave, cfg))
     return 0

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import struct
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,7 +42,7 @@ class PipelineConfig:
     variants_per_file: int = 1
     axis: str = VERTICAL
     master_seed: int = 0
-    spectral: SpectralConfig = SpectralConfig()
+    spectral: ClassVar[SpectralConfig] = SpectralConfig()  # not a setting
     gl: GriffinLimConfig = GriffinLimConfig()
     vocoder_cmd: str | None = None
     pad_noise_std: float = ResizeSpec.pad_noise_std
@@ -207,6 +209,7 @@ def _run_pools(work: list, indices, jobs: int, results: list) -> dict:
     todo = deque(indices)
     broken = {}
     while todo:
+        before = set(multiprocessing.active_children())
         with ProcessPoolExecutor(jobs, initializer=_set_threads, initargs=(threads,)) as pool:
             running = {}
             intact = True
@@ -231,6 +234,11 @@ def _run_pools(work: list, indices, jobs: int, results: list) -> dict:
                         intact = False
                     except Exception as exc:
                         results[i] = _worker_failure(work[i], exc)
+        # Workers forked before a failed launch wait for work with nothing
+        # to stop them, and the interpreter would wait for them at exit.
+        for child in set(multiprocessing.active_children()) - before:
+            child.terminate()
+            child.join()
     return broken
 
 

@@ -18,10 +18,11 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
-from .audio_io import Waveform, _frozen_array, _integer, _real, read_bytes, write_atomic
+from .audio_io import Waveform, _frozen_array, _integer, read_bytes, write_atomic
 from .errors import ConfigMismatch, DegenerateWindowSum, MalformedContainer, UnsupportedFormat
 
 _MELF_MAGIC = b"MELF"
@@ -54,30 +55,29 @@ _MIN_SLAB_ROWS = 32
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Analysis parameters shared by every spectral value."""
+    """Analysis parameters shared by every spectral value.
 
-    n_fft: int = 1280
+    The fields are the settings a MELF header stores.  The window (a
+    periodic Hann of ``n_fft`` samples), the band edges and the log
+    floor are class constants.
+    """
+
     hop_size: int = 320
     n_mels: int = 80
     sample_rate: int = 16000
-    fmin: float = 0.0
-    fmax: float = 8000.0
-    log_floor: float = 1e-5
+    n_fft: ClassVar[int] = 1280
+    n_bins: ClassVar[int] = n_fft // 2 + 1  # one-sided FFT bins
+    fmin: ClassVar[float] = 0.0
+    fmax: ClassVar[float] = 8000.0
+    log_floor: ClassVar[float] = 1e-5
 
     def __post_init__(self):
-        for name in ("n_fft", "hop_size", "n_mels", "sample_rate"):
+        for name in ("hop_size", "n_mels", "sample_rate"):
             _integer(getattr(self, name), name, 1)
         if self.hop_size > self.n_fft:
             raise ValueError("hop_size must not exceed n_fft")
-        if not 0 <= _real(self.fmin, "fmin") < _real(self.fmax, "fmax") <= self.sample_rate / 2:
-            raise ValueError("need 0 <= fmin < fmax <= sample_rate/2")
-        if _real(self.log_floor, "log_floor") <= 0:
-            raise ValueError("log_floor must be positive")
-
-    @property
-    def n_bins(self) -> int:
-        """Number of one-sided FFT bins."""
-        return self.n_fft // 2 + 1
+        if self.sample_rate < 2 * self.fmax:
+            raise ValueError(f"sample_rate must be at least {2 * self.fmax:.0f} (2 * fmax)")
 
 
 @dataclass(frozen=True)
@@ -233,13 +233,9 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
 # frame on its own.
 
 
-@lru_cache(maxsize=32)
-def _analysis_window(cfg: SpectralConfig) -> np.ndarray:
-    """Periodic Hann of n_fft samples."""
-    n = np.arange(cfg.n_fft)
-    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / cfg.n_fft)
-    hann.flags.writeable = False
-    return hann
+# The analysis and synthesis window: a periodic Hann of n_fft samples.
+_WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(SpectralConfig.n_fft) / SpectralConfig.n_fft)
+_WINDOW.flags.writeable = False
 
 
 def _frames(signal: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
@@ -248,18 +244,16 @@ def _frames(signal: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop_size]
 
 
-def _analyze(
-    frames: np.ndarray, cfg: SpectralConfig, scratch: np.ndarray, out: np.ndarray
-) -> np.ndarray:
+def _analyze(frames: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Windowed frames to spectrum: window ``frames`` into ``scratch``, rfft into ``out``."""
-    np.multiply(frames, _analysis_window(cfg), out=scratch)
-    return np.fft.rfft(scratch, cfg.n_fft, axis=1, out=out)
+    np.multiply(frames, _WINDOW, out=scratch)
+    return np.fft.rfft(scratch, SpectralConfig.n_fft, axis=1, out=out)
 
 
-def _synthesize(values: np.ndarray, cfg: SpectralConfig, out: np.ndarray) -> np.ndarray:
+def _synthesize(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Spectrum to windowed frames: irfft each row into ``out``, window it again."""
-    np.fft.irfft(values, cfg.n_fft, axis=1, out=out)
-    return np.multiply(out, _analysis_window(cfg), out=out)
+    np.fft.irfft(values, SpectralConfig.n_fft, axis=1, out=out)
+    return np.multiply(out, _WINDOW, out=out)
 
 
 def _sum_frames(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -285,7 +279,7 @@ def _window_sum(cfg: SpectralConfig, n_frames: int) -> np.ndarray:
     Raises DegenerateWindowSum where it falls below 1e-9, since the
     normalization would then divide by (nearly) zero.
     """
-    frames = np.broadcast_to(_analysis_window(cfg) ** 2, (n_frames, cfg.n_fft))
+    frames = np.broadcast_to(_WINDOW**2, (n_frames, cfg.n_fft))
     denom = _sum_frames(frames, cfg.hop_size)
     denom = denom[_output_region(n_frames, cfg)]
     if denom.min() < 1e-9:
@@ -328,7 +322,7 @@ def stft(w: Waveform, cfg: SpectralConfig) -> ComplexSpectrogram:
         raise ValueError("cannot analyze an empty waveform")
     frames = _frames(w.samples, cfg)
     values = np.empty((frames.shape[0], cfg.n_bins), dtype=np.complex128)
-    return ComplexSpectrogram(_analyze(frames, cfg, np.empty(frames.shape), values), cfg)
+    return ComplexSpectrogram(_analyze(frames, np.empty(frames.shape), values), cfg)
 
 
 def istft(s: ComplexSpectrogram) -> Waveform:
@@ -341,7 +335,7 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     cfg = s.config
     if s.n_frames < 2:
         return Waveform(np.zeros(0), cfg.sample_rate)
-    frames = _synthesize(s.values, cfg, np.empty((s.n_frames, cfg.n_fft)))
+    frames = _synthesize(s.values, np.empty((s.n_frames, cfg.n_fft)))
     return Waveform(_overlap_add(frames, cfg), cfg.sample_rate)
 
 
@@ -394,7 +388,8 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
 
     Solves, per frame, the non-negative least-squares problem
     min ||W x - exp(logmels)||^2 over x >= 0 with 50 multiplicative
-    updates from x0 = W^T m, where W is the mel_filterbank ``weights``.
+    updates from x0 = W^T m, where W is the mel_filterbank ``weights``;
+    weights of another shape than [n_mels, n_bins] raise ConfigMismatch.
 
     The frames are padded with zero frames, which solve to 0, to a
     multiple of 4 and split into slabs (see _slabs) on the slab threads
@@ -404,11 +399,9 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     the output bytes do not depend on the slab or BLAS thread counts.
     """
     weights = _frozen_array(weights, np.float64, 2, "weights")
-    n_mels, n_bins = weights.shape
-    if m.config.n_mels != n_mels:
-        raise ConfigMismatch(
-            f"mel has {m.config.n_mels} bands but filterbank has {n_mels}"
-        )
+    n_mels, n_bins = m.config.n_mels, m.config.n_bins
+    if weights.shape != (n_mels, n_bins):
+        raise ConfigMismatch(f"mel needs a {n_mels} x {n_bins} filterbank, got {weights.shape}")
     weights_t = np.ascontiguousarray(weights.T)
     n_frames = m.n_frames
     padded = -(-n_frames // _GEMM_ROWS) * _GEMM_ROWS
@@ -468,8 +461,8 @@ def write_melf(path, m: MelSpectrogram) -> None:
 def read_melf(path) -> MelSpectrogram:
     """Read a MELF container written by write_melf.
 
-    The container stores band count, sample rate and hop size; the other
-    settings are SpectralConfig's defaults.  A header or payload that
+    The container stores band count, sample rate and hop size, which are
+    all of SpectralConfig's fields.  A header or payload that
     SpectralConfig or MelSpectrogram rejects raises MalformedContainer.
     """
     blob = read_bytes(path)

@@ -137,11 +137,11 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
 
     def synthesize(rows):
         np.multiply(mags[rows], angles[rows], out=scratch[rows])
-        _synthesize(scratch[rows], spectral_cfg, frames[rows])
+        _synthesize(scratch[rows], frames[rows])
 
     def update(rows):
         # ``rebuilt`` and ``previous`` are swapped between iterations.
-        _analyze(analysis_frames[rows], spectral_cfg, frames[rows], rebuilt[rows])
+        _analyze(analysis_frames[rows], frames[rows], rebuilt[rows])
         accelerated = scratch[rows]
         np.multiply(previous[rows], blend, out=accelerated)
         np.subtract(rebuilt[rows], accelerated, out=accelerated)
@@ -188,9 +188,7 @@ def reconstruct_from_mel(m: MelSpectrogram, glcfg: GriffinLimConfig) -> Waveform
     return griffin_lim(mel_to_linear(m, mel_filterbank(m.config)), glcfg)
 
 
-def external_vocoder(
-    m: MelSpectrogram, command: str, timeout: float = EXTERNAL_VOCODER_TIMEOUT
-) -> Waveform:
+def external_vocoder(m: MelSpectrogram, command: str) -> Waveform:
     """Hand a mel-spectrogram to an external synthesis command.
 
     ``command`` is a shell-less invocation template containing the
@@ -198,6 +196,8 @@ def external_vocoder(
     fresh temp directory, the command runs with both placeholders
     substituted, and the WAV it writes is read back (resampled to
     m.config.sample_rate when the command produced a different rate).
+    A command still running after EXTERNAL_VOCODER_TIMEOUT seconds is
+    killed and raises VocoderProcessFailure.
     """
     if "{mel}" not in command or "{wav}" not in command:
         raise ValueError("command template must contain {mel} and {wav}")
@@ -212,10 +212,10 @@ def external_vocoder(
             for arg in shlex.split(command)
         ]
         try:
-            proc = subprocess.run(argv, capture_output=True, timeout=timeout)
+            proc = subprocess.run(argv, capture_output=True, timeout=EXTERNAL_VOCODER_TIMEOUT)
         except subprocess.TimeoutExpired as exc:
             raise VocoderProcessFailure(
-                f"vocoder timed out after {timeout:.0f} s: {command}"
+                f"vocoder timed out after {exc.timeout:.0f} s: {command}"
             ) from exc
         except OSError as exc:
             raise VocoderProcessFailure(f"cannot launch vocoder: {exc}") from exc

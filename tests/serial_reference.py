@@ -12,7 +12,7 @@ import numpy as np
 
 from sraug.audio_io import Waveform
 from sraug.errors import DegenerateWindowSum
-from sraug.spectral import SpectralConfig, _analysis_window
+from sraug.spectral import _WINDOW, SpectralConfig
 
 _MOMENTUM = 0.99
 _PEAK_LIMIT = 0.95
@@ -22,7 +22,7 @@ def stft_raw(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     pad = cfg.n_fft // 2
     padded = np.pad(x, pad, mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop_size]
-    return np.fft.rfft(frames * _analysis_window(cfg), cfg.n_fft, axis=1)
+    return np.fft.rfft(frames * _WINDOW, cfg.n_fft, axis=1)
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -44,9 +44,9 @@ def istft_raw(values: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     out_len = (n_frames - 1) * cfg.hop_size
     if out_len <= 0:
         return np.zeros(0)
-    frames = np.fft.irfft(values, cfg.n_fft, axis=1) * _analysis_window(cfg)
+    frames = np.fft.irfft(values, cfg.n_fft, axis=1) * _WINDOW
     acc = _overlap_add(frames, cfg.hop_size)
-    win_sq = _analysis_window(cfg) ** 2
+    win_sq = _WINDOW**2
     wsum = _overlap_add(np.broadcast_to(win_sq, (n_frames, cfg.n_fft)), cfg.hop_size)
     region = slice(pad, pad + out_len)
     denom = wsum[region]

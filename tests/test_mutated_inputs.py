@@ -13,7 +13,6 @@ from sraug.audio_io import read_wav
 from sraug.cli import _AUGMENT_SETTINGS, _read_config_file
 from sraug.errors import SraugError
 from sraug.pitch_eval import PitchConfig
-from sraug.spectral import SpectralConfig
 from sraug.sr_ops import RatioRange, ResizeSpec
 
 from test_audio_io import build_wav, extensible_fmt_ext
@@ -145,11 +144,8 @@ def test_mutated_config_raises_only_typed_errors(scratch, blob):
     _typed_errors_only(_read_config_file, path)
 
 
-# The ten real-valued settings, and values that are not finite real numbers.
+# The seven real-valued settings, and values that are not finite real numbers.
 _REAL_FIELDS = [
-    (SpectralConfig, "fmin"),
-    (SpectralConfig, "fmax"),
-    (SpectralConfig, "log_floor"),
     (PitchConfig, "f0_min"),
     (PitchConfig, "f0_max"),
     (PitchConfig, "yin_threshold"),

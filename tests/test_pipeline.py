@@ -407,6 +407,50 @@ def test_run_writes_the_manifest_when_a_worker_cannot_start(tmp_path, monkeypatc
     )
 
 
+# Run in a child: the fork of its second worker fails with EAGAIN, after
+# the first worker has started.
+_FAILED_LAUNCH_PROBE = """
+import errno, json, os, sys
+from sraug.pipeline import PipelineConfig, run
+from sraug.vocoder import GriffinLimConfig
+
+fork = os.fork
+forks = []
+
+def second_fork_fails():
+    forks.append(None)
+    if len(forks) == 2:
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    return fork()
+
+os.fork = second_fork_fails
+cfg = PipelineConfig(sys.argv[1], sys.argv[2], gl=GriffinLimConfig(n_iters=2))
+print(json.dumps([failure["stage"] for failure in run(cfg, jobs=2).failures]))
+"""
+
+
+@needs_fork
+def test_run_exits_when_a_worker_cannot_start(tmp_path):
+    # The worker forked before the failed launch waits for work that never
+    # comes; unless run stops it, the interpreter waits for it at exit.
+    small_corpus(tmp_path / "in", n=4)
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FAILED_LAUNCH_PROBE, str(tmp_path / "in"), str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        stdout, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, 9)  # the child and any worker it left
+        proc.communicate()
+        pytest.fail("the process did not exit after a failed worker launch")
+    assert proc.returncode == 0, err
+    stages = json.loads(stdout)
+    assert stages and set(stages) == {"worker"}
+    assert len(read_manifest(out)) + len(stages) == 4
+
+
 def _collision_run(tmp_path, names, capsys):
     src = tmp_path / "in"
     for name in names:

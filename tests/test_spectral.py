@@ -1,5 +1,6 @@
 """STFT/iSTFT, mel filterbank, log-mel analysis/inversion, MELF container."""
 
+import dataclasses
 import math
 import struct
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sraug import spectral
 from sraug.audio_io import Waveform
 from sraug.errors import (
     ConfigMismatch,
@@ -56,20 +58,20 @@ def test_config_defaults_and_n_bins():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"n_fft": 0},
         {"hop_size": 0},
         {"hop_size": 1500},  # exceeds n_fft
-        {"fmin": -1.0},
-        {"fmin": 8000.0, "fmax": 4000.0},
-        {"fmax": 9000.0},  # beyond Nyquist
-        {"log_floor": 0.0},
-        {"n_fft": 1280.5},  # integer fields reject a float
+        {"hop_size": 1281},
+        {"n_mels": 0},
+        {"sample_rate": 0},
+        {"sample_rate": 8000},  # below 2 * fmax
+        {"sample_rate": 15999},
+        {"hop_size": 320.5},  # the fields reject a float, a string and None
         {"hop_size": 320.0},
         {"n_mels": 80.0},
         {"sample_rate": 16000.0},
-        {"log_floor": float("nan")},
-        {"fmax": "8000"},  # real fields reject a string and Inf
-        {"log_floor": float("inf")},
+        {"n_mels": "80"},
+        {"sample_rate": None},
+        {"hop_size": -320},
     ],
 )
 def test_config_validation(kwargs):
@@ -207,7 +209,7 @@ def test_istft_single_frame_trims_to_nothing():
 def test_istft_degenerate_window_sum():
     # hop == n_fft means the periodic Hann's zero sample is never covered
     # by a neighbouring frame, so normalization would divide by zero.
-    cfg = SpectralConfig(n_fft=320, hop_size=320)
+    cfg = SpectralConfig(hop_size=1280)
     w = Waveform(np.random.default_rng(1).standard_normal(8000), 16000)
     s = stft(w, cfg)
     with pytest.raises(DegenerateWindowSum):
@@ -218,9 +220,9 @@ def test_istft_degenerate_window_sum():
 # last overlap-add chunk is narrower than a hop.
 _LAYOUTS = [
     {},
-    {"n_fft": 1000},
+    {"hop_size": 384},
     {"hop_size": 300},
-    {"n_fft": 1000, "hop_size": 240},
+    {"hop_size": 240},
 ]
 
 
@@ -329,11 +331,18 @@ def test_mel_to_linear_single_band_stays_in_support():
     assert np.array_equal(from_list.mags, lin.mags)
 
 
-def test_mel_to_linear_band_count_mismatch():
+def test_mel_to_linear_band_count_mismatch(monkeypatch):
     cfg40 = SpectralConfig(n_mels=40)
     m = mel_spectrogram(synth.tone(300.0, 0.5), CFG)
+
+    def no_solve(*args):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(spectral, "_matmul_rows", no_solve)
     with pytest.raises(ConfigMismatch):
         mel_to_linear(m, mel_filterbank(cfg40))
+    with pytest.raises(ConfigMismatch, match="80 x 641"):
+        mel_to_linear(m, np.zeros((80, 513)))  # the bins of a 1024-point FFT
     with pytest.raises(ValueError):
         mel_to_linear(m, mel_filterbank(CFG)[0])  # a single row
 
@@ -352,6 +361,32 @@ def test_melf_round_trip(tmp_path):
     assert back.config.n_mels == 80
     assert back.config.sample_rate == 16000
     assert back.config.hop_size == 320
+
+
+# A value other than its default for every SpectralConfig field.
+_NON_DEFAULT = {"hop_size": 300, "n_mels": 400, "sample_rate": 22050}
+
+
+def test_config_fields_are_what_a_melf_header_stores():
+    assert [f.name for f in dataclasses.fields(SpectralConfig)] == [
+        "hop_size", "n_mels", "sample_rate"
+    ]
+    with pytest.raises(TypeError):
+        SpectralConfig(n_fft=1024)  # the window, band edges and floor are fixed
+
+
+@pytest.mark.parametrize("sample_rate", [22050, 48000])
+def test_melf_round_trip_returns_an_equal_config(tmp_path, sample_rate):
+    # Every field away from its default, so one the header did not store
+    # would read back different.
+    settings = {f.name: _NON_DEFAULT[f.name] for f in dataclasses.fields(SpectralConfig)}
+    cfg = SpectralConfig(**{**settings, "sample_rate": sample_rate})
+    logmels = np.random.default_rng(sample_rate).uniform(FLOOR, 2.0, (7, cfg.n_mels))
+    path = tmp_path / "x.melf"
+    write_melf(path, MelSpectrogram(logmels, cfg))
+    back = read_melf(path)
+    assert back.config == cfg
+    assert np.array_equal(back.logmels, logmels.astype("<f4").astype(np.float64))
 
 
 def test_melf_write_is_deterministic(tmp_path):
