@@ -35,6 +35,9 @@ _SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 # Windowed-sinc resampler parameters: Kaiser shape and zero-crossings per side.
 _KAISER_BETA = 12.0
 _ZERO_CROSSINGS = 64
+# Elements per [outputs, taps] matrix of one resample chunk: its tap
+# indices, gathered samples and kernel rows then take 8 MB each.
+_GATHER_ELEMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -262,7 +265,9 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     sample (n*M)//L plus the fraction p/L with p = n*M mod L.  The kernel
     taps depend on that phase p alone, so each chunk of outputs evaluates
     sinc x Kaiser once per distinct phase (at most min(L, chunk) rows) and
-    gathers its rows from that table.
+    gathers its rows from that table.  A chunk with the same phases as the
+    one before it (every chunk of at least L outputs inside the signal)
+    reuses its table.
     """
     target_rate = _integer(target_rate, "target_rate", 1)
     if target_rate == w.sample_rate:
@@ -282,13 +287,16 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     up, down = target_rate // g, w.sample_rate // g
     out = np.empty(n_out)
     # Chunk over output samples so the gather matrix stays small.
-    chunk = max(1, int(4e6) // (2 * width + 1))
+    chunk = max(1, _GATHER_ELEMENTS // (2 * width + 1))
+    table_phases = None
     for start in range(0, n_out, chunk):
         n = np.arange(start, min(start + chunk, n_out), dtype=np.int64)
         base = np.minimum(n * down // up, n_in - 1)
         phases, row = np.unique(n * down - base * up, return_inverse=True)
-        tau = phases[:, None] / up - offsets[None, :]
-        table = scale * np.sinc(scale * tau) * _kaiser(tau / half_width)
+        if not np.array_equal(phases, table_phases):
+            tau = phases[:, None] / up - offsets[None, :]
+            table = scale * np.sinc(scale * tau) * _kaiser(tau / half_width)
+            table_phases = phases
         gathered = padded[base[:, None] + offsets[None, :] + width]
         out[n] = np.einsum("ij,ij->i", gathered, table[row])
     return Waveform(out, target_rate)

@@ -34,10 +34,11 @@ from .spectral import (
 EXTERNAL_VOCODER_TIMEOUT = 120.0
 _PEAK_LIMIT = 0.95
 _MOMENTUM = 0.99
-# Frames per block of the start phase's peak picking.  Its temporaries
-# (about 20 bytes per bin) then stay far below the loop's own, so the
-# start leaves peak memory where it was.
-_START_BLOCK = 16
+# Frames per block of Griffin-Lim's per-frame work, in the start and in
+# each iteration: a block's operands (about 44 kB a frame, 1.4 MB in all)
+# stay in a 2 MB L2 cache from the analysis to the synthesis.  A multiple
+# of 4, so block cuts from a slab's start fall on multiples of 4 rows.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -110,14 +111,19 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     of a stationary partial alternates by pi from bin to bin across its
     peak.
 
-    The per-frame buffers are allocated once and filled in place; only
-    the overlap-add's accumulator, the signal and its reflect-padded
-    copy are new each iteration.  The per-frame work of each iteration
-    (stft, phase update, istft up to the overlap-add) runs on contiguous
-    slabs of frames (see spectral._slabs), one slab thread each (see
-    spectral._set_threads), and gives the same bytes as a single slab:
-    every element goes through the same operations.  The start and the
-    overlap-add run on the calling thread.
+    Two arrays span all frames: ``previous``, the last iteration's
+    rebuilt spectrum for the momentum (the start phase until the first
+    synthesis), and the frame buffer, which the overlap-add reads; only
+    the overlap-add's accumulator, the signal and its reflect-padded copy
+    are new each iteration.  The per-frame work of each iteration (stft,
+    momentum, phase update, istft up to the overlap-add) runs on
+    contiguous slabs of frames (see spectral._slabs), one slab thread
+    each (see spectral._set_threads).  A slab thread walks its slab in
+    32-frame blocks from its first frame, running the whole chain on one
+    block, in that block's own buffers, before the next, so a block's
+    operands stay in cache.  Every element goes through the same
+    operations in any slab or block, so the bytes are those of a single
+    slab.  The start and the overlap-add run on the calling thread.
     """
     mags = s.mags
     spectral_cfg = s.config
@@ -126,51 +132,63 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         # Fewer than two frames synthesize zero samples after trimming.
         return Waveform(np.zeros(0), spectral_cfg.sample_rate)
 
-    angles = np.empty((n_frames, n_bins), dtype=np.complex128)
-    rebuilt = np.empty_like(angles)
-    previous = np.zeros_like(angles)
-    scratch = np.empty_like(angles)  # accelerated value, then mags * angles
-    magnitude = np.empty((n_frames, n_bins))
+    previous = np.empty((n_frames, n_bins), dtype=np.complex128)
     frames = np.empty((n_frames, spectral_cfg.n_fft))  # analysis and synthesis frames
+    slabs = _slabs(n_frames)
+    # Each slab's buffers for one block: the momentum term, then the
+    # accelerated value, its phase and mags times that; and the
+    # accelerated value's magnitude.  Allocated on this thread: arrays
+    # allocated on the slab threads would grow their own malloc arenas
+    # and peak memory.
+    accelerated = np.empty((len(slabs), _BLOCK, n_bins), dtype=np.complex128)
+    magnitude = np.empty((len(slabs), _BLOCK, n_bins))
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
     step = 2.0 * np.pi * spectral_cfg.hop_size / spectral_cfg.n_fft
 
-    def synthesize(rows):
-        np.multiply(mags[rows], angles[rows], out=scratch[rows])
-        _synthesize(scratch[rows], frames[rows])
+    def iterate(slab, accelerated, magnitude):
+        # Without analysis frames, the first synthesis: from the start
+        # phase in ``previous``, which then starts the momentum at zero.
+        # After it, each block's rebuilt spectrum replaces the last one in
+        # ``previous`` once the momentum term has been taken from it.
+        for lo in range(slab.start, slab.stop, _BLOCK):
+            rows = slice(lo, min(lo + _BLOCK, slab.stop))
+            n = rows.stop - lo
+            phase, size = accelerated[:n], magnitude[:n]
+            if analysis_frames is None:
+                np.multiply(mags[rows], previous[rows], out=phase)
+                previous[rows] = 0.0
+            else:
+                np.multiply(previous[rows], blend, out=phase)
+                _analyze(analysis_frames[rows], frames[rows], previous[rows])
+                np.subtract(previous[rows], phase, out=phase)
+                np.abs(phase, out=size)
+                np.maximum(size, 1e-16, out=size)
+                np.divide(phase, size, out=phase)
+                np.multiply(mags[rows], phase, out=phase)
+            _synthesize(phase, frames[rows])
 
-    def update(rows):
-        # ``rebuilt`` and ``previous`` are swapped between iterations.
-        _analyze(analysis_frames[rows], frames[rows], rebuilt[rows])
-        accelerated = scratch[rows]
-        np.multiply(previous[rows], blend, out=accelerated)
-        np.subtract(rebuilt[rows], accelerated, out=accelerated)
-        np.abs(accelerated, out=magnitude[rows])
-        np.maximum(magnitude[rows], 1e-16, out=magnitude[rows])
-        np.divide(accelerated, magnitude[rows], out=angles[rows])
-        synthesize(rows)
-
-    # The start: log-magnitudes in ``magnitude``, each bin's turn per hop
-    # in ``rebuilt``, then frame t's phase is -pi*k for t = 0 and frame
-    # t - 1's phase plus its turn after that.
-    for lo in range(0, n_frames, _START_BLOCK):
-        block = slice(lo, lo + _START_BLOCK)
-        logmag = np.maximum(mags[block], 1e-16, out=magnitude[block])
+    # The start, in ``previous``: frame 0's phase is -pi*k, and frame t's
+    # is frame t - 1's plus its turn, from the log-magnitudes (in the
+    # first slab's ``magnitude``) and turns (in its ``accelerated``) of a
+    # block.
+    previous[0] = 1.0
+    previous[0, 1::2] = -1.0
+    for lo in range(0, n_frames, _BLOCK):
+        n = min(_BLOCK, n_frames - lo)
+        logmag = np.maximum(mags[lo : lo + n], 1e-16, out=magnitude[0, :n])
         np.log(logmag, out=logmag)
-        _peak_turns(logmag, step, rebuilt[block])
-    angles[0] = 1.0
-    angles[0, 1::2] = -1.0
-    for t in range(1, n_frames):
-        np.multiply(angles[t - 1], rebuilt[t - 1], out=angles[t])
+        turns = accelerated[0, :n]
+        _peak_turns(logmag, step, turns)
+        for t in range(lo, min(lo + n, n_frames - 1)):
+            np.multiply(previous[t], turns[t - lo], out=previous[t + 1])
 
-    slabs = _slabs(n_frames)
+    analysis_frames = None
     with _slab_pool() as run:
-        run(synthesize, slabs)
+        run(iterate, slabs, accelerated, magnitude)
         for _ in range(cfg.n_iters):
             signal = _overlap_add(frames, spectral_cfg)
             analysis_frames = _frames(signal, spectral_cfg)
-            run(update, slabs)
-            rebuilt, previous = previous, rebuilt
+            run(iterate, slabs, accelerated, magnitude)
 
     out = _overlap_add(frames, spectral_cfg)
     peak = np.max(np.abs(out))

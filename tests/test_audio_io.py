@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sraug
+from sraug import audio_io
 from sraug.audio_io import (
     Waveform,
     _kaiser,
@@ -481,7 +482,18 @@ def test_reference_cases_cover_chunks_and_signal_end():
     for src, dst, n_in in _EXACT_CASES + _CLOSE_CASES:
         n_out = _round_half_up(n_in * dst / src)
         width = math.ceil(64 / min(1.0, dst / src))
-        spans_chunks += n_out > int(4e6) // (2 * width + 1)
+        spans_chunks += n_out > audio_io._GATHER_ELEMENTS // (2 * width + 1)
         ends_at_last_sample += math.floor((n_out - 1) * src / dst) == n_in - 1
     assert spans_chunks >= 2
     assert ends_at_last_sample >= 4
+
+
+# 1 to 5,000 elements give chunks of 1 to 27 outputs, three of them with
+# a shorter last chunk, against at least 2,597 at the default.
+@pytest.mark.parametrize("src, dst, n_in", [(48000, 16000, 6001), (22050, 16000, 4411)])
+@pytest.mark.parametrize("elements", [1, 1000, 5000])
+def test_resample_bytes_do_not_depend_on_chunk_size(monkeypatch, src, dst, n_in, elements):
+    w = Waveform(_noise(n_in, n_in), src)
+    want = resample(w, dst).samples
+    monkeypatch.setattr(audio_io, "_GATHER_ELEMENTS", elements)
+    assert np.array_equal(resample(w, dst).samples, want)

@@ -451,6 +451,43 @@ def test_run_exits_when_a_worker_cannot_start(tmp_path):
     assert len(read_manifest(out)) + len(stages) == 4
 
 
+# Run in a child, so its peak resident memory is this one run's.
+_PEAK_RSS_PROBE = """
+import resource, sys
+from sraug.pipeline import PipelineConfig, run
+from sraug.sr_ops import HORIZONTAL, RatioRange
+from sraug.vocoder import GriffinLimConfig
+
+cfg = PipelineConfig(sys.argv[1], sys.argv[2], ratio_range=RatioRange(1.15, 1.15),
+                     axis=HORIZONTAL, gl=GriffinLimConfig(n_iters=2))
+assert not run(cfg, jobs=1).failures
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB on Linux
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_run_peak_memory_grows_at_most_3_3_mb_per_input_second(tmp_path):
+    # The slope between a 15 s and a 45 s file, so the interpreter's own
+    # baseline cancels out.  Griffin-Lim's buffers set it: measured 2.37
+    # MB/s with ``previous`` and the frame buffer as its only full-size
+    # arrays, 4.35 MB/s with four more [T, n_bins] arrays.  The bound
+    # leaves 39% above the first and lies 24% below the second.  Memory
+    # does not depend on the iteration count, hence 2.
+    peaks = []
+    for seconds in (15, 45):
+        src = tmp_path / f"in{seconds}"
+        src.mkdir()
+        write_wav(src / "clip.wav", synth.voiced(float(seconds), 150, 230, seed=3, vibrato=4.0))
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_PROBE, str(src), str(tmp_path / f"out{seconds}")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout) / 1024)
+    slope = (peaks[1] - peaks[0]) / 30
+    assert slope <= 3.3, f"{slope:.2f} MB per input second"
+
+
 def _collision_run(tmp_path, names, capsys):
     src = tmp_path / "in"
     for name in names:
