@@ -57,11 +57,12 @@ def _read_config_file(path) -> dict:
     """Parse a key=value settings file (one pair per line, # comments).
 
     A ``#`` inside a value wrapped in single or double quotes is part of
-    the value.  A file that is not UTF-8 raises MalformedContainer.
+    the value.  A UTF-8 byte-order mark at the start is skipped; a file
+    that is not UTF-8 raises MalformedContainer.
     """
     settings = {}
     try:
-        text = read_bytes(path).decode("utf-8")
+        text = read_bytes(path).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedContainer(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):

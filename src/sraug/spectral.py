@@ -17,7 +17,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import ClassVar
 
 import numpy as np
@@ -141,11 +141,12 @@ def _frozen_frames(values, dtype, n_bins: int, name: str, lower=None) -> np.ndar
 # ---------------------------------------------------------------------------
 # slab threads and row products
 #
-# mel_to_linear and griffin_lim each split their frames into contiguous
-# slabs (see _slabs), one thread a slab, on a pool of their own.  Frames
-# are independent in both and go through the same operations in any
-# slab, so output bytes do not depend on the number of slab threads;
-# through _matmul_rows, not on the number of BLAS threads either.
+# mel_to_linear and griffin_lim each walk their frames in blocks through
+# _block_pool: contiguous slabs (see _slabs), one thread a slab, on a
+# pool of their own.  Frames are independent in both and go through the
+# same operations in any slab, so output bytes do not depend on the
+# number of slab threads; through _matmul_rows, not on the number of
+# BLAS threads either.
 
 
 def available_cpus() -> int:
@@ -180,17 +181,30 @@ def _slabs(n_rows: int) -> list[slice]:
 
 
 @contextmanager
-def _slab_pool():
-    """Yield ``run(fn, slabs, *args)``, which maps ``fn`` over ``slabs`` (and ``args``).
+def _block_pool(n_rows: int, block: int, *scratch):
+    """Yield ``run(fn)``, which calls ``fn(rows, *buffers)`` on every block of ``n_rows`` rows.
 
-    A single slab runs on the calling thread, several on a pool of the
-    slab threads.  The pool's threads end with the ``with`` block, so
-    pool workers may fork.
+    Each slab (see _slabs) is cut into slices ``rows`` of ``block`` rows
+    from its first row, the last one maybe shorter.  ``scratch`` holds one
+    ``(width, dtype)`` per buffer.  Each slab has its own ``[block,
+    width]`` arrays, allocated on the calling thread (arrays allocated on
+    the slab threads would grow their own malloc arenas and peak memory),
+    and ``fn`` gets their first ``len(rows)`` rows.  A single slab runs on
+    the calling thread, several on a pool of one thread a slab, whose
+    threads end with the ``with`` block, so pool workers may fork.
     """
+    slabs = _slabs(n_rows)
+    buffers = [np.empty((len(slabs), block, width), dtype) for width, dtype in scratch]
+
+    def walk(fn, slab, *slab_buffers):
+        for lo in range(slab.start, slab.stop, block):
+            rows = slice(lo, min(lo + block, slab.stop))
+            fn(rows, *(b[: rows.stop - lo] for b in slab_buffers))
+
     with ThreadPoolExecutor(_threads or available_cpus()) as pool:
 
-        def run(fn, slabs, *args):
-            list((pool.map if len(slabs) > 1 else map)(fn, slabs, *args))
+        def run(fn):
+            list((pool.map if len(slabs) > 1 else map)(partial(walk, fn), slabs, *buffers))
 
         yield run
 
@@ -256,51 +270,36 @@ def _synthesize(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, _WINDOW, out=out)
 
 
-def _sum_frames(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Overlap-add [n_frames, n_fft] frames, chunk by chunk, one hop per row."""
+def _sum_frames(frames: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+    """Overlap-add [n_frames, n_fft] frames, trimmed of the center padding.
+
+    Sums the frames chunk by chunk, one hop per row, and returns the
+    (n_frames - 1) * hop_size samples after the first n_fft/2.
+    """
     n_frames, n_fft = frames.shape
+    hop = cfg.hop_size
     acc = np.zeros((n_frames + -(-n_fft // hop) - 1, hop))
     for j, start in enumerate(range(0, n_fft, hop)):
         chunk = frames[:, start : start + hop]
         acc[j : j + n_frames, : chunk.shape[1]] += chunk
-    return acc.reshape(-1)
+    pad = n_fft // 2
+    return acc.reshape(-1)[pad : pad + (n_frames - 1) * hop]
 
 
-def _output_region(n_frames: int, cfg: SpectralConfig) -> slice:
-    """Overlap-added samples that survive trimming the center padding."""
-    pad = cfg.n_fft // 2
-    return slice(pad, pad + (n_frames - 1) * cfg.hop_size)
-
-
-@lru_cache(maxsize=4)
 def _window_sum(cfg: SpectralConfig, n_frames: int) -> np.ndarray:
     """Overlap-added squared window over the trimmed output region.
 
+    The divisor that normalizes _sum_frames of n_frames synthesis frames.
     Raises DegenerateWindowSum where it falls below 1e-9, since the
     normalization would then divide by (nearly) zero.
     """
-    frames = np.broadcast_to(_WINDOW**2, (n_frames, cfg.n_fft))
-    denom = _sum_frames(frames, cfg.hop_size)
-    denom = denom[_output_region(n_frames, cfg)]
+    denom = _sum_frames(np.broadcast_to(_WINDOW**2, (n_frames, cfg.n_fft)), cfg)
     if denom.min() < 1e-9:
         raise DegenerateWindowSum(
             f"window sum fell below 1e-9 (min {denom.min():.3e}); "
             "this hop/window combination cannot be inverted"
         )
-    denom.flags.writeable = False
     return denom
-
-
-def _overlap_add(frames: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
-    """Overlap-add plus normalization: the trimmed signal of a frame buffer.
-
-    Sums the windowed frames and divides the (n_frames - 1) * hop_size
-    samples left after trimming by the window sum.
-    """
-    n_frames = frames.shape[0]
-    denom = _window_sum(cfg, n_frames)
-    summed = _sum_frames(frames, cfg.hop_size)
-    return summed[_output_region(n_frames, cfg)] / denom
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +334,9 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     cfg = s.config
     if s.n_frames < 2:
         return Waveform(np.zeros(0), cfg.sample_rate)
+    denom = _window_sum(cfg, s.n_frames)
     frames = _synthesize(s.values, np.empty((s.n_frames, cfg.n_fft)))
-    return Waveform(_overlap_add(frames, cfg), cfg.sample_rate)
+    return Waveform(_sum_frames(frames, cfg) / denom, cfg.sample_rate)
 
 
 def hz_to_mel(f):
@@ -355,7 +355,10 @@ def mel_filterbank(cfg: SpectralConfig) -> np.ndarray:
 
     Centers lie strictly between fmin and fmax on the
     2595*log10(1 + f/700) scale; each filter is scaled by 2/bandwidth so
-    filters carry comparable area regardless of width.
+    filters carry comparable area regardless of width.  A filter narrower
+    than the FFT bin spacing can fall between two bins and be all zero:
+    at 16 kHz, from 284 bands up some of the lowest filters are (1 at 284
+    bands, 9 at 400), and such a band always reads ln(log_floor).
     """
     fftfreqs = np.arange(cfg.n_bins) * (cfg.sample_rate / cfg.n_fft)
     mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
@@ -392,11 +395,11 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     weights of another shape than [n_mels, n_bins] raise ConfigMismatch.
 
     The frames are padded with zero frames, which solve to 0, to a
-    multiple of 4 and split into slabs (see _slabs) on the slab threads
-    (see _set_threads); each slab is solved in 64-frame blocks from its
-    first frame.  Every product is a stack of 4-row gemms (see
-    _matmul_rows), grouped in fours from frame 0 whatever the slabs.  So
-    the output bytes do not depend on the slab or BLAS thread counts.
+    multiple of 4 and solved in 64-frame blocks on the slab threads (see
+    _block_pool and _set_threads).  Every product is a stack of 4-row
+    gemms (see _matmul_rows), grouped in fours from frame 0 whatever the
+    slabs.  So the output bytes do not depend on the slab or BLAS thread
+    counts.
     """
     weights = _frozen_array(weights, np.float64, 2, "weights")
     n_mels, n_bins = m.config.n_mels, m.config.n_bins
@@ -408,30 +411,22 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     target = np.zeros((padded, n_mels))
     np.exp(m.logmels, out=target[:n_frames])
     x = np.empty((padded, n_bins))
-    slabs = _slabs(padded)
-    # Each slab's scratch for one block: W^T m, W x, and W^T W x then the
-    # update factor.  Allocated on this thread: arrays allocated on the
-    # slab threads would grow their own malloc arenas and peak memory.
-    numer = np.empty((len(slabs), _NNLS_BLOCK, n_bins))
-    denom = np.empty_like(numer)
-    mixed = np.empty((len(slabs), _NNLS_BLOCK, n_mels))
 
-    def solve(slab, numer, denom, mixed):
-        for lo in range(slab.start, slab.stop, _NNLS_BLOCK):
-            xb = x[lo : min(lo + _NNLS_BLOCK, slab.stop)]
-            rows = len(xb)
-            numer_b, denom_b, mixed_b = numer[:rows], denom[:rows], mixed[:rows]
-            _matmul_rows(target[lo : lo + rows], weights, numer_b)
-            xb[:] = numer_b
-            for _ in range(_NNLS_ITERS):
-                _matmul_rows(xb, weights_t, mixed_b)
-                _matmul_rows(mixed_b, weights, denom_b)
-                denom_b += _NNLS_EPS
-                np.divide(numer_b, denom_b, out=denom_b)
-                xb *= denom_b
+    def solve(rows, numer, denom, mixed):
+        # numer is W^T m; denom is W^T W x, then the update factor; mixed is W x.
+        xb = x[rows]
+        _matmul_rows(target[rows], weights, numer)
+        xb[:] = numer
+        for _ in range(_NNLS_ITERS):
+            _matmul_rows(xb, weights_t, mixed)
+            _matmul_rows(mixed, weights, denom)
+            denom += _NNLS_EPS
+            np.divide(numer, denom, out=denom)
+            xb *= denom
 
-    with _slab_pool() as run:
-        run(solve, slabs, numer, denom, mixed)
+    scratch = (n_bins, np.float64), (n_bins, np.float64), (n_mels, np.float64)
+    with _block_pool(padded, _NNLS_BLOCK, *scratch) as run:
+        run(solve)
     return LinearSpectrogram(x[:n_frames], m.config)
 
 

@@ -21,11 +21,11 @@ from .spectral import (
     LinearSpectrogram,
     MelSpectrogram,
     _analyze,
+    _block_pool,
     _frames,
-    _overlap_add,
-    _slab_pool,
-    _slabs,
+    _sum_frames,
     _synthesize,
+    _window_sum,
     mel_filterbank,
     mel_to_linear,
     write_melf,
@@ -34,10 +34,11 @@ from .spectral import (
 EXTERNAL_VOCODER_TIMEOUT = 120.0
 _PEAK_LIMIT = 0.95
 _MOMENTUM = 0.99
-# Frames per block of Griffin-Lim's per-frame work, in the start and in
-# each iteration: a block's operands (about 44 kB a frame, 1.4 MB in all)
-# stay in a 2 MB L2 cache from the analysis to the synthesis.  A multiple
-# of 4, so block cuts from a slab's start fall on multiples of 4 rows.
+# Frames per block of Griffin-Lim's per-frame work, in the start, the
+# first synthesis and each iteration: a block's operands (about 44 kB a
+# frame, 1.4 MB in all) stay in a 2 MB L2 cache from the analysis to the
+# synthesis.  A multiple of 4, so block cuts from a slab's start fall on
+# multiples of 4 rows.
 _BLOCK = 32
 
 
@@ -115,15 +116,16 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     rebuilt spectrum for the momentum (the start phase until the first
     synthesis), and the frame buffer, which the overlap-add reads; only
     the overlap-add's accumulator, the signal and its reflect-padded copy
-    are new each iteration.  The per-frame work of each iteration (stft,
-    momentum, phase update, istft up to the overlap-add) runs on
-    contiguous slabs of frames (see spectral._slabs), one slab thread
-    each (see spectral._set_threads).  A slab thread walks its slab in
-    32-frame blocks from its first frame, running the whole chain on one
-    block, in that block's own buffers, before the next, so a block's
-    operands stay in cache.  Every element goes through the same
-    operations in any slab or block, so the bytes are those of a single
-    slab.  The start and the overlap-add run on the calling thread.
+    are new each iteration.  The window sum that normalizes the
+    overlap-add is computed once per call.  The per-frame work (the
+    start's turns, the first synthesis, then each iteration's stft,
+    momentum, phase update and istft up to the overlap-add) runs in
+    32-frame blocks on the slab threads (see spectral._block_pool and
+    spectral._set_threads), each block through the whole chain in its
+    slab's buffers before the next, so a block's operands stay in cache.
+    Every element goes through the same operations in any slab or block,
+    so the bytes are those of a single slab.  The chaining of the start's
+    turns and the overlap-add run on the calling thread.
     """
     mags = s.mags
     spectral_cfg = s.config
@@ -132,65 +134,57 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         # Fewer than two frames synthesize zero samples after trimming.
         return Waveform(np.zeros(0), spectral_cfg.sample_rate)
 
+    denom = _window_sum(spectral_cfg, n_frames)
     previous = np.empty((n_frames, n_bins), dtype=np.complex128)
     frames = np.empty((n_frames, spectral_cfg.n_fft))  # analysis and synthesis frames
-    slabs = _slabs(n_frames)
-    # Each slab's buffers for one block: the momentum term, then the
-    # accelerated value, its phase and mags times that; and the
-    # accelerated value's magnitude.  Allocated on this thread: arrays
-    # allocated on the slab threads would grow their own malloc arenas
-    # and peak memory.
-    accelerated = np.empty((len(slabs), _BLOCK, n_bins), dtype=np.complex128)
-    magnitude = np.empty((len(slabs), _BLOCK, n_bins))
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
     step = 2.0 * np.pi * spectral_cfg.hop_size / spectral_cfg.n_fft
+    # Block buffers: a phase (the turns, the momentum term, then the
+    # accelerated value, its phase and mags times that) and a magnitude
+    # (the log-magnitudes, then the accelerated value's magnitude).
+    scratch = (n_bins, np.complex128), (n_bins, np.float64)
 
-    def iterate(slab, accelerated, magnitude):
-        # Without analysis frames, the first synthesis: from the start
-        # phase in ``previous``, which then starts the momentum at zero.
-        # After it, each block's rebuilt spectrum replaces the last one in
-        # ``previous`` once the momentum term has been taken from it.
-        for lo in range(slab.start, slab.stop, _BLOCK):
-            rows = slice(lo, min(lo + _BLOCK, slab.stop))
-            n = rows.stop - lo
-            phase, size = accelerated[:n], magnitude[:n]
-            if analysis_frames is None:
-                np.multiply(mags[rows], previous[rows], out=phase)
-                previous[rows] = 0.0
-            else:
-                np.multiply(previous[rows], blend, out=phase)
-                _analyze(analysis_frames[rows], frames[rows], previous[rows])
-                np.subtract(previous[rows], phase, out=phase)
-                np.abs(phase, out=size)
-                np.maximum(size, 1e-16, out=size)
-                np.divide(phase, size, out=phase)
-                np.multiply(mags[rows], phase, out=phase)
-            _synthesize(phase, frames[rows])
-
-    # The start, in ``previous``: frame 0's phase is -pi*k, and frame t's
-    # is frame t - 1's plus its turn, from the log-magnitudes (in the
-    # first slab's ``magnitude``) and turns (in its ``accelerated``) of a
-    # block.
-    previous[0] = 1.0
-    previous[0, 1::2] = -1.0
-    for lo in range(0, n_frames, _BLOCK):
-        n = min(_BLOCK, n_frames - lo)
-        logmag = np.maximum(mags[lo : lo + n], 1e-16, out=magnitude[0, :n])
+    def turn(rows, phase, size):
+        # Frame t's turn goes to previous[t + 1], to be chained below.
+        logmag = np.maximum(mags[rows], 1e-16, out=size)
         np.log(logmag, out=logmag)
-        turns = accelerated[0, :n]
-        _peak_turns(logmag, step, turns)
-        for t in range(lo, min(lo + n, n_frames - 1)):
-            np.multiply(previous[t], turns[t - lo], out=previous[t + 1])
+        _peak_turns(logmag, step, phase)
+        following = previous[rows.start + 1 : rows.stop + 1]
+        following[:] = phase[: len(following)]
 
-    analysis_frames = None
-    with _slab_pool() as run:
-        run(iterate, slabs, accelerated, magnitude)
+    def synthesize(rows, phase, size):
+        # The start phase in ``previous`` starts the momentum at zero.
+        np.multiply(mags[rows], previous[rows], out=phase)
+        previous[rows] = 0.0
+        _synthesize(phase, frames[rows])
+
+    def iterate(rows, phase, size):
+        # Each block's rebuilt spectrum replaces the last one in
+        # ``previous`` once the momentum term has been taken from it.
+        np.multiply(previous[rows], blend, out=phase)
+        _analyze(analysis_frames[rows], frames[rows], previous[rows])
+        np.subtract(previous[rows], phase, out=phase)
+        np.abs(phase, out=size)
+        np.maximum(size, 1e-16, out=size)
+        np.divide(phase, size, out=phase)
+        np.multiply(mags[rows], phase, out=phase)
+        _synthesize(phase, frames[rows])
+
+    with _block_pool(n_frames, _BLOCK, *scratch) as run:
+        run(turn)
+        # The start: frame 0's phase is -pi*k, and frame t's is frame
+        # t - 1's times its turn.  A loop, because np.multiply.accumulate
+        # rounds complex products differently.
+        previous[0] = 1.0
+        previous[0, 1::2] = -1.0
+        for t in range(1, n_frames):
+            np.multiply(previous[t - 1], previous[t], out=previous[t])
+        run(synthesize)
         for _ in range(cfg.n_iters):
-            signal = _overlap_add(frames, spectral_cfg)
-            analysis_frames = _frames(signal, spectral_cfg)
-            run(iterate, slabs, accelerated, magnitude)
+            analysis_frames = _frames(_sum_frames(frames, spectral_cfg) / denom, spectral_cfg)
+            run(iterate)
 
-    out = _overlap_add(frames, spectral_cfg)
+    out = _sum_frames(frames, spectral_cfg) / denom
     peak = np.max(np.abs(out))
     if peak > _PEAK_LIMIT:
         out *= _PEAK_LIMIT / peak

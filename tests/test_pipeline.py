@@ -819,6 +819,17 @@ def test_cli_config_not_utf8_names_the_file(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_cli_config_with_utf8_bom(tmp_path):
+    # Editors on Windows save UTF-8 with a byte-order mark (EF BB BF).
+    src = tmp_path / "in"
+    small_corpus(src, n=1)
+    out = tmp_path / "out"
+    config = tmp_path / "settings.conf"
+    config.write_bytes(f"in = {src}\nout = {out}\ngl_iters = 2\n".encode("utf-8-sig"))
+    assert cli_main(["augment", "--config", str(config)]) == 0
+    assert len(list(out.glob("*.wav"))) == 1
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_cli_rejects_jobs_below_one(tmp_path, jobs):
     src = tmp_path / "in"

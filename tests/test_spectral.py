@@ -263,6 +263,13 @@ def test_filterbank_shape_and_coverage():
     assert (fb[:, lo_bin : hi_bin + 1].sum(axis=0) > 0).all()
 
 
+@pytest.mark.parametrize("n_mels, empty", [(283, 0), (284, 1), (400, 9)])
+def test_filterbank_empty_filters_from_284_bands(n_mels, empty):
+    # The count the mel_filterbank docstring and the README give.
+    fb = mel_filterbank(SpectralConfig(n_mels=n_mels))
+    assert (~fb.any(axis=1)).sum() == empty
+
+
 def test_filterbank_is_deterministic_and_frozen():
     a = mel_filterbank(CFG)
     b = mel_filterbank(SpectralConfig())

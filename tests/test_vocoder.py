@@ -128,7 +128,7 @@ def test_gl_start_keeps_peak_memory():
     n_frames = 1751
     mags = np.random.default_rng(5).gamma(0.5, size=(n_frames, CFG.n_bins))
     s = LinearSpectrogram(mags, CFG)
-    griffin_lim(s, GriffinLimConfig(n_iters=1))  # fills the cached window sum
+    griffin_lim(s, GriffinLimConfig(n_iters=1))
     tracemalloc.start()
     try:
         griffin_lim(s, GriffinLimConfig(n_iters=1))
@@ -136,6 +136,25 @@ def test_gl_start_keeps_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 7 * n_frames * CFG.n_bins * 8
+
+
+def test_gl_keeps_nothing_between_calls():
+    # After a warm-up call on another frame count (which imports what a
+    # call needs), a call on a frame count no other test uses must leave
+    # nothing allocated beyond its input and output; a cached window sum
+    # would be 2.5 kB a frame.
+    rng = np.random.default_rng(9)
+    warm_up = LinearSpectrogram(rng.gamma(0.5, size=(40, CFG.n_bins)), CFG)
+    griffin_lim(warm_up, GriffinLimConfig(n_iters=1))
+    n_frames = 900
+    tracemalloc.start()
+    try:
+        mags = rng.gamma(0.5, size=(n_frames, CFG.n_bins))
+        out = griffin_lim(LinearSpectrogram(mags, CFG), GriffinLimConfig(n_iters=1))
+        kept = tracemalloc.get_traced_memory()[0] - mags.nbytes - out.samples.nbytes
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024  # measured 8 kB; with the cached window sum, 2,265 kB
 
 
 def test_gl_limits_output_peak():
@@ -187,10 +206,10 @@ def test_gl_matches_serial_reference(monkeypatch, n_frames, threads, n_iters, la
     got = griffin_lim(LinearSpectrogram(mags, cfg), GriffinLimConfig(n_iters=n_iters))
     want = ref.griffin_lim(mags, cfg, n_iters)
     assert np.array_equal(got.samples, want.samples)
-    # The first synthesis and every iteration map over the same slabs;
-    # a single slab runs on the calling thread.
+    # The start's turns, the first synthesis and every iteration map over
+    # the same slabs; a single slab runs on the calling thread.
     slabs = min(threads, n_frames // 32)
-    assert _CountingPool.slab_counts == ([slabs] * (n_iters + 1) if slabs > 1 else [])
+    assert _CountingPool.slab_counts == ([slabs] * (n_iters + 2) if slabs > 1 else [])
 
 
 def test_gl_slabs_under_thread_pressure(monkeypatch):
@@ -241,6 +260,37 @@ def test_slabs_cover_the_rows_with_cuts_on_4_row_groups(monkeypatch, threads):
         assert slabs[0].start == 0 and slabs[-1].stop == n_rows
         for before, after in zip(slabs, slabs[1:]):
             assert before.stop == after.start and after.start % 4 == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+@pytest.mark.parametrize("block", [32, 64])
+def test_block_pool_visits_each_row_once_in_its_slabs_buffers(monkeypatch, threads, block):
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    spectral._set_threads(threads)
+    for n_rows in range(201):
+        slabs = spectral._slabs(n_rows)
+        calls = []
+        with spectral._block_pool(n_rows, block, (3, np.float64), (5, np.complex128)) as run:
+            run(lambda rows, *buffers: calls.append((rows, buffers)))
+        visits = np.zeros(n_rows, dtype=int)
+        owners = {}
+        for rows, buffers in calls:
+            visits[rows] += 1
+            (slab,) = [i for i, s in enumerate(slabs) if s.start <= rows.start < s.stop]
+            n = rows.stop - rows.start
+            assert rows.stop <= slabs[slab].stop and 0 < n <= block
+            assert (rows.start - slabs[slab].start) % block == 0
+            assert [(b.shape, b.dtype) for b in buffers] == [
+                ((n, 3), np.float64),
+                ((n, 5), np.complex128),
+            ]
+            assert not np.shares_memory(*buffers)
+            owners.setdefault(slab, []).extend(buffers)
+        assert (visits == 1).all()
+        for slab, mine in owners.items():
+            for other, theirs in owners.items():
+                if other != slab:
+                    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
 
 # ---------------------------------------------------------------------------
