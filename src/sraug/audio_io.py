@@ -22,6 +22,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IoFailure, MalformedContainer, UnsupportedFormat
 
@@ -35,9 +36,8 @@ _SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 # Windowed-sinc resampler parameters: Kaiser shape and zero-crossings per side.
 _KAISER_BETA = 12.0
 _ZERO_CROSSINGS = 64
-# Elements per [outputs, taps] matrix of one resample chunk: its tap
-# indices, gathered samples and kernel rows then take 8 MB each.
-_GATHER_ELEMENTS = 1_000_000
+# Kernel taps that resample evaluates per block of phases (512 kB of float64).
+_TABLE_ELEMENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -260,14 +260,14 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     zero-crossings per side).  Output length is round(len * target / source).
     Equal rates return the input unchanged.
 
-    Polyphase form: with the rate ratio reduced to L/M (target/source over
-    their gcd), output n sits at input position n*M/L, i.e. at input
-    sample (n*M)//L plus the fraction p/L with p = n*M mod L.  The kernel
-    taps depend on that phase p alone, so each chunk of outputs evaluates
-    sinc x Kaiser once per distinct phase (at most min(L, chunk) rows) and
-    gathers its rows from that table.  A chunk with the same phases as the
-    one before it (every chunk of at least L outputs inside the signal)
-    reuses its table.
+    Phase-major polyphase form: with the rate ratio reduced to L/M
+    (target/source over their gcd), output n sits at input sample
+    (n*M)//L plus the fraction p/L with p = n*M mod L, and the kernel taps
+    depend on that phase p alone.  The outputs first, first+L, first+2L, ...
+    share one phase and their input windows lie M samples apart, so each
+    such run is one strided view of the padded input times one kernel row.
+    The rows are evaluated for a block of runs at a time, at most
+    _TABLE_ELEMENTS taps per block, so no table grows with L.
     """
     target_rate = _integer(target_rate, "target_rate", 1)
     if target_rate == w.sample_rate:
@@ -282,23 +282,20 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     width = int(math.ceil(half_width))
     padded = np.concatenate([np.zeros(width), w.samples, np.zeros(width)])
     offsets = np.arange(-width, width + 1)
+    windows = sliding_window_view(padded, offsets.size)  # row b: taps around sample b
 
     g = math.gcd(target_rate, w.sample_rate)
     up, down = target_rate // g, w.sample_rate // g
     out = np.empty(n_out)
-    # Chunk over output samples so the gather matrix stays small.
-    chunk = max(1, _GATHER_ELEMENTS // (2 * width + 1))
-    table_phases = None
-    for start in range(0, n_out, chunk):
-        n = np.arange(start, min(start + chunk, n_out), dtype=np.int64)
-        base = np.minimum(n * down // up, n_in - 1)
-        phases, row = np.unique(n * down - base * up, return_inverse=True)
-        if not np.array_equal(phases, table_phases):
-            tau = phases[:, None] / up - offsets[None, :]
-            table = scale * np.sinc(scale * tau) * _kaiser(tau / half_width)
-            table_phases = phases
-        gathered = padded[base[:, None] + offsets[None, :] + width]
-        out[n] = np.einsum("ij,ij->i", gathered, table[row])
+    block = max(1, _TABLE_ELEMENTS // offsets.size)
+    for start in range(0, min(up, n_out), block):
+        firsts = np.arange(start, min(start + block, up, n_out), dtype=np.int64)
+        bases, phases = np.divmod(firsts * down, up)
+        tau = phases[:, None] / up - offsets[None, :]
+        table = scale * np.sinc(scale * tau) * _kaiser(tau / half_width)
+        for first, base, taps in zip(firsts, bases, table):
+            run = out[first::up]
+            run[:] = np.einsum("ij,j->i", windows[base::down][: run.size], taps)
     return Waveform(out, target_rate)
 
 

@@ -93,7 +93,6 @@ def resize_axis(mat: np.ndarray, new_len: int, axis: str) -> np.ndarray:
         # Integer numerator first so the endpoints come out exact.
         positions = np.arange(new_len, dtype=np.int64) * (length - 1) / (new_len - 1)
     lo = np.floor(positions).astype(np.int64)
-    lo = np.minimum(lo, length - 1)
     hi = np.minimum(lo + 1, length - 1)
     frac = positions - lo
 

@@ -3,6 +3,7 @@
 import ast
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -438,14 +439,17 @@ def _direct_resample(x: np.ndarray, src: int, dst: int) -> np.ndarray:
     return out
 
 
-# (source rate, target rate, input length).  The lengths 33002 and 30897
-# need two chunks of outputs; 31, 5, 27 and 8 put the last output's centre
-# sample at n_in - 1, the end of the signal.
+# (source rate, target rate, input length).  3001 at 16,001 Hz and 4411 at
+# 44,101 Hz span more than one block of kernel rows (7 and 9); 4001 at
+# 8 kHz gives two runs of 4,001 outputs, each one einsum over a strided
+# view; 31, 5, 27 and 8 put the last output's centre sample at n_in - 1,
+# the end of the signal.
 _EXACT_CASES = [
     (48000, 16000, 33002),
     (48000, 16000, 7),
     (16000, 8000, 31),
     (8000, 16000, 5),
+    (8000, 16000, 4001),
 ]
 _CLOSE_CASES = [
     (22050, 16000, 30897),
@@ -454,6 +458,7 @@ _CLOSE_CASES = [
     (16000, 22050, 1001),
     (16001, 16000, 8),
     (16001, 16000, 3001),
+    (44101, 16000, 4411),
 ]
 
 
@@ -478,22 +483,41 @@ def test_resample_fractional_ratio_matches_direct_formula(src, dst, n_in):
 
 
 def test_reference_cases_cover_chunks_and_signal_end():
-    spans_chunks = ends_at_last_sample = 0
+    spans_blocks = ends_at_last_sample = 0
     for src, dst, n_in in _EXACT_CASES + _CLOSE_CASES:
         n_out = _round_half_up(n_in * dst / src)
-        width = math.ceil(64 / min(1.0, dst / src))
-        spans_chunks += n_out > audio_io._GATHER_ELEMENTS // (2 * width + 1)
+        taps = 2 * math.ceil(64 / min(1.0, dst / src)) + 1
+        runs = min(dst // math.gcd(src, dst), n_out)  # one per phase
+        spans_blocks += runs > audio_io._TABLE_ELEMENTS // taps
         ends_at_last_sample += math.floor((n_out - 1) * src / dst) == n_in - 1
-    assert spans_chunks >= 2
+    assert spans_blocks >= 2
     assert ends_at_last_sample >= 4
 
 
-# 1 to 5,000 elements give chunks of 1 to 27 outputs, three of them with
-# a shorter last chunk, against at least 2,597 at the default.
+# At 22.05 kHz (320 phases, 179 taps), 1 to 5,000 taps give blocks of 1 to
+# 27 runs, one size with a shorter last block, against one block of all
+# 320 at the default.  48 kHz has a single phase, so a single run.
 @pytest.mark.parametrize("src, dst, n_in", [(48000, 16000, 6001), (22050, 16000, 4411)])
 @pytest.mark.parametrize("elements", [1, 1000, 5000])
-def test_resample_bytes_do_not_depend_on_chunk_size(monkeypatch, src, dst, n_in, elements):
+def test_resample_bytes_do_not_depend_on_table_block(monkeypatch, src, dst, n_in, elements):
     w = Waveform(_noise(n_in, n_in), src)
     want = resample(w, dst).samples
-    monkeypatch.setattr(audio_io, "_GATHER_ELEMENTS", elements)
+    monkeypatch.setattr(audio_io, "_TABLE_ELEMENTS", elements)
     assert np.array_equal(resample(w, dst).samples, want)
+
+
+# 1 s at 44,101 Hz has 16,000 phases, so a table of all of them would be
+# 45 MB; 10 s at 48 kHz is 3.8 MB of padded input.  The peak is that copy,
+# the output and the Waveform's copy of it, and one block of kernel rows
+# with its temporaries: measured 7.4 and 6.3 MiB.
+@pytest.mark.parametrize("src, seconds", [(44101, 1), (48000, 10)])
+def test_resample_peak_memory(src, seconds):
+    w = Waveform(_noise(src * seconds, 7), src)
+    resample(w, 16000)
+    tracemalloc.start()
+    try:
+        resample(w, 16000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
