@@ -267,7 +267,9 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     share one phase and their input windows lie M samples apart, so each
     such run is one strided view of the padded input times one kernel row.
     The rows are evaluated for a block of runs at a time, at most
-    _TABLE_ELEMENTS taps per block, so no table grows with L.
+    _TABLE_ELEMENTS taps per block, so no table grows with L.  A kernel
+    longer than that block (downsampling by more than about 512x) raises
+    ValueError before anything is allocated.
     """
     target_rate = _integer(target_rate, "target_rate", 1)
     if target_rate == w.sample_rate:
@@ -280,6 +282,11 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     scale = min(1.0, target_rate / w.sample_rate)  # anti-alias cutoff factor
     half_width = _ZERO_CROSSINGS / scale  # kernel support per side, input samples
     width = int(math.ceil(half_width))
+    if 2 * width + 1 > _TABLE_ELEMENTS:
+        raise ValueError(
+            f"cannot resample {w.sample_rate} Hz to {target_rate} Hz: the kernel would "
+            f"have {2 * width + 1} taps, more than {_TABLE_ELEMENTS}"
+        )
     padded = np.concatenate([np.zeros(width), w.samples, np.zeros(width)])
     offsets = np.arange(-width, width + 1)
     windows = sliding_window_view(padded, offsets.size)  # row b: taps around sample b
@@ -287,7 +294,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     g = math.gcd(target_rate, w.sample_rate)
     up, down = target_rate // g, w.sample_rate // g
     out = np.empty(n_out)
-    block = max(1, _TABLE_ELEMENTS // offsets.size)
+    block = _TABLE_ELEMENTS // offsets.size
     for start in range(0, min(up, n_out), block):
         firsts = np.arange(start, min(start + block, up, n_out), dtype=np.int64)
         bases, phases = np.divmod(firsts * down, up)

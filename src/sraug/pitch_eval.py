@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .audio_io import Waveform, _frozen_array, _integer, _real, write_atomic
+from .audio_io import Waveform, _frozen_array, _integer, write_atomic
 from .errors import DegenerateVariance, InputTooShort, InsufficientVoicedOverlap
 
 # A sequence whose total variation is this small (relative to its mean
@@ -25,23 +26,13 @@ _MIN_VOICED_OVERLAP = 10
 
 @dataclass(frozen=True)
 class PitchConfig:
-    """YIN analysis parameters."""
+    """The one YIN analysis setup; its values are class constants."""
 
-    f0_min: float = 50.0
-    f0_max: float = 600.0
-    frame_size: int = 1280
-    hop_size: int = 320
-    yin_threshold: float = 0.15
-
-    def __post_init__(self):
-        if not 0 < _real(self.f0_min, "f0_min") < _real(self.f0_max, "f0_max"):
-            raise ValueError("need 0 < f0_min < f0_max")
-        for name in ("frame_size", "hop_size"):
-            _integer(getattr(self, name), name, 1)
-        if self.hop_size > self.frame_size:
-            raise ValueError("hop_size must not exceed frame_size")
-        if not 0 < _real(self.yin_threshold, "yin_threshold") < 1:
-            raise ValueError("yin_threshold must lie in (0, 1)")
+    f0_min: ClassVar[float] = 50.0
+    f0_max: ClassVar[float] = 600.0
+    frame_size: ClassVar[int] = 1280
+    hop_size: ClassVar[int] = 320
+    yin_threshold: ClassVar[float] = 0.15
 
 
 @dataclass(frozen=True)
@@ -77,7 +68,8 @@ def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> F0Track:
     scanned over the lag range implied by [f0_min, f0_max]; the first dip
     below yin_threshold (walked downhill to its local minimum, then
     refined by parabolic interpolation) gives the period.  Frames with no
-    dip below the threshold are reported as 0.0 (unvoiced).
+    dip below the threshold are reported as 0.0 (unvoiced).  ``cfg`` is
+    the one fixed PitchConfig; a rate outside 1,201-63,950 Hz is a ValueError.
     """
     sr = w.sample_rate
     if not cfg.f0_max < sr / 2:
@@ -88,7 +80,6 @@ def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> F0Track:
             f"need at least {cfg.frame_size} samples, got {x.size}"
         )
     tau_min = max(2, int(math.floor(sr / cfg.f0_max)))
-    # Compared as a float first: a subnormal f0_min makes sr / f0_min inf.
     if sr / cfg.f0_min > cfg.frame_size - 1:
         raise ValueError("frame_size too small for f0_min at this sample rate")
     tau_max = math.ceil(sr / cfg.f0_min)
@@ -188,9 +179,9 @@ def f0_pcc(
 ) -> float:
     """F0 Pearson correlation between two utterances.
 
-    Both waveforms get YIN tracks, the tracks are truncated to the
-    shorter, and only frames voiced in both contribute.  Fewer than 10
-    co-voiced frames raise InsufficientVoicedOverlap.
+    Both waveforms get YIN tracks with ``cfg`` (the one fixed PitchConfig),
+    truncated to the shorter; only frames voiced in both contribute.
+    Fewer than 10 co-voiced frames raise InsufficientVoicedOverlap.
     """
     track_a = yin_f0(source, cfg)
     track_b = yin_f0(converted, cfg)

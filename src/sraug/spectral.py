@@ -59,7 +59,8 @@ class SpectralConfig:
 
     The fields are the settings a MELF header stores.  The window (a
     periodic Hann of ``n_fft`` samples), the band edges and the log
-    floor are class constants.
+    floor are class constants.  A band count that leaves a mel filter
+    with no FFT bin is refused (see mel_filterbank).
     """
 
     hop_size: int = 320
@@ -78,6 +79,17 @@ class SpectralConfig:
             raise ValueError("hop_size must not exceed n_fft")
         if self.sample_rate < 2 * self.fmax:
             raise ValueError(f"sample_rate must be at least {2 * self.fmax:.0f} (2 * fmax)")
+        # Filters 0, 2, 4, ... have disjoint supports and need a bin each.
+        if self.n_mels > 2 * self.n_bins:  # checked before any array is built
+            raise ValueError(f"n_mels must be at most {2 * self.n_bins}, got {self.n_mels}")
+        bins, edges = _bins_and_edges(self)
+        # Filter i is nonzero exactly where a bin lies strictly inside (edges[i], edges[i + 2]).
+        empty = np.searchsorted(bins, edges[:-2], "right") >= np.searchsorted(bins, edges[2:])
+        if empty.any():
+            raise ValueError(
+                f"{self.n_mels} bands at {self.sample_rate} Hz leave "
+                f"{empty.sum()} mel filters with no FFT bin"
+            )
 
 
 @dataclass(frozen=True)
@@ -349,21 +361,25 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _bins_and_edges(cfg: SpectralConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The FFT bin frequencies and the n_mels + 2 mel band edges, in Hz."""
+    fftfreqs = np.arange(cfg.n_bins) * (cfg.sample_rate / cfg.n_fft)
+    mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
+    return fftfreqs, mel_to_hz(mel_pts)
+
+
 @lru_cache(maxsize=32)
 def mel_filterbank(cfg: SpectralConfig) -> np.ndarray:
     """Triangular mel filters as a cached, read-only [n_mels, n_fft/2+1] matrix.
 
     Centers lie strictly between fmin and fmax on the
     2595*log10(1 + f/700) scale; each filter is scaled by 2/bandwidth so
-    filters carry comparable area regardless of width.  A filter narrower
-    than the FFT bin spacing can fall between two bins and be all zero:
-    at 16 kHz, from 284 bands up some of the lowest filters are (1 at 284
-    bands, 9 at 400), and such a band always reads ln(log_floor).
+    filters carry comparable area regardless of width.  No filter is all
+    zero: SpectralConfig refuses a band count at which one, narrower than
+    the FFT bin spacing, would fall between two bins (at 16 kHz from 284
+    bands, at 22.05 kHz from 207, at 48 kHz from 96).
     """
-    fftfreqs = np.arange(cfg.n_bins) * (cfg.sample_rate / cfg.n_fft)
-    mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
-    hz_pts = mel_to_hz(mel_pts)
-
+    fftfreqs, hz_pts = _bins_and_edges(cfg)
     fdiff = np.diff(hz_pts)
     ramps = hz_pts[:, None] - fftfreqs[None, :]
     lower = -ramps[:-2] / fdiff[:-1][:, None]

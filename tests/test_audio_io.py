@@ -496,14 +496,34 @@ def test_reference_cases_cover_chunks_and_signal_end():
 
 # At 22.05 kHz (320 phases, 179 taps), 1 to 5,000 taps give blocks of 1 to
 # 27 runs, one size with a shorter last block, against one block of all
-# 320 at the default.  48 kHz has a single phase, so a single run.
+# 320 at the default.  48 kHz has a single phase, so a single run.  A
+# block is at least one kernel row, since resample refuses a longer
+# kernel, so 1 stands for one row.
 @pytest.mark.parametrize("src, dst, n_in", [(48000, 16000, 6001), (22050, 16000, 4411)])
 @pytest.mark.parametrize("elements", [1, 1000, 5000])
 def test_resample_bytes_do_not_depend_on_table_block(monkeypatch, src, dst, n_in, elements):
     w = Waveform(_noise(n_in, n_in), src)
     want = resample(w, dst).samples
-    monkeypatch.setattr(audio_io, "_TABLE_ELEMENTS", elements)
+    taps = 2 * math.ceil(64 * src / dst) + 1
+    monkeypatch.setattr(audio_io, "_TABLE_ELEMENTS", max(elements, taps))
     assert np.array_equal(resample(w, dst).samples, want)
+
+
+def test_resample_refuses_a_kernel_longer_than_a_block_before_allocating():
+    # 64 MHz to 16 kHz would need 512,001 taps, 4 MB for one kernel row.
+    w = Waveform(_noise(200_000, 3), 64_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="64000000 Hz to 16000 Hz"):
+            resample(w, 16000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # 8,191,750 Hz gives 65,535 taps and is resampled; 1 Hz more gives 65,537.
+    assert len(resample(Waveform(np.zeros(1000), 8_191_750), 16000)) == 2
+    with pytest.raises(ValueError, match="65537 taps"):
+        resample(Waveform(np.zeros(1000), 8_191_751), 16000)
 
 
 # 1 s at 44,101 Hz has 16,000 phases, so a table of all of them would be

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from sraug.audio_io import read_wav
 from sraug.cli import _AUGMENT_SETTINGS, _read_config_file
 from sraug.errors import SraugError
-from sraug.pitch_eval import PitchConfig
 from sraug.sr_ops import RatioRange, ResizeSpec
 
 from test_audio_io import build_wav, extensible_fmt_ext
@@ -144,11 +143,8 @@ def test_mutated_config_raises_only_typed_errors(scratch, blob):
     _typed_errors_only(_read_config_file, path)
 
 
-# The seven real-valued settings, and values that are not finite real numbers.
+# The four real-valued settings, and values that are not finite real numbers.
 _REAL_FIELDS = [
-    (PitchConfig, "f0_min"),
-    (PitchConfig, "f0_max"),
-    (PitchConfig, "yin_threshold"),
     (ResizeSpec, "ratio"),
     (ResizeSpec, "pad_noise_std"),
     (RatioRange, "lo"),

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -16,8 +17,8 @@ import pytest
 
 import synth
 from sraug import audio_io, pipeline, spectral, vocoder
-from sraug.audio_io import read_wav, write_wav
-from sraug.cli import _AUGMENT_SETTINGS, _read_config_file, main as cli_main
+from sraug.audio_io import Waveform, read_wav, write_wav
+from sraug.cli import _AUGMENT_SETTINGS, _COMMANDS, _read_config_file, main as cli_main
 from sraug.errors import EmptyCorpus, IoFailure, OutputCollision, StageFailure
 from sraug.pipeline import (
     MANIFEST_NAME,
@@ -238,6 +239,24 @@ def test_run_isolates_corrupt_file(tmp_path):
     assert failure["stage"] == "read"
     assert failure["source_path"].endswith("broken.wav")
     assert (out / MANIFEST_NAME).is_file()
+
+
+def test_run_isolates_a_rate_too_high_to_resample(tmp_path):
+    # At 2^31 - 1 Hz the resampling kernel would have about 17 million
+    # taps; at --jobs 1 running out of memory there would end the batch.
+    src = tmp_path / "in"
+    small_corpus(src, n=1)
+    write_wav(src / "huge_rate.wav", Waveform(np.zeros(70_000), 2**31 - 1))
+    out = tmp_path / "out"
+    cfg = PipelineConfig(
+        input=str(src), output_dir=str(out), gl=vocoder.GriffinLimConfig(n_iters=2)
+    )
+    manifest = run(cfg, jobs=1)
+    assert [Path(r["source_path"]).stem for r in manifest.records] == ["clip0"]
+    assert Path(manifest.records[0]["output_path"]).is_file()
+    [failure] = manifest.failures
+    assert failure["stage"] == "resample" and failure["source_path"].endswith("huge_rate.wav")
+    assert "2147483647 Hz to 16000 Hz" in failure["error"]
 
 
 def test_run_is_deterministic(tmp_path):
@@ -680,9 +699,10 @@ import numpy as np
 from sraug.audio_io import read_wav
 from sraug.spectral import SpectralConfig, mel_filterbank, mel_spectrogram, mel_to_linear
 wave = read_wav(sys.argv[1])
-# 400 bands: a 4-row product with 641 bins is then large enough for
-# OpenBLAS to split, unless its columns are taken in shorter runs.
-for cfg in (SpectralConfig(), SpectralConfig(n_mels=400)):
+# 283 bands, the most at 16 kHz: a 4-row product with 641 bins is then
+# large enough for OpenBLAS to split, unless its columns are taken in
+# shorter runs.
+for cfg in (SpectralConfig(), SpectralConfig(n_mels=283)):
     mel = mel_spectrogram(wave, cfg)
     linear = mel_to_linear(mel, mel_filterbank(cfg))
     sys.stdout.buffer.write(mel.logmels.tobytes() + linear.mags.tobytes())
@@ -945,6 +965,28 @@ def test_cli_stage_chain(tmp_path):
     got = read_wav(out_wav)
     assert got.sample_rate == 16000
     assert len(got) > 0
+
+
+def test_cli_reconstruct_refuses_a_band_count_with_empty_filters(tmp_path):
+    melf = tmp_path / "huge.melf"
+    melf.write_bytes(struct.pack("<4sIIIII", b"MELF", 1, 0, 2**31 - 1, 16000, 320))
+    proc = run_cli("reconstruct", str(melf), str(tmp_path / "out.wav"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("sraug reconstruct:") and "n_mels" in proc.stderr
+    assert not (tmp_path / "out.wav").exists()
+
+
+def test_cli_main_help_lists_the_commands(capsys):
+    # What the installed `sraug` console script runs.
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["--help"])
+    assert exit_info.value.code == 0
+    usage = capsys.readouterr().out
+    assert all(name in usage for name in _COMMANDS)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["augment", "--help"])
+    assert exit_info.value.code == 0
+    assert "--in" in capsys.readouterr().out
 
 
 def test_cli_f0_csv(tmp_path):

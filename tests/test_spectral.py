@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,11 +264,37 @@ def test_filterbank_shape_and_coverage():
     assert (fb[:, lo_bin : hi_bin + 1].sum(axis=0) > 0).all()
 
 
+# From 284 bands at 16 kHz some of the lowest filters would fall between
+# two FFT bins (1 at 284 bands, 9 at 400); such a band count is refused.
 @pytest.mark.parametrize("n_mels, empty", [(283, 0), (284, 1), (400, 9)])
 def test_filterbank_empty_filters_from_284_bands(n_mels, empty):
-    # The count the mel_filterbank docstring and the README give.
-    fb = mel_filterbank(SpectralConfig(n_mels=n_mels))
-    assert (~fb.any(axis=1)).sum() == empty
+    if empty:
+        with pytest.raises(ValueError, match=f"leave {empty} mel filters with no FFT bin"):
+            SpectralConfig(n_mels=n_mels)
+    else:
+        assert mel_filterbank(SpectralConfig(n_mels=n_mels)).any(axis=1).all()
+
+
+@pytest.mark.parametrize("sample_rate, most", [(22050, 206), (48000, 95)])
+def test_band_count_limit_at_other_rates(sample_rate, most):
+    cfg = SpectralConfig(n_mels=most, sample_rate=sample_rate)
+    assert mel_filterbank(cfg).any(axis=1).all()
+    with pytest.raises(ValueError, match="mel filters with no FFT bin"):
+        SpectralConfig(n_mels=most + 1, sample_rate=sample_rate)
+
+
+@pytest.mark.parametrize("n_mels", [1283, 2**31 - 1])
+def test_band_count_bound_builds_no_array(n_mels):
+    # Above 2 * n_bins bands the count is refused before the band edges
+    # (n_mels + 2 floats) are computed.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n_mels must be at most 1282"):
+            SpectralConfig(n_mels=n_mels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_filterbank_is_deterministic_and_frozen():
@@ -371,7 +398,7 @@ def test_melf_round_trip(tmp_path):
 
 
 # A value other than its default for every SpectralConfig field.
-_NON_DEFAULT = {"hop_size": 300, "n_mels": 400, "sample_rate": 22050}
+_NON_DEFAULT = {"hop_size": 300, "n_mels": 64, "sample_rate": 22050}
 
 
 def test_config_fields_are_what_a_melf_header_stores():
@@ -443,6 +470,15 @@ def test_melf_rejects_truncated_payload(tmp_path):
         read_melf(path)
 
 
+def test_melf_rejects_a_band_count_with_empty_filters(tmp_path):
+    # A whole 24-byte file: no frames and 2^31 - 1 bands, whose filterbank
+    # would take about 55 TB.
+    path = tmp_path / "x.melf"
+    path.write_bytes(struct.pack("<4sIIIII", b"MELF", 1, 0, 2**31 - 1, 16000, 320))
+    with pytest.raises(MalformedContainer, match="n_mels must be at most"):
+        read_melf(path)
+
+
 # Values near the SpectralConfig limits, mixed with arbitrary u32s.
 _U32_FIELD = st.one_of(
     st.sampled_from([0, 1, 2, 80, 320, 1280, 1281, 15999, 16000, 2**32 - 1]),
@@ -462,6 +498,7 @@ _U32_FIELD = st.one_of(
 @example(header=(1, 2, 80, 16000, 0), fill=0.0, cut=None)  # hop 0
 @example(header=(1, 2, 80, 16000, 1281), fill=0.0, cut=None)  # hop > n_fft
 @example(header=(1, 2, 80, 15999, 320), fill=0.0, cut=None)  # rate < 2 * fmax
+@example(header=(1, 2, 284, 16000, 320), fill=0.0, cut=None)  # an empty mel filter
 @example(header=(1, 0, 80, 16000, 320), fill=np.nan, cut=None)  # no frames: the fill is never read
 def test_melf_bad_header_or_payload_raises_sraug_error(tmp_path_factory, header, fill, cut):
     version, n_frames, n_bins, rate, hop = header
