@@ -163,10 +163,13 @@ def _cmd_augment(args) -> int:
     return 1 if manifest.failures else 0
 
 
+def _read_resampled(path):
+    """A WAV file at the pipeline's sample rate, as `sraug augment` reads it."""
+    return resample(read_wav(path), PipelineConfig.spectral.sample_rate)
+
+
 def _cmd_mel(args) -> int:
-    cfg = PipelineConfig.spectral
-    wave = resample(read_wav(args.wav), cfg.sample_rate)
-    write_melf(args.melf, mel_spectrogram(wave, cfg))
+    write_melf(args.melf, mel_spectrogram(_read_resampled(args.wav), PipelineConfig.spectral))
     return 0
 
 
@@ -187,12 +190,12 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_f0(args) -> int:
-    write_f0_csv(args.csv, yin_f0(read_wav(args.wav), PitchConfig()))
+    write_f0_csv(args.csv, yin_f0(_read_resampled(args.wav), PitchConfig()))
     return 0
 
 
 def _cmd_f0pcc(args) -> int:
-    value = f0_pcc(read_wav(args.wav_a), read_wav(args.wav_b), PitchConfig())
+    value = f0_pcc(_read_resampled(args.wav_a), _read_resampled(args.wav_b), PitchConfig())
     print(f"{value:.6f}")
     return 0
 

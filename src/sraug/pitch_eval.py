@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from .audio_io import Waveform, _frozen_array, _integer, write_atomic
-from .errors import DegenerateVariance, InputTooShort, InsufficientVoicedOverlap
+from .errors import ConfigMismatch, DegenerateVariance, InputTooShort, InsufficientVoicedOverlap
 
 # A sequence whose total variation is this small (relative to its mean
 # magnitude) carries no usable contour and is treated as constant.
@@ -181,8 +181,14 @@ def f0_pcc(
 
     Both waveforms get YIN tracks with ``cfg`` (the one fixed PitchConfig),
     truncated to the shorter; only frames voiced in both contribute.
-    Fewer than 10 co-voiced frames raise InsufficientVoicedOverlap.
+    Fewer than 10 co-voiced frames raise InsufficientVoicedOverlap, and
+    waveforms at two sample rates, whose frames would span different
+    times, ConfigMismatch.
     """
+    if source.sample_rate != converted.sample_rate:
+        raise ConfigMismatch(
+            f"source at {source.sample_rate} Hz vs converted at {converted.sample_rate} Hz"
+        )
     track_a = yin_f0(source, cfg)
     track_b = yin_f0(converted, cfg)
     n = min(len(track_a), len(track_b))

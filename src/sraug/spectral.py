@@ -155,10 +155,10 @@ def _frozen_frames(values, dtype, n_bins: int, name: str, lower=None) -> np.ndar
 #
 # mel_to_linear and griffin_lim each walk their frames in blocks through
 # _block_pool: contiguous slabs (see _slabs), one thread a slab, on a
-# pool of their own.  Frames are independent in both and go through the
-# same operations in any slab, so output bytes do not depend on the
-# number of slab threads; through _matmul_rows, not on the number of
-# BLAS threads either.
+# pool of their own.  Frames go through the same operations in any slab,
+# and overlap-added rows sum their frames in one order (see _add_chunks),
+# so output bytes do not depend on the number of slab threads; through
+# _matmul_rows, not on the number of BLAS threads either.
 
 
 def available_cpus() -> int:
@@ -251,12 +251,11 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
 # ---------------------------------------------------------------------------
 # windows and framing
 #
-# Analysis and synthesis work on a frame buffer of shape [n_frames, n_fft];
-# overlap-add sums it in hop-wide chunks, the last one narrower when hop
-# does not divide n_fft.  stft/istft and Griffin-Lim share these helpers;
-# Griffin-Lim passes buffers it reuses across iterations, and rows may be
-# split into slabs, since every helper but the overlap-add treats each
-# frame on its own.
+# Analysis and synthesis work on frame buffers of shape [n_frames, n_fft];
+# overlap-add sums frames in hop-wide chunks, the last one narrower when
+# hop does not divide n_fft.  stft/istft and Griffin-Lim share these
+# helpers; Griffin-Lim passes buffers it reuses across iterations and
+# overlap-adds a block of frames at a time into a range of rows.
 
 
 # The analysis and synthesis window: a periodic Hann of n_fft samples.
@@ -264,9 +263,8 @@ _WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(SpectralConfig.n_fft) / Spe
 _WINDOW.flags.writeable = False
 
 
-def _frames(signal: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
-    """Read-only view of the hop-spaced n_fft-sample frames of ``signal``, center-padded."""
-    padded = np.pad(signal, cfg.n_fft // 2, mode="reflect")
+def _frames(padded: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+    """Read-only view of the hop-spaced n_fft-sample frames of a center-padded signal."""
     return np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop_size]
 
 
@@ -282,18 +280,34 @@ def _synthesize(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, _WINDOW, out=out)
 
 
+def _add_chunks(acc: np.ndarray, rows: slice, frames: np.ndarray, first: int) -> None:
+    """Add frames ``first``, ``first + 1``, ... into rows ``rows`` of the overlap-add ``acc``.
+
+    ``acc`` is [n_rows, hop]; chunk j of a frame, its samples j*hop to
+    (j+1)*hop, goes to row (frame + j).  A row gets its chunks for
+    j = 0, 1, ..., newest frame first, so summing a row's frames in
+    pieces, the newer ones first, gives the bytes of one pass over all.
+    """
+    n_frames, n_fft = frames.shape
+    hop = acc.shape[1]
+    for j, start in enumerate(range(0, n_fft, hop)):
+        lo = max(rows.start, first + j)
+        hi = min(rows.stop, first + n_frames + j)
+        if lo < hi:
+            chunk = frames[lo - j - first : hi - j - first, start : start + hop]
+            acc[lo:hi, : chunk.shape[1]] += chunk
+
+
 def _sum_frames(frames: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     """Overlap-add [n_frames, n_fft] frames, trimmed of the center padding.
 
-    Sums the frames chunk by chunk, one hop per row, and returns the
-    (n_frames - 1) * hop_size samples after the first n_fft/2.
+    Sums the frames chunk by chunk (see _add_chunks), one hop per row, and
+    returns the (n_frames - 1) * hop_size samples after the first n_fft/2.
     """
     n_frames, n_fft = frames.shape
     hop = cfg.hop_size
     acc = np.zeros((n_frames + -(-n_fft // hop) - 1, hop))
-    for j, start in enumerate(range(0, n_fft, hop)):
-        chunk = frames[:, start : start + hop]
-        acc[j : j + n_frames, : chunk.shape[1]] += chunk
+    _add_chunks(acc, slice(0, len(acc)), frames, 0)
     pad = n_fft // 2
     return acc.reshape(-1)[pad : pad + (n_frames - 1) * hop]
 
@@ -331,7 +345,7 @@ def stft(w: Waveform, cfg: SpectralConfig) -> ComplexSpectrogram:
         )
     if len(w) < 1:
         raise ValueError("cannot analyze an empty waveform")
-    frames = _frames(w.samples, cfg)
+    frames = _frames(np.pad(w.samples, cfg.n_fft // 2, mode="reflect"), cfg)
     values = np.empty((frames.shape[0], cfg.n_bins), dtype=np.complex128)
     return ComplexSpectrogram(_analyze(frames, np.empty(frames.shape), values), cfg)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import shlex
 import subprocess
 import tempfile
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,10 +21,11 @@ from .errors import VocoderOutputMissing, VocoderProcessFailure
 from .spectral import (
     LinearSpectrogram,
     MelSpectrogram,
+    _add_chunks,
     _analyze,
     _block_pool,
     _frames,
-    _sum_frames,
+    _slabs,
     _synthesize,
     _window_sum,
     mel_filterbank,
@@ -112,20 +114,27 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     of a stationary partial alternates by pi from bin to bin across its
     peak.
 
-    Two arrays span all frames: ``previous``, the last iteration's
+    One array spans all frames: ``previous``, the last iteration's
     rebuilt spectrum for the momentum (the start phase until the first
-    synthesis), and the frame buffer, which the overlap-add reads; only
-    the overlap-add's accumulator, the signal and its reflect-padded copy
-    are new each iteration.  The window sum that normalizes the
-    overlap-add is computed once per call.  The per-frame work (the
-    start's turns, the first synthesis, then each iteration's stft,
-    momentum, phase update and istft up to the overlap-add) runs in
-    32-frame blocks on the slab threads (see spectral._block_pool and
-    spectral._set_threads), each block through the whole chain in its
-    slab's buffers before the next, so a block's operands stay in cache.
-    Every element goes through the same operations in any slab or block,
-    so the bytes are those of a single slab.  The chaining of the start's
-    turns and the overlap-add run on the calling thread.
+    synthesis).  The signal lives in two buffers of (n_frames + n_tail) x
+    hop samples, n_tail = ceil(n_fft / hop) - 1, allocated once per call:
+    an iteration's analysis reads a fixed view of the frames of one while
+    its synthesis overlap-adds into the other, and the two swap roles.
+    Each buffer is the center-padded signal itself, so no padded copy is
+    made.  The per-frame work (the start's turns, the first synthesis,
+    then each iteration's stft, momentum, phase update, istft and
+    overlap-add) runs in 32-frame blocks on the slab threads (see
+    spectral._block_pool and spectral._set_threads), each block through
+    the whole chain before the next, so a block's operands stay in cache.
+    A block adds its frames, and the n_tail frames before it in its slab,
+    into its own rows (spectral._add_chunks) and divides the complete ones
+    by the window sum, computed once per call.  Afterwards the calling
+    thread adds the last frames of each slab to the first n_tail rows of
+    the slabs after it, divides those rows, and writes the reflected
+    edges.  Every row sums its frames in the same order and every element
+    goes through the same operations in any slab or block, so the bytes
+    are those of a single slab.  The chaining of the start's turns also
+    runs on the calling thread.
     """
     mags = s.mags
     spectral_cfg = s.config
@@ -134,15 +143,40 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         # Fewer than two frames synthesize zero samples after trimming.
         return Waveform(np.zeros(0), spectral_cfg.sample_rate)
 
-    denom = _window_sum(spectral_cfg, n_frames)
+    n_fft, hop = spectral_cfg.n_fft, spectral_cfg.hop_size
+    pad = n_fft // 2
+    length = (n_frames - 1) * hop
+    # Row r of a signal buffer holds samples r*hop to (r+1)*hop of the
+    # padded signal: frames r, r - 1, ..., r - n_tail overlap-added.
+    n_tail = -(-n_fft // hop) - 1
+    shape = (n_frames + n_tail, hop)
+    # The window sum over the signal, and 1 over the padding, which the
+    # reflected edges overwrite.
+    scale = np.ones(shape)
+    scale.reshape(-1)[pad : pad + length] = _window_sum(spectral_cfg, n_frames)
+    signals = [np.empty(shape), np.empty(shape)]
+    views = [_frames(signal.reshape(-1)[: length + n_fft], spectral_cfg) for signal in signals]
     previous = np.empty((n_frames, n_bins), dtype=np.complex128)
-    frames = np.empty((n_frames, spectral_cfg.n_fft))  # analysis and synthesis frames
+    slabs = _slabs(n_frames)
+    starts = [slab.start for slab in slabs]
+    # Per slab: the last n_tail frames before a block, then the block's.
+    windows = np.empty((len(slabs), n_tail + _BLOCK, n_fft))
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
-    step = 2.0 * np.pi * spectral_cfg.hop_size / spectral_cfg.n_fft
+    step = 2.0 * np.pi * hop / n_fft
     # Block buffers: a phase (the turns, the momentum term, then the
     # accelerated value, its phase and mags times that) and a magnitude
     # (the log-magnitudes, then the accelerated value's magnitude).
     scratch = (n_bins, np.complex128), (n_bins, np.float64)
+
+    def owned(lo, stop):
+        # The signal rows of the frames lo to stop: the last frame's
+        # block and slab also own the n_tail rows past it.
+        return slice(lo, stop + n_tail if stop == n_frames else stop)
+
+    def slab_of(rows):
+        # The first row of the slab that ``rows`` lies in, and its window.
+        i = bisect_right(starts, rows.start) - 1
+        return starts[i], windows[i]
 
     def turn(rows, phase, size):
         # Frame t's turn goes to previous[t + 1], to be chained below.
@@ -152,23 +186,60 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         following = previous[rows.start + 1 : rows.stop + 1]
         following[:] = phase[: len(following)]
 
+    def overlap_add(rows, first_row, window):
+        # The block's rows get its frames and the slab's frames before it
+        # in reach, and those that no earlier slab's frame reaches are
+        # divided by the window sum (see finish for the others).
+        n = rows.stop - rows.start
+        mine = owned(rows.start, rows.stop)
+        first = max(first_row, rows.start - n_tail)
+        signal[mine] = 0.0
+        _add_chunks(signal, mine, window[first - rows.start + n_tail : n_tail + n], first)
+        done = slice(max(mine.start, first_row + n_tail) if first_row else mine.start, mine.stop)
+        np.divide(signal[done], scale[done], out=signal[done])
+        window[:n_tail] = window[n : n + n_tail]
+
     def synthesize(rows, phase, size):
         # The start phase in ``previous`` starts the momentum at zero.
+        first_row, window = slab_of(rows)
         np.multiply(mags[rows], previous[rows], out=phase)
         previous[rows] = 0.0
-        _synthesize(phase, frames[rows])
+        _synthesize(phase, window[n_tail : n_tail + len(phase)])
+        overlap_add(rows, first_row, window)
 
     def iterate(rows, phase, size):
         # Each block's rebuilt spectrum replaces the last one in
         # ``previous`` once the momentum term has been taken from it.
+        first_row, window = slab_of(rows)
+        frames = window[n_tail : n_tail + len(phase)]
         np.multiply(previous[rows], blend, out=phase)
-        _analyze(analysis_frames[rows], frames[rows], previous[rows])
+        _analyze(analysis[rows], frames, previous[rows])
         np.subtract(previous[rows], phase, out=phase)
         np.abs(phase, out=size)
         np.maximum(size, 1e-16, out=size)
         np.divide(phase, size, out=phase)
         np.multiply(mags[rows], phase, out=phase)
-        _synthesize(phase, frames[rows])
+        _synthesize(phase, frames)
+        overlap_add(rows, first_row, window)
+
+    def finish():
+        # A later slab's first n_tail rows add the last frames of the
+        # slabs before it, newest first (only a slab shorter than n_tail
+        # lets an older one's reach them), and are divided.  Then the
+        # padding becomes the reflection of the signal.
+        for i in range(1, len(slabs)):
+            rows = owned(starts[i], slabs[i].stop)
+            rows = slice(rows.start, min(rows.stop, rows.start + n_tail))
+            for earlier, window in zip(slabs[i - 1 :: -1], windows[i - 1 :: -1]):
+                k = min(n_tail, earlier.stop - earlier.start)
+                _add_chunks(signal, rows, window[n_tail - k : n_tail], earlier.stop - k)
+            np.divide(signal[rows], scale[rows], out=signal[rows])
+        flat = signal.reshape(-1)
+        if length > pad:
+            flat[:pad] = flat[2 * pad : pad : -1]
+            flat[pad + length : length + n_fft] = flat[pad + length - 2 : length - 2 : -1]
+        else:  # np.pad reflects again off the far end
+            flat[: length + n_fft] = np.pad(flat[pad : pad + length], pad, mode="reflect")
 
     with _block_pool(n_frames, _BLOCK, *scratch) as run:
         run(turn)
@@ -179,13 +250,18 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         previous[0, 1::2] = -1.0
         for t in range(1, n_frames):
             np.multiply(previous[t - 1], previous[t], out=previous[t])
+        signal = signals[0]
         run(synthesize)
-        for _ in range(cfg.n_iters):
-            analysis_frames = _frames(_sum_frames(frames, spectral_cfg) / denom, spectral_cfg)
+        finish()
+        for i in range(cfg.n_iters):
+            analysis, signal = views[i % 2], signals[1 - i % 2]
             run(iterate)
+            finish()
 
-    out = _sum_frames(frames, spectral_cfg) / denom
-    peak = np.max(np.abs(out))
+    # Free all but the output's buffer before the Waveform copies it.
+    del previous, views, analysis, signals
+    out = signal.reshape(-1)[pad : pad + length]
+    peak = max(out.max(), -out.min())
     if peak > _PEAK_LIMIT:
         out *= _PEAK_LIMIT / peak
     return Waveform(out, spectral_cfg.sample_rate)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sraug.audio_io import Waveform
 from sraug.errors import (
+    ConfigMismatch,
     DegenerateVariance,
     InputTooShort,
     InsufficientVoicedOverlap,
@@ -223,6 +224,15 @@ def test_f0_pcc_needs_voiced_overlap():
     b = synth.voiced(0.25, 210, 250, seed=5)
     with pytest.raises(InsufficientVoicedOverlap):
         f0_pcc(a, b, PCFG)
+
+
+def test_f0_pcc_rejects_two_sample_rates():
+    # A frame is 320 samples of each waveform's own rate: 20 ms at 16 kHz,
+    # 6.7 ms at 48 kHz.  The tracks would be compared frame by frame.
+    low = synth.voiced(1.0, 150, 250, seed=5, vibrato=5.0)
+    high = synth.voiced(1.0, 150, 250, seed=5, vibrato=5.0, sr=48000)
+    with pytest.raises(ConfigMismatch, match="16000 Hz vs converted at 48000 Hz"):
+        f0_pcc(low, high, PCFG)
 
 
 def test_f0_pcc_silence_has_no_overlap():
