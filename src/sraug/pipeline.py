@@ -195,16 +195,19 @@ def _worker_failure(item, exc: Exception) -> tuple[list[dict], dict]:
 
 
 def _run_pools(work: list, indices, jobs: int, results: list) -> dict:
-    """Run ``work[i]`` for each index on ``jobs`` worker processes.
+    """Run ``work[i]`` for each index on up to ``jobs`` worker processes.
 
     Stores each result in ``results[i]``.  At most ``jobs`` items are in
     flight, so a worker that dies breaks its pool for at most ``jobs``
     items; the items not yet started go on in a fresh pool.  Returns the
     items that were in flight when a pool broke, index -> exception, and
     once a worker cannot be started (an OSError such as EAGAIN from fork)
-    every item not yet started, index -> that OSError.  Each worker runs
-    NNLS and Griffin-Lim on an equal share of the CPUs.
+    every item not yet started, index -> that OSError.  A pool starts
+    every worker at its first item, so there are at most as many workers
+    as items, and each runs NNLS and Griffin-Lim on an equal share of the
+    CPUs.
     """
+    jobs = max(1, min(jobs, len(indices)))
     threads = max(1, available_cpus() // jobs)
     todo = deque(indices)
     broken = {}

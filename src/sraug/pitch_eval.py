@@ -23,6 +23,11 @@ _CONSTANT_REL_TOL = 1e-4
 
 _MIN_VOICED_OVERLAP = 10
 
+# Frames per block of YIN: a frame's arrays in _cmndf (two 2,240-point
+# spectra at 16 kHz, the correlation and the cumulative sums) take about
+# 80 kB, so a block peaks at about 20 MB whatever the input's length.
+_YIN_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class PitchConfig:
@@ -68,8 +73,10 @@ def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> F0Track:
     scanned over the lag range implied by [f0_min, f0_max]; the first dip
     below yin_threshold (walked downhill to its local minimum, then
     refined by parabolic interpolation) gives the period.  Frames with no
-    dip below the threshold are reported as 0.0 (unvoiced).  ``cfg`` is
-    the one fixed PitchConfig; a rate outside 1,201-63,950 Hz is a ValueError.
+    dip below the threshold are reported as 0.0 (unvoiced).  Frames are
+    analyzed in blocks of 256, so memory beyond the input and the track
+    does not grow with the input's length.  ``cfg`` is the one fixed
+    PitchConfig; a rate outside 1,201-63,950 Hz is a ValueError.
     """
     sr = w.sample_rate
     if not cfg.f0_max < sr / 2:
@@ -87,21 +94,21 @@ def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> F0Track:
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_size)[
         :: cfg.hop_size
     ]
-    cmndf = _cmndf(np.ascontiguousarray(frames), tau_max)
-
-    n_frames = frames.shape[0]
-    f0 = np.zeros(n_frames)
-    search = cmndf[:, tau_min : tau_max + 1]
-    has_dip = (search < cfg.yin_threshold).any(axis=1)
-    first_dip = tau_min + np.argmax(search < cfg.yin_threshold, axis=1)
-    for t in np.flatnonzero(has_dip):
-        tau = int(first_dip[t])
-        row = cmndf[t]
-        while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
-            tau += 1
-        f0[t] = sr / _refine_lag(row, tau, tau_max)
-    np.clip(f0, 0.0, cfg.f0_max, out=f0)
-    f0[has_dip] = np.maximum(f0[has_dip], cfg.f0_min)
+    f0 = np.zeros(frames.shape[0])
+    for lo in range(0, f0.size, _YIN_BLOCK):
+        cmndf = _cmndf(np.ascontiguousarray(frames[lo : lo + _YIN_BLOCK]), tau_max)
+        dips = cmndf[:, tau_min : tau_max + 1] < cfg.yin_threshold
+        has_dip = dips.any(axis=1)
+        first_dip = tau_min + np.argmax(dips, axis=1)
+        block = f0[lo : lo + len(cmndf)]
+        for t in np.flatnonzero(has_dip):
+            tau = int(first_dip[t])
+            row = cmndf[t]
+            while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
+                tau += 1
+            block[t] = sr / _refine_lag(row, tau, tau_max)
+        np.clip(block, 0.0, cfg.f0_max, out=block)
+        block[has_dip] = np.maximum(block[has_dip], cfg.f0_min)
     return F0Track(f0, cfg.hop_size, sr)
 
 
@@ -111,16 +118,19 @@ def _cmndf(frames: np.ndarray, tau_max: int) -> np.ndarray:
     The raw difference d(tau) = sum_j (x_j - x_{j+tau})^2 uses a fixed
     integration window of frame_size - tau_max samples so every lag sees
     the same amount of signal; the correlation term is computed with one
-    batched FFT.
+    batched FFT.  Each row depends on its own frame alone.
     """
     n_frames, frame_size = frames.shape
     window = frame_size - tau_max  # integration length, same for all lags
 
     # Cross-correlation c[t, tau] = sum_{j<window} x[t, j] * x[t, j+tau].
     n = frame_size + window
-    spec_full = np.fft.rfft(frames, n, axis=1)
-    spec_head = np.fft.rfft(frames[:, :window], n, axis=1)
-    corr = np.fft.irfft(spec_full * spec_head.conj(), n, axis=1)[:, : tau_max + 1]
+    spec = np.fft.rfft(frames[:, :window], n, axis=1)
+    np.conjugate(spec, out=spec)
+    # conj(head) times full, in that order: a complex product rounds its
+    # imaginary part differently with the operands swapped.
+    np.multiply(spec, np.fft.rfft(frames, n, axis=1), out=spec)
+    corr = np.fft.irfft(spec, n, axis=1)[:, : tau_max + 1]
 
     sq = np.cumsum(frames**2, axis=1)
     head_energy = sq[:, window - 1 : window]  # sum of x_j^2, j < window

@@ -194,31 +194,34 @@ def _slabs(n_rows: int) -> list[slice]:
 
 @contextmanager
 def _block_pool(n_rows: int, block: int, *scratch):
-    """Yield ``run(fn)``, which calls ``fn(rows, *buffers)`` on every block of ``n_rows`` rows.
+    """Yield ``(run, slabs)``; ``run(fn)`` calls ``fn(rows, i, *buffers)`` on every block.
 
-    Each slab (see _slabs) is cut into slices ``rows`` of ``block`` rows
-    from its first row, the last one maybe shorter.  ``scratch`` holds one
-    ``(width, dtype)`` per buffer.  Each slab has its own ``[block,
-    width]`` arrays, allocated on the calling thread (arrays allocated on
-    the slab threads would grow their own malloc arenas and peak memory),
-    and ``fn`` gets their first ``len(rows)`` rows.  A single slab runs on
-    the calling thread, several on a pool of one thread a slab, whose
-    threads end with the ``with`` block, so pool workers may fork.
+    The one place ``n_rows`` rows are cut into ``slabs`` (see _slabs); ``i``
+    is the index of the slab ``rows`` lies in.  Each slab is cut into
+    slices ``rows`` of ``block`` rows from its first row, the last one
+    maybe shorter.  ``scratch`` holds one ``(width, dtype)`` per buffer.
+    Each slab has its own ``[block, width]`` arrays, allocated on the
+    calling thread (arrays allocated on the slab threads would grow their
+    own malloc arenas and peak memory), and ``fn`` gets their first
+    ``len(rows)`` rows.  A single slab runs on the calling thread, several
+    on a pool of one thread a slab, whose threads end with the ``with``
+    block, so pool workers may fork.
     """
     slabs = _slabs(n_rows)
     buffers = [np.empty((len(slabs), block, width), dtype) for width, dtype in scratch]
 
-    def walk(fn, slab, *slab_buffers):
-        for lo in range(slab.start, slab.stop, block):
-            rows = slice(lo, min(lo + block, slab.stop))
-            fn(rows, *(b[: rows.stop - lo] for b in slab_buffers))
+    def walk(fn, i, *slab_buffers):
+        for lo in range(slabs[i].start, slabs[i].stop, block):
+            rows = slice(lo, min(lo + block, slabs[i].stop))
+            fn(rows, i, *(b[: rows.stop - lo] for b in slab_buffers))
 
-    with ThreadPoolExecutor(_threads or available_cpus()) as pool:
+    with ThreadPoolExecutor(len(slabs)) as pool:
 
         def run(fn):
-            list((pool.map if len(slabs) > 1 else map)(partial(walk, fn), slabs, *buffers))
+            each = pool.map if len(slabs) > 1 else map
+            list(each(partial(walk, fn), range(len(slabs)), *buffers))
 
-        yield run
+        yield run, slabs
 
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -442,7 +445,7 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     np.exp(m.logmels, out=target[:n_frames])
     x = np.empty((padded, n_bins))
 
-    def solve(rows, numer, denom, mixed):
+    def solve(rows, _, numer, denom, mixed):
         # numer is W^T m; denom is W^T W x, then the update factor; mixed is W x.
         xb = x[rows]
         _matmul_rows(target[rows], weights, numer)
@@ -455,7 +458,7 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
             xb *= denom
 
     scratch = (n_bins, np.float64), (n_bins, np.float64), (n_mels, np.float64)
-    with _block_pool(padded, _NNLS_BLOCK, *scratch) as run:
+    with _block_pool(padded, _NNLS_BLOCK, *scratch) as (run, _):
         run(solve)
     return LinearSpectrogram(x[:n_frames], m.config)
 

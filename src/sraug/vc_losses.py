@@ -52,6 +52,9 @@ def kl_diag_gaussian(q: DiagGaussian, p: DiagGaussian) -> float:
     Sum_i [ ln s_p,i - ln s_q,i + (s_q,i^2 + (m_q,i - m_p,i)^2)
             / (2 s_p,i^2) - 1/2 ].
 
+    Identical Gaussians give exactly 0.0.  A divergence too large for a
+    float raises NonFinite.
+
     NOTE: when the prior sits behind a volume-preserving flow (unit
     Jacobian determinant), the flow adds nothing to the divergence, but
     the parameters passed here must already be the *pushed-forward* ones.
@@ -59,15 +62,18 @@ def kl_diag_gaussian(q: DiagGaussian, p: DiagGaussian) -> float:
     """
     if len(q) != len(p):
         raise DimensionMismatch(f"q has {len(q)} dims, p has {len(p)}")
-    var_q = np.exp(2.0 * q.log_std)
-    inv_var_p = np.exp(-2.0 * p.log_std)
-    terms = (
-        p.log_std
-        - q.log_std
-        + 0.5 * (var_q + (q.mean - p.mean) ** 2) * inv_var_p
-        - 0.5
-    )
-    return float(terms.sum())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gap = np.abs(q.mean - p.mean)
+        # Both quotients by s_p^2 as exponentials of log differences: one
+        # overflows only when the divergence is near the float range, and
+        # a zero mean gap gives exp(-inf) = 0, never 0 times an overflow.
+        var_ratio = np.exp(2.0 * (q.log_std - p.log_std))
+        gap_ratio = np.exp(2.0 * (np.log(gap) - p.log_std))
+        terms = p.log_std - q.log_std + 0.5 * (var_ratio + gap_ratio) - 0.5
+        total = float(terms.sum())
+    if not np.isfinite(total):
+        raise NonFinite(f"KL divergence beyond float range ({total})")
+    return total
 
 
 def recon_l1(target_mel: MelSpectrogram, pred_mel: MelSpectrogram) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import shlex
 import subprocess
 import tempfile
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +24,6 @@ from .spectral import (
     _analyze,
     _block_pool,
     _frames,
-    _slabs,
     _synthesize,
     _window_sum,
     mel_filterbank,
@@ -126,15 +124,16 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     overlap-add) runs in 32-frame blocks on the slab threads (see
     spectral._block_pool and spectral._set_threads), each block through
     the whole chain before the next, so a block's operands stay in cache.
-    A block adds its frames, and the n_tail frames before it in its slab,
-    into its own rows (spectral._add_chunks) and divides the complete ones
-    by the window sum, computed once per call.  Afterwards the calling
-    thread adds the last frames of each slab to the first n_tail rows of
-    the slabs after it, divides those rows, and writes the reflected
-    edges.  Every row sums its frames in the same order and every element
-    goes through the same operations in any slab or block, so the bytes
-    are those of a single slab.  The chaining of the start's turns also
-    runs on the calling thread.
+    A block synthesizes its frames after the n_tail before it in its slab
+    (in a window per slab, picked by the slab index the runner passes),
+    adds them into its own rows (spectral._add_chunks) and divides the
+    complete ones by the window sum, computed once per call.  Afterwards
+    the calling thread adds the last frames of each slab to the first
+    n_tail rows of the slabs after it, divides those rows, and writes the
+    reflected edges.  Every row sums its frames in the same order and
+    every element goes through the same operations in any slab or block,
+    so the bytes are those of a single slab.  The chaining of the start's
+    turns also runs on the calling thread.
     """
     mags = s.mags
     spectral_cfg = s.config
@@ -157,10 +156,6 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     signals = [np.empty(shape), np.empty(shape)]
     views = [_frames(signal.reshape(-1)[: length + n_fft], spectral_cfg) for signal in signals]
     previous = np.empty((n_frames, n_bins), dtype=np.complex128)
-    slabs = _slabs(n_frames)
-    starts = [slab.start for slab in slabs]
-    # Per slab: the last n_tail frames before a block, then the block's.
-    windows = np.empty((len(slabs), n_tail + _BLOCK, n_fft))
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
     step = 2.0 * np.pi * hop / n_fft
     # Block buffers: a phase (the turns, the momentum term, then the
@@ -173,12 +168,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         # block and slab also own the n_tail rows past it.
         return slice(lo, stop + n_tail if stop == n_frames else stop)
 
-    def slab_of(rows):
-        # The first row of the slab that ``rows`` lies in, and its window.
-        i = bisect_right(starts, rows.start) - 1
-        return starts[i], windows[i]
-
-    def turn(rows, phase, size):
+    def turn(rows, _, phase, size):
         # Frame t's turn goes to previous[t + 1], to be chained below.
         logmag = np.maximum(mags[rows], 1e-16, out=size)
         np.log(logmag, out=logmag)
@@ -186,11 +176,13 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         following = previous[rows.start + 1 : rows.stop + 1]
         following[:] = phase[: len(following)]
 
-    def overlap_add(rows, first_row, window):
-        # The block's rows get its frames and the slab's frames before it
-        # in reach, and those that no earlier slab's frame reaches are
-        # divided by the window sum (see finish for the others).
+    def emit(rows, i, phase):
+        # The block's rows get its frames, synthesized from ``phase``, and
+        # slab i's frames before it in reach; those that no earlier slab's
+        # frame reaches are divided by the window sum (see finish).
+        first_row, window = slabs[i].start, windows[i]
         n = rows.stop - rows.start
+        _synthesize(phase, window[n_tail : n_tail + n])
         mine = owned(rows.start, rows.stop)
         first = max(first_row, rows.start - n_tail)
         signal[mine] = 0.0
@@ -199,19 +191,16 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         np.divide(signal[done], scale[done], out=signal[done])
         window[:n_tail] = window[n : n + n_tail]
 
-    def synthesize(rows, phase, size):
+    def synthesize(rows, i, phase, size):
         # The start phase in ``previous`` starts the momentum at zero.
-        first_row, window = slab_of(rows)
         np.multiply(mags[rows], previous[rows], out=phase)
         previous[rows] = 0.0
-        _synthesize(phase, window[n_tail : n_tail + len(phase)])
-        overlap_add(rows, first_row, window)
+        emit(rows, i, phase)
 
-    def iterate(rows, phase, size):
+    def iterate(rows, i, phase, size):
         # Each block's rebuilt spectrum replaces the last one in
         # ``previous`` once the momentum term has been taken from it.
-        first_row, window = slab_of(rows)
-        frames = window[n_tail : n_tail + len(phase)]
+        frames = windows[i][n_tail : n_tail + len(phase)]
         np.multiply(previous[rows], blend, out=phase)
         _analyze(analysis[rows], frames, previous[rows])
         np.subtract(previous[rows], phase, out=phase)
@@ -219,8 +208,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         np.maximum(size, 1e-16, out=size)
         np.divide(phase, size, out=phase)
         np.multiply(mags[rows], phase, out=phase)
-        _synthesize(phase, frames)
-        overlap_add(rows, first_row, window)
+        emit(rows, i, phase)
 
     def finish():
         # A later slab's first n_tail rows add the last frames of the
@@ -228,7 +216,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         # lets an older one's reach them), and are divided.  Then the
         # padding becomes the reflection of the signal.
         for i in range(1, len(slabs)):
-            rows = owned(starts[i], slabs[i].stop)
+            rows = owned(slabs[i].start, slabs[i].stop)
             rows = slice(rows.start, min(rows.stop, rows.start + n_tail))
             for earlier, window in zip(slabs[i - 1 :: -1], windows[i - 1 :: -1]):
                 k = min(n_tail, earlier.stop - earlier.start)
@@ -241,7 +229,9 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         else:  # np.pad reflects again off the far end
             flat[: length + n_fft] = np.pad(flat[pad : pad + length], pad, mode="reflect")
 
-    with _block_pool(n_frames, _BLOCK, *scratch) as run:
+    with _block_pool(n_frames, _BLOCK, *scratch) as (run, slabs):
+        # Per slab: the last n_tail frames before a block, then the block's.
+        windows = np.empty((len(slabs), n_tail + _BLOCK, n_fft))
         run(turn)
         # The start: frame 0's phase is -pi*k, and frame t's is frame
         # t - 1's times its turn.  A loop, because np.multiply.accumulate

@@ -304,15 +304,31 @@ def _report_threads(item):
     return [{"source_path": path, "threads": spectral._threads}], None
 
 
-@needs_fork
-@pytest.mark.parametrize("cpus, jobs, threads", [(5, 2, 2), (5, 3, 1), (1, 2, 1)])
-def test_run_gives_workers_their_cpu_share(tmp_path, monkeypatch, cpus, jobs, threads):
-    small_corpus(tmp_path / "in", n=2)
+def _worker_shares(tmp_path, monkeypatch, cpus, files, jobs):
+    """The pool sizes and each item's slab threads of a run of ``files`` files."""
+    small_corpus(tmp_path / "in", n=files)
     monkeypatch.setattr(pipeline, "available_cpus", lambda: cpus)
     monkeypatch.setattr(pipeline, "_run_item", _report_threads)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
     cfg = PipelineConfig(input=str(tmp_path / "in"), output_dir=str(tmp_path / "out"))
     manifest = run(cfg, jobs=jobs)
-    assert [r["threads"] for r in manifest.records] == [threads, threads]
+    sizes = {size for size, _ in _RecordingPool.submitted}
+    return sizes, [r["threads"] for r in manifest.records]
+
+
+# A pool starts all its workers at its first item, so there are no more
+# workers than files and the CPUs are split over those: 2 files at
+# --jobs 3 get 2 workers of 2 threads on 5 CPUs.
+@needs_fork
+@pytest.mark.parametrize("cpus, jobs, threads", [(5, 2, 2), (5, 3, 2), (1, 2, 1)])
+def test_run_gives_workers_their_cpu_share(tmp_path, monkeypatch, cpus, jobs, threads):
+    assert _worker_shares(tmp_path, monkeypatch, cpus, 2, jobs) == ({2}, [threads, threads])
+
+
+@needs_fork
+def test_run_gives_a_lone_file_one_worker_with_every_cpu(tmp_path, monkeypatch):
+    assert _worker_shares(tmp_path, monkeypatch, 5, 1, 2) == ({1}, [5])
 
 
 _augment_file = pipeline.augment_file

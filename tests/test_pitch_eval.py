@@ -1,6 +1,8 @@
 """YIN pitch tracking, Pearson correlation, and the F0-PCC metric."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from sraug.errors import (
     InsufficientVoicedOverlap,
     IoFailure,
 )
+from sraug import pitch_eval
 from sraug.pitch_eval import F0Track, PitchConfig, f0_pcc, pearson, write_f0_csv, yin_f0
 
 import synth
@@ -119,6 +122,41 @@ def test_yin_voiced_range_invariant():
     # Unvoiced frames are exactly 0.0, never a small positive number.
     unvoiced = track.f0[~track.voiced]
     assert (unvoiced == 0.0).all()
+
+
+# One frame, a block's edge (255-257 frames) and several blocks with a
+# short last one, at 16 kHz and at 48 kHz (lags to 960, 1,600-point FFTs).
+@pytest.mark.parametrize("n_frames", [1, 7, 255, 256, 257, 600])
+@pytest.mark.parametrize("sr", [16000, 48000])
+def test_yin_blocks_match_one_pass_over_all_frames(monkeypatch, n_frames, sr):
+    n = PCFG.frame_size + PCFG.hop_size * (n_frames - 1)
+    w = synth.voiced(n / sr + 0.01, 110, 320, seed=n_frames, sr=sr, vibrato=5.0)
+    w = Waveform(w.samples[:n], sr)
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, PCFG.frame_size)
+    frames = np.ascontiguousarray(frames[:: PCFG.hop_size])
+    tau_max = math.ceil(sr / PCFG.f0_min)
+    whole = pitch_eval._cmndf(frames, tau_max)
+    for block in (pitch_eval._YIN_BLOCK, 7):
+        cuts = range(0, n_frames, block)
+        parts = [pitch_eval._cmndf(frames[lo : lo + block], tau_max) for lo in cuts]
+        assert np.array_equal(np.concatenate(parts), whole)
+    track = yin_f0(w, PCFG).f0
+    monkeypatch.setattr(pitch_eval, "_YIN_BLOCK", n_frames)
+    assert np.array_equal(track, yin_f0(w, PCFG).f0)
+    assert len(track) == n_frames
+
+
+def test_yin_memory_does_not_grow_with_input_length():
+    # Whole-file YIN held about 92 kB a frame: 277 MB on this 60 s file.
+    # A 256-frame block of about 80 kB a frame peaked at 20 MB.
+    w = synth.voiced(60.0, 110, 300, seed=1)
+    tracemalloc.start()
+    try:
+        yin_f0(w, PCFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_yin_input_too_short():

@@ -75,6 +75,37 @@ def test_kl_identical_is_zero():
     assert kl_diag_gaussian(q, q) == 0.0
 
 
+@pytest.mark.parametrize("log_std", [-1e300, -745.0, -400.0, 0.0, 400.0, 745.0, 1e300])
+def test_kl_identical_is_zero_at_any_finite_log_std(log_std):
+    # exp(2 log_std) and exp(-2 log_std) over- and underflow out here.
+    q = DiagGaussian([1.5, -2.0, 0.0], [log_std, log_std, log_std])
+    assert kl_diag_gaussian(q, q) == 0.0
+
+
+def test_kl_mean_gap_against_a_tiny_std():
+    # A gap of 2 stds, both about 1e-174: the gap's square underflows and
+    # 1 / s_p^2 overflows, yet the divergence is (2^2) / 2 = 2.
+    s = math.exp(-400.0)
+    q = DiagGaussian([2.0 * s], [-400.0])
+    p = DiagGaussian([0.0], [-400.0])
+    assert math.isclose(kl_diag_gaussian(q, p), 2.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "q, p",
+    [
+        (([0.0], [360.0]), ([0.0], [0.0])),  # variance ratio e^720
+        (([1.0], [0.0]), ([0.0], [-400.0])),  # mean gap over a std of e^-400
+        (([1e308], [0.0]), ([-1e308], [0.0])),  # the mean gap itself overflows
+        (([0.0], [-1e308]), ([0.0], [1e308])),  # the log-std gap overflows
+        (([0.0], [1e308]), ([0.0], [-1e308])),
+    ],
+)
+def test_kl_beyond_float_range_is_nonfinite(q, p):
+    with pytest.raises(NonFinite):
+        kl_diag_gaussian(DiagGaussian(*q), DiagGaussian(*p))
+
+
 def test_kl_unit_mean_shift():
     q = DiagGaussian([0.0], [0.0])
     p = DiagGaussian([1.0], [0.0])

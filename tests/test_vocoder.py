@@ -275,21 +275,35 @@ def test_slabs_cover_the_rows_with_cuts_on_4_row_groups(monkeypatch, threads):
             assert before.stop == after.start and after.start % 4 == 0
 
 
+class _SizedPool(spectral.ThreadPoolExecutor):
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers)
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
 @pytest.mark.parametrize("block", [32, 64])
 def test_block_pool_visits_each_row_once_in_its_slabs_buffers(monkeypatch, threads, block):
     monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", _SizedPool)
     spectral._set_threads(threads)
     for n_rows in range(201):
         slabs = spectral._slabs(n_rows)
         calls = []
-        with spectral._block_pool(n_rows, block, (3, np.float64), (5, np.complex128)) as run:
-            run(lambda rows, *buffers: calls.append((rows, buffers)))
+        _SizedPool.sizes = []
+        pool = spectral._block_pool(n_rows, block, (3, np.float64), (5, np.complex128))
+        with pool as (run, yielded):
+            run(lambda rows, i, *buffers: calls.append((rows, i, buffers)))
+        # The runner's slabs are _slabs', one pool thread each.
+        assert yielded == slabs and _SizedPool.sizes == [len(slabs)]
         visits = np.zeros(n_rows, dtype=int)
         owners = {}
-        for rows, buffers in calls:
+        for rows, i, buffers in calls:
             visits[rows] += 1
-            (slab,) = [i for i, s in enumerate(slabs) if s.start <= rows.start < s.stop]
+            (slab,) = [j for j, s in enumerate(slabs) if s.start <= rows.start < s.stop]
+            assert i == slab
             n = rows.stop - rows.start
             assert rows.stop <= slabs[slab].stop and 0 < n <= block
             assert (rows.start - slabs[slab].start) % block == 0
