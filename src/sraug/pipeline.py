@@ -122,6 +122,7 @@ def augment_file(path, cfg: PipelineConfig, item_index: int) -> list[dict]:
     duration_in = wave.duration
     wave = run_stage("resample", resample, wave, cfg.spectral.sample_rate)
     mel = run_stage("mel", mel_spectrogram, wave, cfg.spectral)
+    del wave  # not held through every variant's Griffin-Lim
 
     records = []
     for variant in range(cfg.variants_per_file):

@@ -35,9 +35,10 @@ _FLOOR_SLACK = 1e-4
 
 _NNLS_ITERS = 50
 _NNLS_EPS = 1e-18
-# Frames per NNLS block.  A block's arrays (about 330 kB each) stay in
-# cache for all 50 updates.
-_NNLS_BLOCK = 64
+# Frames per block of the mel analysis and of NNLS.  A block's arrays
+# (at most 1.6 MB in all) stay in a 2 MB L2 cache, NNLS's for all 50
+# updates.
+_BLOCK = 64
 
 # _matmul_rows keeps each gemm at 4 rows and at most 65,536 inner x
 # output columns, so at most 65,536 x 4 multiply-adds: OpenBLAS splits a
@@ -153,12 +154,13 @@ def _frozen_frames(values, dtype, n_bins: int, name: str, lower=None) -> np.ndar
 # ---------------------------------------------------------------------------
 # slab threads and row products
 #
-# mel_to_linear and griffin_lim each walk their frames in blocks through
-# _block_pool: contiguous slabs (see _slabs), one thread a slab, on a
-# pool of their own.  Frames go through the same operations in any slab,
-# and overlap-added rows sum their frames in one order (see _add_chunks),
-# so output bytes do not depend on the number of slab threads; through
-# _matmul_rows, not on the number of BLAS threads either.
+# mel_spectrogram, mel_to_linear and griffin_lim each walk their frames
+# in blocks through _block_pool: contiguous slabs (see _slabs), one
+# thread a slab, on a pool of their own.  Frames go through the same
+# operations in any slab, and overlap-added rows sum their frames in one
+# order (see _add_chunks), so output bytes do not depend on the number of
+# slab threads; through _matmul_rows, not on the number of BLAS threads
+# either.
 
 
 def available_cpus() -> int:
@@ -170,10 +172,10 @@ def available_cpus() -> int:
 
 
 def _set_threads(n: int) -> None:
-    """Run later mel_to_linear and griffin_lim calls in this process on ``n`` threads.
+    """Run later mel_spectrogram, mel_to_linear and griffin_lim calls on ``n`` threads.
 
-    The initializer of pipeline's worker pools; without a call, both use
-    every available CPU.
+    The initializer of pipeline's worker pools; without a call, they use
+    every available CPU in this process.
     """
     global _threads
     _threads = _integer(n, "threads", 1)
@@ -335,6 +337,17 @@ def _window_sum(cfg: SpectralConfig, n_frames: int) -> np.ndarray:
 # public operations
 
 
+def _analysis_frames(w: Waveform, cfg: SpectralConfig) -> np.ndarray:
+    """The _frames of ``w`` reflect-padded by n_fft/2; refuses another rate or no samples."""
+    if w.sample_rate != cfg.sample_rate:
+        raise ConfigMismatch(
+            f"waveform at {w.sample_rate} Hz vs config {cfg.sample_rate} Hz"
+        )
+    if len(w) < 1:
+        raise ValueError("cannot analyze an empty waveform")
+    return _frames(np.pad(w.samples, cfg.n_fft // 2, mode="reflect"), cfg)
+
+
 def stft(w: Waveform, cfg: SpectralConfig) -> ComplexSpectrogram:
     """Short-time Fourier transform with center alignment.
 
@@ -342,13 +355,7 @@ def stft(w: Waveform, cfg: SpectralConfig) -> ComplexSpectrogram:
     periodic-Hann-windowed frames every hop_size samples, giving
     floor(len/hop) + 1 frames.
     """
-    if w.sample_rate != cfg.sample_rate:
-        raise ConfigMismatch(
-            f"waveform at {w.sample_rate} Hz vs config {cfg.sample_rate} Hz"
-        )
-    if len(w) < 1:
-        raise ValueError("cannot analyze an empty waveform")
-    frames = _frames(np.pad(w.samples, cfg.n_fft // 2, mode="reflect"), cfg)
+    frames = _analysis_frames(w, cfg)
     values = np.empty((frames.shape[0], cfg.n_bins), dtype=np.complex128)
     return ComplexSpectrogram(_analyze(frames, np.empty(frames.shape), values), cfg)
 
@@ -411,12 +418,33 @@ def mel_filterbank(cfg: SpectralConfig) -> np.ndarray:
 def mel_spectrogram(w: Waveform, cfg: SpectralConfig) -> MelSpectrogram:
     """Log-mel analysis: ln(max(filterbank @ |stft|, log_floor)).
 
-    The filterbank is applied to magnitude (not power) spectra.
+    The filterbank is applied to magnitude (not power) spectra.  The
+    frames, padded with zero magnitude frames to a multiple of 4, are
+    analyzed in 64-frame blocks on the slab threads (see _block_pool and
+    _set_threads), so no array spans every frame's spectrum.  Each frame
+    goes through the operations of stft, and the filterbank product is a
+    stack of 4-row gemms grouped from frame 0 (see _matmul_rows), so the
+    output bytes do not depend on the slab or BLAS thread counts.
     """
-    spec = stft(w, cfg)
-    mags = np.abs(spec.values)
-    mel = _matmul_rows(mags, mel_filterbank(cfg).T)
-    return MelSpectrogram(np.log(np.maximum(mel, cfg.log_floor)), cfg)
+    frames = _analysis_frames(w, cfg)
+    weights_t = mel_filterbank(cfg).T
+    n_frames = frames.shape[0]
+    padded = -(-n_frames // _GEMM_ROWS) * _GEMM_ROWS
+    mel = np.empty((padded, cfg.n_mels))
+
+    def analyze(rows, _, windowed, spectrum, mags):
+        n = min(rows.stop, n_frames) - rows.start
+        _analyze(frames[rows.start : rows.start + n], windowed[:n], spectrum[:n])
+        np.abs(spectrum[:n], out=mags[:n])
+        mags[n:] = 0.0
+        _matmul_rows(mags, weights_t, mel[rows])
+
+    scratch = (cfg.n_fft, np.float64), (cfg.n_bins, np.complex128), (cfg.n_bins, np.float64)
+    with _block_pool(padded, _BLOCK, *scratch) as (run, _):
+        run(analyze)
+    logmels = mel[:n_frames]
+    np.maximum(logmels, cfg.log_floor, out=logmels)
+    return MelSpectrogram(np.log(logmels, out=logmels), cfg)
 
 
 def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
@@ -458,7 +486,7 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
             xb *= denom
 
     scratch = (n_bins, np.float64), (n_bins, np.float64), (n_mels, np.float64)
-    with _block_pool(padded, _NNLS_BLOCK, *scratch) as (run, _):
+    with _block_pool(padded, _BLOCK, *scratch) as (run, _):
         run(solve)
     return LinearSpectrogram(x[:n_frames], m.config)
 

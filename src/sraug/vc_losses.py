@@ -67,9 +67,12 @@ def kl_diag_gaussian(q: DiagGaussian, p: DiagGaussian) -> float:
         # Both quotients by s_p^2 as exponentials of log differences: one
         # overflows only when the divergence is near the float range, and
         # a zero mean gap gives exp(-inf) = 0, never 0 times an overflow.
-        var_ratio = np.exp(2.0 * (q.log_std - p.log_std))
+        # The variance part, 0.5 * (s_q^2 / s_p^2 - 1) - ln(s_q / s_p), is
+        # 0.5 * expm1(2d) - d, so a small divergence does not cancel
+        # against the 1/2 and is never negative.
+        d = q.log_std - p.log_std
         gap_ratio = np.exp(2.0 * (np.log(gap) - p.log_std))
-        terms = p.log_std - q.log_std + 0.5 * (var_ratio + gap_ratio) - 0.5
+        terms = (0.5 * np.expm1(2.0 * d) - d) + 0.5 * gap_ratio
         total = float(terms.sum())
     if not np.isfinite(total):
         raise NonFinite(f"KL divergence beyond float range ({total})")

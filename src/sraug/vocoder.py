@@ -127,7 +127,10 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     A block synthesizes its frames after the n_tail before it in its slab
     (in a window per slab, picked by the slab index the runner passes),
     adds them into its own rows (spectral._add_chunks) and divides the
-    complete ones by the window sum, computed once per call.  Afterwards
+    complete ones by the window sum.  That is a table computed once per
+    call over at most n_tail + 3 frames, which holds every distinct row
+    of the window sum, and a map from each signal row to its table row:
+    rows that all n_tail + 1 frames reach share one.  Afterwards
     the calling thread adds the last frames of each slab to the first
     n_tail rows of the slabs after it, divides those rows, and writes the
     reflected edges.  Every row sums its frames in the same order and
@@ -149,10 +152,16 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     # padded signal: frames r, r - 1, ..., r - n_tail overlap-added.
     n_tail = -(-n_fft // hop) - 1
     shape = (n_frames + n_tail, hop)
-    # The window sum over the signal, and 1 over the padding, which the
-    # reflected edges overwrite.
-    scale = np.ones(shape)
-    scale.reshape(-1)[pad : pad + length] = _window_sum(spectral_cfg, n_frames)
+    # Divisors: the window sum over the signal, and 1 over the padding,
+    # which the reflected edges overwrite.  Rows 0 to n_tail and the last
+    # n_tail + 1 hold padding or miss a frame; every row between sums all
+    # n_tail + 1 chunks in one order (see spectral._add_chunks), so they
+    # are equal to the byte, and n_tail + 3 frames have every distinct row.
+    n_table = min(n_frames, n_tail + 3)
+    table = np.ones((n_table + n_tail, hop))
+    table.reshape(-1)[pad : pad + (n_table - 1) * hop] = _window_sum(spectral_cfg, n_table)
+    row_of = np.minimum(np.arange(shape[0]), n_tail + 1)
+    row_of[-n_tail - 1 :] = np.arange(n_table - 1, n_table + n_tail)
     signals = [np.empty(shape), np.empty(shape)]
     views = [_frames(signal.reshape(-1)[: length + n_fft], spectral_cfg) for signal in signals]
     previous = np.empty((n_frames, n_bins), dtype=np.complex128)
@@ -188,7 +197,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         signal[mine] = 0.0
         _add_chunks(signal, mine, window[first - rows.start + n_tail : n_tail + n], first)
         done = slice(max(mine.start, first_row + n_tail) if first_row else mine.start, mine.stop)
-        np.divide(signal[done], scale[done], out=signal[done])
+        np.divide(signal[done], table[row_of[done]], out=signal[done])
         window[:n_tail] = window[n : n + n_tail]
 
     def synthesize(rows, i, phase, size):
@@ -221,7 +230,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
             for earlier, window in zip(slabs[i - 1 :: -1], windows[i - 1 :: -1]):
                 k = min(n_tail, earlier.stop - earlier.start)
                 _add_chunks(signal, rows, window[n_tail - k : n_tail], earlier.stop - k)
-            np.divide(signal[rows], scale[rows], out=signal[rows])
+            np.divide(signal[rows], table[row_of[rows]], out=signal[rows])
         flat = signal.reshape(-1)
         if length > pad:
             flat[:pad] = flat[2 * pad : pad : -1]

@@ -323,6 +323,40 @@ def test_mel_tone_peak_band_is_stationary():
     assert (peaks == peaks[0]).all()
 
 
+# 1 and 3 frames fill less than one 4-row group; 64 and 65 frames sit at
+# the 64-frame block edge; 166 and 3,001 frames give slabs of several
+# blocks.  Only 64 is a multiple of 4, so the others pad the last group.
+@pytest.mark.parametrize("n_frames", [1, 3, 51, 64, 65, 166, 3001])
+def test_mel_bytes_do_not_depend_on_slab_threads(monkeypatch, n_frames):
+    w = Waveform(np.random.default_rng(n_frames).standard_normal((n_frames - 1) * 320 + 7), 16000)
+    mags = np.abs(stft(w, CFG).values)
+    want = np.log(np.maximum(spectral._matmul_rows(mags, mel_filterbank(CFG).T), CFG.log_floor))
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    for threads in (1, 2, 3):
+        spectral._set_threads(threads)
+        got = mel_spectrogram(w, CFG).logmels
+        assert got.shape == (n_frames, CFG.n_mels)
+        assert np.array_equal(got, want)
+
+
+def test_mel_peak_memory_on_a_minute_of_audio(monkeypatch):
+    # On 2 slab threads, 60 s at 16 kHz peaks at 15.1 MB: the padded
+    # signal (7.7), the [T, n_mels] output (1.9), its frozen copy, and
+    # each slab's block buffers (1.6).  Through stft, the frame buffer,
+    # the spectrum and its frozen copy over all frames took 71.2 MB.
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    spectral._set_threads(2)
+    w = Waveform(np.random.default_rng(2).standard_normal(60 * 16000), 16000)
+    mel_spectrogram(w, CFG)
+    tracemalloc.start()
+    try:
+        mel_spectrogram(w, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 # ---------------------------------------------------------------------------
 # mel_to_linear
 

@@ -112,6 +112,23 @@ def test_kl_unit_mean_shift():
     assert abs(kl_diag_gaussian(q, p) - 0.5) <= 1e-12
 
 
+@pytest.mark.parametrize("gap", [1e-5, 1e-9])
+def test_kl_small_mean_gap(gap):
+    # gap^2 / 2; summed against the +-1/2 of the variance part it read
+    # 5.0000004e-11 and 0.0.
+    q = DiagGaussian([gap], [0.0])
+    p = DiagGaussian([0.0], [0.0])
+    assert math.isclose(kl_diag_gaussian(q, p), 0.5 * gap * gap, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1e-9, -1e-9])
+def test_kl_small_log_std_gap(d):
+    # (e^(2d) - 1) / 2 - d = d^2 + O(d^3); it read -5.6e-17 at d = 1e-9.
+    value = kl_diag_gaussian(DiagGaussian([0.0], [d]), DiagGaussian([0.0], [0.0]))
+    assert value >= 0.0
+    assert math.isclose(value, d * d, rel_tol=1e-6)
+
+
 def test_kl_variance_ratio():
     # N(0,1) against N(0,4): ln 2 + 1/8 - 1/2.
     q = DiagGaussian([0.0], [0.0])

@@ -120,13 +120,15 @@ def test_gl_start_phase_fits_a_bin_centred_tone():
 
 
 def test_gl_start_keeps_peak_memory(monkeypatch):
-    # At 1,751 frames on 2 slab threads the loop's arrays peak at 3.85 x
+    # At 1,751 frames on 2 slab threads the loop's arrays peak at 3.39 x
     # T x n_bins x 8 bytes.  Only ``previous`` (2) spans all frames; the
-    # two signal buffers and the window sum span all samples (0.49 each),
-    # and each slab's block buffers and window of frames add 0.09.  The
-    # bound leaves 0.4, less than one more array over all samples, let
-    # alone the 2 of a frame buffer.  The start works in those buffers
-    # and in blocks of frames, so it must not raise that peak.
+    # two signal buffers span all samples (0.49 each), and each slab's
+    # block buffers and window of frames add 0.09.  The window sum is a
+    # table of a few frames' rows, not a third array over all samples
+    # (3.89 with one).  The bound leaves 0.36, less than one more array
+    # over all samples, let alone the 2 of a frame buffer.  The start
+    # works in those buffers and in blocks of frames, so it must not
+    # raise that peak.
     monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
     spectral._set_threads(2)
     n_frames = 1751
@@ -139,7 +141,7 @@ def test_gl_start_keeps_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.25 * n_frames * CFG.n_bins * 8
+    assert peak <= 3.75 * n_frames * CFG.n_bins * 8
 
 
 def test_gl_keeps_nothing_between_calls():
@@ -185,7 +187,8 @@ class _CountingPool(spectral.ThreadPoolExecutor):
 # whose blocks start at the slab's start.  At hop 32 a signal row sums 40
 # frames, more than a 32-frame block: a row's older frames lie in earlier
 # blocks, or in the slabs before its own, two back after a slab of 32
-# frames (97 frames on 3 threads).
+# frames (97 frames on 3 threads).  At hop 700 a row sums 2 frames, and
+# the last frame's row already holds the end padding.
 _GL_CASES = [
     (2, 2, 3, {}),
     (3, 3, 3, {}),
@@ -205,6 +208,7 @@ _GL_CASES = [
     *[(n, threads, 2, {"hop_size": 32}) for n in (97, 130) for threads in (2, 3)],
     (4, 2, 3, {}),
     *[(n, 2, 3, {"hop_size": hop}) for n, hop in ((3, 300), (4, 300), (21, 32), (22, 32))],
+    (70, 2, 2, {"hop_size": 700}),
 ]
 
 
