@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -35,18 +36,27 @@ _FLOOR_SLACK = 1e-4
 
 _NNLS_ITERS = 50
 _NNLS_EPS = 1e-18
-# Frames per block of the mel analysis and of NNLS.  A block's arrays
-# (at most 1.6 MB in all) stay in a 2 MB L2 cache, NNLS's for all 50
-# updates.
-_BLOCK = 64
+# Frames per block of the mel analysis and of NNLS.  A mel block's
+# arrays (1.6 MB) stay in a 2 MB L2 cache.  An NNLS block's (2.1 MB with
+# its rows of the solution) stay about there for all 50 updates, and
+# each of its tile products is one np.matmul of 32 gemms.  np.matmul
+# lets go of the interpreter lock only while its gemms run, so shorter
+# calls from two slab threads wait on each other: on 31 s of frames and
+# two slab threads of a 2-core x86-64 box, NNLS took 0.16 ms a frame in
+# 64-frame blocks and 0.13 in 128-frame blocks.
+_MEL_BLOCK = 64
+_NNLS_BLOCK = 128
 
-# _matmul_rows keeps each gemm at 4 rows and at most 65,536 inner x
-# output columns, so at most 65,536 x 4 multiply-adds: OpenBLAS splits a
-# gemm over its threads only above that.  A 4-row product with the
-# default filterbank is 4 x 80 x 641 = 205k, below it; 8 rows would be
-# above it.
+# _tiled_matmul runs every product as 4-row gemms over tiles of at most
+# 65,536 inner x output columns, so at most 65,536 x 4 multiply-adds:
+# OpenBLAS splits a gemm over its threads only above that.  4 tiles cut
+# the default filterbank's products to 11,894 (x W^T) and 11,923 (m W)
+# of 51,280 multiply-adds a row; 6 or 8 tiles cut further, but their
+# shorter gemms made NNLS no clearly faster on 128-frame blocks, and 8
+# tiles made it slower on 64-frame ones.
 _GEMM_ROWS = 4
 _GEMM_MAX_INNER_X_COLUMNS = 65_536
+_TILES = 4
 
 # Slab threads in this process; None uses every available CPU.
 _threads: int | None = None
@@ -159,7 +169,7 @@ def _frozen_frames(values, dtype, n_bins: int, name: str, lower=None) -> np.ndar
 # thread a slab, on a pool of their own.  Frames go through the same
 # operations in any slab, and overlap-added rows sum their frames in one
 # order (see _add_chunks), so output bytes do not depend on the number of
-# slab threads; through _matmul_rows, not on the number of BLAS threads
+# slab threads; through _tiled_matmul, not on the number of BLAS threads
 # either.
 
 
@@ -186,7 +196,7 @@ def _slabs(n_rows: int) -> list[slice]:
 
     There are max(1, min(slab threads, n_rows // 32)) slabs, and every
     cut between two falls on a multiple of 4 rows, so no 4-row group of
-    _matmul_rows straddles two slabs.
+    _tiled_matmul straddles two slabs.
     """
     n_groups = -(-n_rows // _GEMM_ROWS)
     n_slabs = max(1, min(_threads or available_cpus(), n_rows // _MIN_SLAB_ROWS))
@@ -202,7 +212,8 @@ def _block_pool(n_rows: int, block: int, *scratch):
     is the index of the slab ``rows`` lies in.  Each slab is cut into
     slices ``rows`` of ``block`` rows from its first row, the last one
     maybe shorter.  ``scratch`` holds one ``(width, dtype)`` per buffer.
-    Each slab has its own ``[block, width]`` arrays, allocated on the
+    Each slab has its own arrays of ``width`` columns and as many rows as
+    the shorter of ``block`` and the longest slab, allocated on the
     calling thread (arrays allocated on the slab threads would grow their
     own malloc arenas and peak memory), and ``fn`` gets their first
     ``len(rows)`` rows.  A single slab runs on the calling thread, several
@@ -210,7 +221,8 @@ def _block_pool(n_rows: int, block: int, *scratch):
     block, so pool workers may fork.
     """
     slabs = _slabs(n_rows)
-    buffers = [np.empty((len(slabs), block, width), dtype) for width, dtype in scratch]
+    block_rows = min(block, max(s.stop - s.start for s in slabs))
+    buffers = [np.empty((len(slabs), block_rows, width), dtype) for width, dtype in scratch]
 
     def walk(fn, i, *slab_buffers):
         for lo in range(slabs[i].start, slabs[i].stop, block):
@@ -226,31 +238,99 @@ def _block_pool(n_rows: int, block: int, *scratch):
         yield run, slabs
 
 
-def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` as stacked matmuls of 4-row products, [n/4, 4, k] @ [k, m].
+@lru_cache(maxsize=32)
+def _span_tiles(first: tuple, stop: tuple) -> tuple[tuple[slice, slice], ...]:
+    """The ``(inner, columns)`` tiles of _tiles for columns with these non-zero spans.
 
-    numpy runs one gemm per 4-row group, and ``b``'s columns are taken
-    in runs short enough that each gemm stays too small for OpenBLAS to
-    split over threads (which would round it differently); for the
-    default filterbank that is all of them at once.  So every row of the
-    result is rounded the same way whatever the BLAS thread count, the
-    calling thread and the rows around it.  A short last group is padded
-    with zero rows, so no product falls back to gemv.  ``out``, if given,
-    is C-contiguous with ``a``'s row count, a multiple of 4.
+    Column j's non-zeros lie in inner rows ``first[j]`` to ``stop[j]``.
+    A tile over a run of columns spans the inner rows from their least
+    ``first`` to their greatest ``stop``, and costs its inner rows times
+    its columns.  The runs are the at most _TILES of least summed cost,
+    found by dynamic programming over the runs of columns of one span
+    (moving such a run whole to the side of a cut of the wider span never
+    costs more, so no optimal cut splits one).  A tile over more than
+    65,536 inner x output columns is then cut into runs of columns.
     """
-    n_rows, k = a.shape
-    m = b.shape[1]
-    padded = -(-n_rows // _GEMM_ROWS) * _GEMM_ROWS
-    if padded != n_rows:
-        a = np.concatenate([a, np.zeros((padded - n_rows, k))])
-    if out is None:
-        out = np.empty((padded, m))
-    groups = a.reshape(-1, _GEMM_ROWS, k)
-    out_groups = out.reshape(-1, _GEMM_ROWS, m)
-    step = max(1, _GEMM_MAX_INNER_X_COLUMNS // k)
-    for lo in range(0, m, step):
-        np.matmul(groups, b[:, lo : lo + step], out=out_groups[:, :, lo : lo + step])
-    return out[:n_rows]
+    first, stop = np.array(first), np.array(stop)
+    starts = np.flatnonzero(np.r_[True, (first[1:] != first[:-1]) | (stop[1:] != stop[:-1])])
+    edges = np.r_[starts, len(first)]
+    upper = np.triu(np.ones((len(starts), len(starts)), bool))
+    # cost[a, b]: one tile over column runs a to b.
+    lo = np.minimum.accumulate(np.where(upper, first[starts], first.max()), axis=1)
+    hi = np.maximum.accumulate(np.where(upper, stop[starts], 0), axis=1)
+    width = edges[None, 1:] - edges[:-1, None]
+    cost = np.where(upper, np.maximum(hi - lo, 0) * width, np.inf)
+    # best[b]: the least cost of at most t tiles over runs 0 to b, whose
+    # last tile starts at run back[t - 1][b].
+    best, back = np.full(len(starts), np.inf), []
+    for _ in range(_TILES):
+        total = np.r_[0.0, best[:-1]][:, None] + cost
+        back.append(total.argmin(axis=0))
+        best = total.min(axis=0)
+    cuts, b = [len(first)], len(starts) - 1
+    for runs in reversed(back):
+        cuts.append(int(edges[runs[b]]))
+        if runs[b] == 0:
+            break
+        b = runs[b] - 1
+    tiles = []
+    for col_lo, col_hi in zip(cuts[:0:-1], cuts[-2::-1]):
+        inner_lo = int(first[col_lo:col_hi].min())
+        inner = slice(inner_lo, max(inner_lo, int(stop[col_lo:col_hi].max())))
+        step = max(1, _GEMM_MAX_INNER_X_COLUMNS // max(1, inner.stop - inner.start))
+        for lo in range(col_lo, col_hi, step):
+            tiles.append((inner, slice(lo, min(col_hi, lo + step))))
+    return tuple(tiles)
+
+
+def _tiles(weights: np.ndarray) -> tuple[tuple[slice, slice], ...]:
+    """Tiles ``(inner, columns)`` of [k, m] ``weights`` that hold all its non-zeros.
+
+    The ``columns`` of the tiles cut 0 to m into runs; each tile's
+    ``inner`` rows hold every non-zero of its columns, and a tile holds at
+    most 65,536 inner x output columns (see _span_tiles).  For the
+    default filterbank the x W^T tiles are groups of bands over the bins
+    they touch, and the m W tiles groups of bins over the bands that
+    touch them.
+    """
+    k = weights.shape[0]
+    nonzero = weights != 0
+    used = nonzero.any(axis=0)
+    first = np.where(used, nonzero.argmax(axis=0), k)
+    stop = np.where(used, k - nonzero[::-1].argmax(axis=0), 0)
+    return _span_tiles(tuple(first.tolist()), tuple(stop.tolist()))
+
+
+def _tiled_matmul(weights: np.ndarray) -> Callable[..., np.ndarray]:
+    """``matmul(a, out=None)``: ``a @ weights`` as stacked 4-row products over _tiles.
+
+    Each tile of ``weights`` is one np.matmul of ``a``'s rows grouped in
+    fours from row 0, [n/4, 4, inner] @ [inner, columns], into its
+    columns of the result; a tile over no inner rows writes zeros.  Each
+    gemm is too small for OpenBLAS to split over threads (which may
+    round it differently), so every row of the result is rounded the
+    same way whatever the BLAS thread count, the calling thread and the
+    rows around it.  A short last group is padded with zero rows, so no
+    product falls back to gemv.  ``out``, if given, is C-contiguous with
+    ``a``'s row count, a multiple of 4.
+    """
+    k, m = weights.shape
+    tiles = [(inner, cols, weights[inner, cols]) for inner, cols in _tiles(weights)]
+
+    def matmul(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        n_rows = a.shape[0]
+        padded = -(-n_rows // _GEMM_ROWS) * _GEMM_ROWS
+        if padded != n_rows:
+            a = np.concatenate([a, np.zeros((padded - n_rows, k))])
+        if out is None:
+            out = np.empty((padded, m))
+        groups = a.reshape(-1, _GEMM_ROWS, k)
+        out_groups = out.reshape(-1, _GEMM_ROWS, m)
+        for inner, cols, tile in tiles:
+            np.matmul(groups[:, :, inner], tile, out=out_groups[:, :, cols])
+        return out[:n_rows]
+
+    return matmul
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +503,12 @@ def mel_spectrogram(w: Waveform, cfg: SpectralConfig) -> MelSpectrogram:
     analyzed in 64-frame blocks on the slab threads (see _block_pool and
     _set_threads), so no array spans every frame's spectrum.  Each frame
     goes through the operations of stft, and the filterbank product is a
-    stack of 4-row gemms grouped from frame 0 (see _matmul_rows), so the
-    output bytes do not depend on the slab or BLAS thread counts.
+    stack of 4-row gemms over tiles of the filterbank, grouped from frame
+    0 (see _tiled_matmul), so the output bytes do not depend on the slab
+    or BLAS thread counts.
     """
     frames = _analysis_frames(w, cfg)
-    weights_t = mel_filterbank(cfg).T
+    filter_mags = _tiled_matmul(mel_filterbank(cfg).T)
     n_frames = frames.shape[0]
     padded = -(-n_frames // _GEMM_ROWS) * _GEMM_ROWS
     mel = np.empty((padded, cfg.n_mels))
@@ -437,10 +518,10 @@ def mel_spectrogram(w: Waveform, cfg: SpectralConfig) -> MelSpectrogram:
         _analyze(frames[rows.start : rows.start + n], windowed[:n], spectrum[:n])
         np.abs(spectrum[:n], out=mags[:n])
         mags[n:] = 0.0
-        _matmul_rows(mags, weights_t, mel[rows])
+        filter_mags(mags, mel[rows])
 
     scratch = (cfg.n_fft, np.float64), (cfg.n_bins, np.complex128), (cfg.n_bins, np.float64)
-    with _block_pool(padded, _BLOCK, *scratch) as (run, _):
+    with _block_pool(padded, _MEL_BLOCK, *scratch) as (run, _):
         run(analyze)
     logmels = mel[:n_frames]
     np.maximum(logmels, cfg.log_floor, out=logmels)
@@ -456,17 +537,17 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     weights of another shape than [n_mels, n_bins] raise ConfigMismatch.
 
     The frames are padded with zero frames, which solve to 0, to a
-    multiple of 4 and solved in 64-frame blocks on the slab threads (see
+    multiple of 4 and solved in 128-frame blocks on the slab threads (see
     _block_pool and _set_threads).  Every product is a stack of 4-row
-    gemms (see _matmul_rows), grouped in fours from frame 0 whatever the
-    slabs.  So the output bytes do not depend on the slab or BLAS thread
-    counts.
+    gemms over tiles of the filterbank's non-zeros (see _tiled_matmul),
+    grouped in fours from frame 0 whatever the slabs.  So the output
+    bytes do not depend on the slab or BLAS thread counts.
     """
     weights = _frozen_array(weights, np.float64, 2, "weights")
     n_mels, n_bins = m.config.n_mels, m.config.n_bins
     if weights.shape != (n_mels, n_bins):
         raise ConfigMismatch(f"mel needs a {n_mels} x {n_bins} filterbank, got {weights.shape}")
-    weights_t = np.ascontiguousarray(weights.T)
+    apply_w, apply_wt = _tiled_matmul(weights.T), _tiled_matmul(weights)
     n_frames = m.n_frames
     padded = -(-n_frames // _GEMM_ROWS) * _GEMM_ROWS
     target = np.zeros((padded, n_mels))
@@ -476,17 +557,17 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     def solve(rows, _, numer, denom, mixed):
         # numer is W^T m; denom is W^T W x, then the update factor; mixed is W x.
         xb = x[rows]
-        _matmul_rows(target[rows], weights, numer)
+        apply_wt(target[rows], numer)
         xb[:] = numer
         for _ in range(_NNLS_ITERS):
-            _matmul_rows(xb, weights_t, mixed)
-            _matmul_rows(mixed, weights, denom)
+            apply_w(xb, mixed)
+            apply_wt(mixed, denom)
             denom += _NNLS_EPS
             np.divide(numer, denom, out=denom)
             xb *= denom
 
     scratch = (n_bins, np.float64), (n_bins, np.float64), (n_mels, np.float64)
-    with _block_pool(padded, _BLOCK, *scratch) as (run, _):
+    with _block_pool(padded, _NNLS_BLOCK, *scratch) as (run, _):
         run(solve)
     return LinearSpectrogram(x[:n_frames], m.config)
 

@@ -715,15 +715,20 @@ _BLAS_PROBE = """
 import sys
 import numpy as np
 from sraug.audio_io import read_wav
-from sraug.spectral import SpectralConfig, mel_filterbank, mel_spectrogram, mel_to_linear
+from sraug.spectral import (
+    MelSpectrogram, SpectralConfig, mel_filterbank, mel_spectrogram, mel_to_linear,
+)
 wave = read_wav(sys.argv[1])
-# 283 bands, the most at 16 kHz: a 4-row product with 641 bins is then
-# large enough for OpenBLAS to split, unless its columns are taken in
-# shorter runs.
+# 283 bands, the most at 16 kHz; then a dense 283 x 641 filterbank, whose
+# 4-row products are large enough for OpenBLAS to split, unless its
+# tiles are cut into shorter runs of columns.
 for cfg in (SpectralConfig(), SpectralConfig(n_mels=283)):
     mel = mel_spectrogram(wave, cfg)
     linear = mel_to_linear(mel, mel_filterbank(cfg))
     sys.stdout.buffer.write(mel.logmels.tobytes() + linear.mags.tobytes())
+dense = np.random.default_rng(0).random((283, cfg.n_bins))
+linear = mel_to_linear(MelSpectrogram(mel.logmels[:130], cfg), dense)
+sys.stdout.buffer.write(linear.mags.tobytes())
 """
 
 
@@ -734,7 +739,7 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
     src.mkdir()
     write_wav(src / "clip.wav", synth.voiced(6.0, 150, 230, seed=11, vibrato=4.0))
     results = []
-    for blas in ("1", "2"):
+    for blas in ("1", "2", "4"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
         probe = subprocess.run(
             [sys.executable, "-c", _BLAS_PROBE, str(src / "clip.wav")],
@@ -751,7 +756,7 @@ def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
         wavs = {p.name: p.read_bytes() for p in sorted(out.glob("*.wav"))}
         assert len(wavs) == 2
         results.append((probe.stdout, wavs))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
 
 
 def test_cli_augment_requires_in_and_out(tmp_path):

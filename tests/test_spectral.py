@@ -1,6 +1,7 @@
 """STFT/iSTFT, mel filterbank, log-mel analysis/inversion, MELF container."""
 
 import dataclasses
+import itertools
 import math
 import struct
 import tracemalloc
@@ -307,6 +308,94 @@ def test_filterbank_is_deterministic_and_frozen():
 
 
 # ---------------------------------------------------------------------------
+# filterbank products over tiles
+
+
+def _tiler_weights(name):
+    if name == "default":
+        return mel_filterbank(CFG)
+    if name == "283 bands":
+        return mel_filterbank(SpectralConfig(n_mels=283))
+    if name == "dense":
+        return np.random.default_rng(3).random((80, CFG.n_bins))
+    weights = np.array(mel_filterbank(CFG))  # "zero band and bin"
+    weights[17] = 0.0
+    weights[:, 300] = 0.0
+    return weights
+
+
+@pytest.mark.parametrize("name", ["default", "283 bands", "dense", "zero band and bin"])
+def test_tiled_products_cover_the_weights(name):
+    weights = _tiler_weights(name)
+    for w in (weights.T, weights):  # the x W^T and the m W products
+        tiles = spectral._tiles(w)
+        covered = np.zeros(w.shape, bool)
+        columns = np.zeros(w.shape[1], int)
+        for inner, cols in tiles:
+            covered[inner, cols] = True
+            columns[cols] += 1
+            assert (inner.stop - inner.start) * (cols.stop - cols.start) <= 65_536
+        assert not (w != 0)[~covered].any()
+        assert (columns == 1).all()  # every output column is written once
+        a = np.random.default_rng(4).gamma(0.5, size=(37, w.shape[0]))
+        want = a @ w
+        np.testing.assert_allclose(spectral._tiled_matmul(w)(a), want, rtol=1e-12, atol=0)
+        out = np.empty((40, w.shape[1]))
+        got = spectral._tiled_matmul(w)(np.concatenate([a, np.zeros((3, w.shape[0]))]), out)
+        np.testing.assert_allclose(got[:37], want, rtol=1e-12, atol=0)
+        assert not got[37:].any()
+
+
+def test_tiles_of_the_default_filterbank_cut_the_work_to_a_quarter():
+    # 4 tiles: 11,894 and 11,923 of 51,280 multiply-adds a row.
+    weights = mel_filterbank(CFG)
+    for w, want in ((weights.T, 11_894), (weights, 11_923)):
+        tiles = spectral._tiles(w)
+        assert len(tiles) == 4
+        assert sum((i.stop - i.start) * (c.stop - c.start) for i, c in tiles) == want
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tiles_are_the_cheapest_cut_into_at_most_4_runs(seed):
+    # Against every cut of 13 columns into at most 4 runs of columns,
+    # each run costing its columns times the inner rows from its first
+    # to its last non-zero.
+    rng = np.random.default_rng(seed)
+    w = np.zeros((20, 13))
+    for j in range(13):
+        lo = rng.integers(0, 20)
+        w[lo : lo + rng.integers(0, 6), j] = 1.0  # some columns stay empty
+
+    def cost(runs):
+        total = 0
+        for lo, hi in runs:
+            rows = np.flatnonzero(w[:, lo:hi].any(axis=1))
+            total += (rows[-1] + 1 - rows[0]) * (hi - lo) if rows.size else 0
+        return total
+
+    cheapest = min(
+        cost(list(zip((0, *cuts), (*cuts, 13))))
+        for n in range(4)
+        for cuts in itertools.combinations(range(1, 13), n)
+    )
+    tiles = spectral._tiles(w)
+    assert sum((i.stop - i.start) * (c.stop - c.start) for i, c in tiles) == cheapest
+    assert len(tiles) <= 4
+
+
+def test_tiles_cap_a_dense_product():
+    # A dense 283 x 641 product is 181,403 inner x output columns a row,
+    # so each tile is cut into runs of at most 65,536 // inner columns.
+    weights = np.random.default_rng(5).random((283, CFG.n_bins))
+    assert [c for _, c in spectral._tiles(weights.T)] == [
+        slice(0, 102), slice(102, 204), slice(204, 283)
+    ]
+    assert [c for _, c in spectral._tiles(weights)] == [
+        slice(0, 231), slice(231, 462), slice(462, 641)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # mel_spectrogram
 
 
@@ -330,7 +419,8 @@ def test_mel_tone_peak_band_is_stationary():
 def test_mel_bytes_do_not_depend_on_slab_threads(monkeypatch, n_frames):
     w = Waveform(np.random.default_rng(n_frames).standard_normal((n_frames - 1) * 320 + 7), 16000)
     mags = np.abs(stft(w, CFG).values)
-    want = np.log(np.maximum(spectral._matmul_rows(mags, mel_filterbank(CFG).T), CFG.log_floor))
+    product = spectral._tiled_matmul(mel_filterbank(CFG).T)
+    want = np.log(np.maximum(product(mags), CFG.log_floor))
     monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
     for threads in (1, 2, 3):
         spectral._set_threads(threads)
@@ -370,6 +460,26 @@ def test_mel_to_linear_of_silence_is_tiny():
     assert lin.mags.max() <= 2e-4
 
 
+def test_nnls_peak_memory_on_a_minute_of_audio(monkeypatch):
+    # On 2 slab threads, 3,001 frames peak at about 38 MB: the solution
+    # and its frozen copy (15.4 MB each), the target (1.9), the frozen
+    # filterbank (0.4) and each slab's 128-frame block buffers (1.4).
+    # One more array over all frames and bins would add 15.4.
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    spectral._set_threads(2)
+    rng = np.random.default_rng(6)
+    m = MelSpectrogram(np.log(rng.gamma(0.5, size=(3001, CFG.n_mels)) + 1e-5), CFG)
+    fb = mel_filterbank(CFG)
+    mel_to_linear(m, fb)
+    tracemalloc.start()
+    try:
+        mel_to_linear(m, fb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 42e6
+
+
 def test_mel_round_trip_error_on_voiced_input():
     # Frozen budget for the fixed 50-iteration solver on this pinned
     # input.  The residual concentrates in deep inter-harmonic valleys;
@@ -404,9 +514,9 @@ def test_mel_to_linear_band_count_mismatch(monkeypatch):
     m = mel_spectrogram(synth.tone(300.0, 0.5), CFG)
 
     def no_solve(*args):
-        raise AssertionError("the solve ran")
+        raise AssertionError("the solve was set up")
 
-    monkeypatch.setattr(spectral, "_matmul_rows", no_solve)
+    monkeypatch.setattr(spectral, "_tiled_matmul", no_solve)
     with pytest.raises(ConfigMismatch):
         mel_to_linear(m, mel_filterbank(cfg40))
     with pytest.raises(ConfigMismatch, match="80 x 641"):

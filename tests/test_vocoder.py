@@ -315,6 +315,9 @@ def test_block_pool_visits_each_row_once_in_its_slabs_buffers(monkeypatch, threa
                 ((n, 3), np.float64),
                 ((n, 5), np.complex128),
             ]
+            # Each slab's buffers are no longer than a block or the longest slab.
+            longest = max(s.stop - s.start for s in slabs)
+            assert all(b.base.shape[1] == min(block, longest) for b in buffers)
             assert not np.shares_memory(*buffers)
             owners.setdefault(slab, []).extend(buffers)
         assert (visits == 1).all()
@@ -328,11 +331,12 @@ def test_block_pool_visits_each_row_once_in_its_slabs_buffers(monkeypatch, threa
 # reconstruct_from_mel
 
 
-# 1, 3, 63 and 65 frames end in a padded 4-row group; 63, 64 and 65
-# frames sit at the 64-frame block edge; 68 and 100 frames give slabs
-# that end inside a 64-frame block; 129 and 301 frames give a slab per
-# thread of several blocks.
-@pytest.mark.parametrize("n_frames", [1, 3, 63, 64, 65, 68, 100, 129, 301])
+# 1, 3, 63, 65, 127, 129 and 257 frames end in a padded 4-row group;
+# 63 to 65 frames sit at Griffin-Lim's second 32-frame block edge, 127 to
+# 129 at NNLS's 128-frame block edge, and 257 at its second; 68 and 100
+# frames give slabs shorter than an NNLS block; 301 frames give a slab
+# per thread of several blocks.
+@pytest.mark.parametrize("n_frames", [1, 3, 63, 64, 65, 68, 100, 127, 128, 129, 257, 301])
 def test_nnls_and_reconstruction_bytes_do_not_depend_on_slab_threads(
     monkeypatch, n_frames
 ):
