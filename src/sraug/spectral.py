@@ -49,11 +49,17 @@ _NNLS_BLOCK = 128
 
 # _tiled_matmul runs every product as 4-row gemms over tiles of at most
 # 65,536 inner x output columns, so at most 65,536 x 4 multiply-adds:
-# OpenBLAS splits a gemm over its threads only above that.  4 tiles cut
-# the default filterbank's products to 11,894 (x W^T) and 11,923 (m W)
-# of 51,280 multiply-adds a row; 6 or 8 tiles cut further, but their
-# shorter gemms made NNLS no clearly faster on 128-frame blocks, and 8
-# tiles made it slower on 64-frame ones.
+# OpenBLAS splits a gemm over its threads only above that.  4 runs of
+# columns of equal width cut the default filterbank's products to 13,200
+# (x W^T) and 13,769 (m W) of 51,280 multiply-adds a row.  The cheapest
+# cut into 4 runs, found by dynamic programming, leaves 11,894 and
+# 11,923, but NNLS took 0.111 and 0.117 ms a frame with it against 0.120
+# and 0.122 with equal runs (medians of two sets of 20 alternating runs
+# on 31 s at 2 slab threads of a 2-core x86-64 box): a gap within the
+# runs' spread in the second set, and at most 1% of the stage time.
+# Cheapest cuts into 6 or 8 tiles leave fewer still, but their shorter
+# gemms made NNLS no clearly faster on 128-frame blocks, and 8 tiles
+# made it slower on 64-frame ones.
 _GEMM_ROWS = 4
 _GEMM_MAX_INNER_X_COLUMNS = 65_536
 _TILES = 4
@@ -238,67 +244,27 @@ def _block_pool(n_rows: int, block: int, *scratch):
         yield run, slabs
 
 
-@lru_cache(maxsize=32)
-def _span_tiles(first: tuple, stop: tuple) -> tuple[tuple[slice, slice], ...]:
-    """The ``(inner, columns)`` tiles of _tiles for columns with these non-zero spans.
+def _tiles(weights: np.ndarray) -> list[tuple[slice, slice]]:
+    """Tiles ``(inner, columns)`` of [k, m] ``weights`` that hold all its non-zeros.
 
-    Column j's non-zeros lie in inner rows ``first[j]`` to ``stop[j]``.
-    A tile over a run of columns spans the inner rows from their least
-    ``first`` to their greatest ``stop``, and costs its inner rows times
-    its columns.  The runs are the at most _TILES of least summed cost,
-    found by dynamic programming over the runs of columns of one span
-    (moving such a run whole to the side of a cut of the wider span never
-    costs more, so no optimal cut splits one).  A tile over more than
-    65,536 inner x output columns is then cut into runs of columns.
+    The columns are cut into _TILES runs of equal width, up to one
+    column; each run's tile spans the inner rows from the first to the
+    last non-zero of its columns, and a tile over more than 65,536 inner x
+    output columns is cut into shorter runs of columns.  For the default
+    filterbank the x W^T tiles are groups of bands over the bins they
+    touch, and the m W tiles groups of bins over the bands that touch them.
     """
-    first, stop = np.array(first), np.array(stop)
-    starts = np.flatnonzero(np.r_[True, (first[1:] != first[:-1]) | (stop[1:] != stop[:-1])])
-    edges = np.r_[starts, len(first)]
-    upper = np.triu(np.ones((len(starts), len(starts)), bool))
-    # cost[a, b]: one tile over column runs a to b.
-    lo = np.minimum.accumulate(np.where(upper, first[starts], first.max()), axis=1)
-    hi = np.maximum.accumulate(np.where(upper, stop[starts], 0), axis=1)
-    width = edges[None, 1:] - edges[:-1, None]
-    cost = np.where(upper, np.maximum(hi - lo, 0) * width, np.inf)
-    # best[b]: the least cost of at most t tiles over runs 0 to b, whose
-    # last tile starts at run back[t - 1][b].
-    best, back = np.full(len(starts), np.inf), []
-    for _ in range(_TILES):
-        total = np.r_[0.0, best[:-1]][:, None] + cost
-        back.append(total.argmin(axis=0))
-        best = total.min(axis=0)
-    cuts, b = [len(first)], len(starts) - 1
-    for runs in reversed(back):
-        cuts.append(int(edges[runs[b]]))
-        if runs[b] == 0:
-            break
-        b = runs[b] - 1
+    m = weights.shape[1]
+    nonzero = weights != 0
     tiles = []
-    for col_lo, col_hi in zip(cuts[:0:-1], cuts[-2::-1]):
-        inner_lo = int(first[col_lo:col_hi].min())
-        inner = slice(inner_lo, max(inner_lo, int(stop[col_lo:col_hi].max())))
+    for i in range(_TILES):
+        col_lo, col_hi = m * i // _TILES, m * (i + 1) // _TILES
+        rows = np.flatnonzero(nonzero[:, col_lo:col_hi].any(axis=1))
+        inner = slice(int(rows[0]), int(rows[-1]) + 1) if rows.size else slice(0, 0)
         step = max(1, _GEMM_MAX_INNER_X_COLUMNS // max(1, inner.stop - inner.start))
         for lo in range(col_lo, col_hi, step):
             tiles.append((inner, slice(lo, min(col_hi, lo + step))))
-    return tuple(tiles)
-
-
-def _tiles(weights: np.ndarray) -> tuple[tuple[slice, slice], ...]:
-    """Tiles ``(inner, columns)`` of [k, m] ``weights`` that hold all its non-zeros.
-
-    The ``columns`` of the tiles cut 0 to m into runs; each tile's
-    ``inner`` rows hold every non-zero of its columns, and a tile holds at
-    most 65,536 inner x output columns (see _span_tiles).  For the
-    default filterbank the x W^T tiles are groups of bands over the bins
-    they touch, and the m W tiles groups of bins over the bands that
-    touch them.
-    """
-    k = weights.shape[0]
-    nonzero = weights != 0
-    used = nonzero.any(axis=0)
-    first = np.where(used, nonzero.argmax(axis=0), k)
-    stop = np.where(used, k - nonzero[::-1].argmax(axis=0), 0)
-    return _span_tiles(tuple(first.tolist()), tuple(stop.tolist()))
+    return tiles
 
 
 def _tiled_matmul(weights: np.ndarray) -> Callable[..., np.ndarray]:

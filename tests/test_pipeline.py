@@ -716,19 +716,25 @@ import sys
 import numpy as np
 from sraug.audio_io import read_wav
 from sraug.spectral import (
-    MelSpectrogram, SpectralConfig, mel_filterbank, mel_spectrogram, mel_to_linear,
+    MelSpectrogram, SpectralConfig, _tiled_matmul, mel_filterbank, mel_spectrogram,
+    mel_to_linear,
 )
 wave = read_wav(sys.argv[1])
-# 283 bands, the most at 16 kHz; then a dense 283 x 641 filterbank, whose
-# 4-row products are large enough for OpenBLAS to split, unless its
-# tiles are cut into shorter runs of columns.
+# 283 bands, the most at 16 kHz; then NNLS with a dense 283 x 641
+# filterbank, whose tiles are the widest a filterbank gives.
 for cfg in (SpectralConfig(), SpectralConfig(n_mels=283)):
     mel = mel_spectrogram(wave, cfg)
     linear = mel_to_linear(mel, mel_filterbank(cfg))
     sys.stdout.buffer.write(mel.logmels.tobytes() + linear.mags.tobytes())
-dense = np.random.default_rng(0).random((283, cfg.n_bins))
-linear = mel_to_linear(MelSpectrogram(mel.logmels[:130], cfg), dense)
+rng = np.random.default_rng(0)
+linear = mel_to_linear(MelSpectrogram(mel.logmels[:130], cfg), rng.random((283, cfg.n_bins)))
 sys.stdout.buffer.write(linear.mags.tobytes())
+# Dense 2000 x 641 products: a 4-row gemm over a quarter of their columns
+# is large enough for OpenBLAS to split and round differently on more
+# threads, unless the tiles are cut into shorter runs of columns.
+dense = rng.random((2000, cfg.n_bins))
+sys.stdout.buffer.write(_tiled_matmul(dense.T)(rng.random((132, cfg.n_bins))).tobytes())
+sys.stdout.buffer.write(_tiled_matmul(dense)(rng.random((132, 2000))).tobytes())
 """
 
 

@@ -34,6 +34,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path.cwd()
+# Seeds of the untraced pairs: FIRST_SEED, FIRST_SEED + 1, ...
+FIRST_SEED = 2000
 
 
 def git(*args: str) -> str:
@@ -51,7 +53,11 @@ def export(rev: str, into: Path) -> None:
 
 
 def code_hash(tree: Path) -> str:
-    """perfbench/run.py's key for the outputs of one code version."""
+    """perfbench/run.py's key for the outputs of one code version.
+
+    It must match ``code_hash`` in perfbench/run.py, whose digests.json
+    stores each run's output digest under ``workload/seed/code hash``.
+    """
     h = hashlib.sha256()
     for path in sorted((tree / "src").rglob("*.py")) + sorted((tree / "perfbench").glob("*.py")):
         h.update(path.read_bytes())
@@ -149,15 +155,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="the BENCH_*.json to write")
     parser.add_argument("--workloads", default="utt16k_vertical,mixed_rate_jobs2,horizontal_long")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=2000)
     parser.add_argument("--held-out", type=int, help="one more pair per workload, run last")
     parser.add_argument("--trace-seeds", default="", help="comma-separated seeds of traced pairs")
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--claim", help="METRIC:WORKLOAD, checked by the claim rule")
-    parser.add_argument("--title", default="")
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
-    seeds = [args.first_seed + i for i in range(args.pairs)]
+    seeds = [FIRST_SEED + i for i in range(args.pairs)]
     trace_seeds = [int(s) for s in args.trace_seeds.split(",") if s]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -166,10 +170,10 @@ def main(argv=None) -> int:
         trees = {"parent": scratch / "parent", "change": ROOT}
         trees["parent"].mkdir()
         export(args.base, trees["parent"])
-        for path in sorted((ROOT / "perfbench").glob("*")):
-            theirs = trees["parent"] / "perfbench" / path.name
-            if path.is_file() and path.read_bytes() != theirs.read_bytes():
-                raise SystemExit(f"bench_pairs: perfbench/{path.name} differs from {args.base}'s")
+        benches = {side: {p.name: p.read_bytes() for p in (tree / "perfbench").glob("*")
+                          if p.is_file()} for side, tree in trees.items()}
+        if benches["parent"] != benches["change"]:
+            raise SystemExit(f"bench_pairs: perfbench/ differs from {args.base}'s")
         untraced = {w: [] for w in workloads}
         for i, seed in enumerate(seeds + ([args.held_out] if args.held_out is not None else [])):
             for w in workloads:
@@ -183,7 +187,7 @@ def main(argv=None) -> int:
     record = ROOT / ".perfbench" / "results" / f"{workloads[0]}-seed{seeds[0]}-trace0.json"
     environment = json.loads(record.read_text())["environment"]
     out = {
-        "title": args.title,
+        "title": "",
         "parent_commit": git("rev-parse", "--short", args.base),
         "change": f"working tree on {git('rev-parse', '--short', 'HEAD')}",
         "machine": {k: environment.get(k)
