@@ -21,10 +21,6 @@ class ConfigMismatch(SraugError):
     """Two values built against incompatible configurations were combined."""
 
 
-class DegenerateWindowSum(SraugError):
-    """Overlap-add normalization denominator vanished somewhere."""
-
-
 class InputTooShort(SraugError):
     """Signal shorter than a single analysis frame."""
 

@@ -18,13 +18,13 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, partial
 from typing import ClassVar
 
 import numpy as np
 
 from .audio_io import Waveform, _frozen_array, _integer, read_bytes, write_atomic
-from .errors import ConfigMismatch, DegenerateWindowSum, MalformedContainer, UnsupportedFormat
+from .errors import ConfigMismatch, MalformedContainer, UnsupportedFormat
 
 _MELF_MAGIC = b"MELF"
 _MELF_VERSION = 1
@@ -72,41 +72,23 @@ _MIN_SLAB_ROWS = 32
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Analysis parameters shared by every spectral value.
+    """The one analysis of every spectral value; it has no settings.
 
-    The fields are the settings a MELF header stores.  The window (a
-    periodic Hann of ``n_fft`` samples), the band edges and the log
-    floor are class constants.  A band count that leaves a mel filter
-    with no FFT bin is refused (see mel_filterbank).
+    All parameters are class constants: a periodic Hann window of
+    ``n_fft`` samples every ``hop_size`` samples at ``sample_rate``, and
+    ``n_mels`` bands from ``fmin`` to ``fmax`` floored at ``log_floor``.
+    A MELF header stores hop_size, n_mels and sample_rate, and read_melf
+    refuses other values.
     """
 
-    hop_size: int = 320
-    n_mels: int = 80
-    sample_rate: int = 16000
+    hop_size: ClassVar[int] = 320  # divides n_fft
+    n_mels: ClassVar[int] = 80
+    sample_rate: ClassVar[int] = 16000
     n_fft: ClassVar[int] = 1280
     n_bins: ClassVar[int] = n_fft // 2 + 1  # one-sided FFT bins
     fmin: ClassVar[float] = 0.0
     fmax: ClassVar[float] = 8000.0
     log_floor: ClassVar[float] = 1e-5
-
-    def __post_init__(self):
-        for name in ("hop_size", "n_mels", "sample_rate"):
-            _integer(getattr(self, name), name, 1)
-        if self.hop_size > self.n_fft:
-            raise ValueError("hop_size must not exceed n_fft")
-        if self.sample_rate < 2 * self.fmax:
-            raise ValueError(f"sample_rate must be at least {2 * self.fmax:.0f} (2 * fmax)")
-        # Filters 0, 2, 4, ... have disjoint supports and need a bin each.
-        if self.n_mels > 2 * self.n_bins:  # checked before any array is built
-            raise ValueError(f"n_mels must be at most {2 * self.n_bins}, got {self.n_mels}")
-        bins, edges = _bins_and_edges(self)
-        # Filter i is nonzero exactly where a bin lies strictly inside (edges[i], edges[i + 2]).
-        empty = np.searchsorted(bins, edges[:-2], "right") >= np.searchsorted(bins, edges[2:])
-        if empty.any():
-            raise ValueError(
-                f"{self.n_mels} bands at {self.sample_rate} Hz leave "
-                f"{empty.sum()} mel filters with no FFT bin"
-            )
 
 
 @dataclass(frozen=True)
@@ -303,10 +285,10 @@ def _tiled_matmul(weights: np.ndarray) -> Callable[..., np.ndarray]:
 # windows and framing
 #
 # Analysis and synthesis work on frame buffers of shape [n_frames, n_fft];
-# overlap-add sums frames in hop-wide chunks, the last one narrower when
-# hop does not divide n_fft.  stft/istft and Griffin-Lim share these
-# helpers; Griffin-Lim passes buffers it reuses across iterations and
-# overlap-adds a block of frames at a time into a range of rows.
+# overlap-add sums frames in n_fft / hop chunks of a hop each.  stft/istft
+# and Griffin-Lim share these helpers; Griffin-Lim passes buffers it
+# reuses across iterations and overlap-adds a block of frames at a time
+# into a range of rows.
 
 
 # The analysis and synthesis window: a periodic Hann of n_fft samples.
@@ -314,8 +296,9 @@ _WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(SpectralConfig.n_fft) / Spe
 _WINDOW.flags.writeable = False
 
 
-def _frames(padded: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+def _frames(padded: np.ndarray) -> np.ndarray:
     """Read-only view of the hop-spaced n_fft-sample frames of a center-padded signal."""
+    cfg = SpectralConfig
     return np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop_size]
 
 
@@ -335,9 +318,10 @@ def _add_chunks(acc: np.ndarray, rows: slice, frames: np.ndarray, first: int) ->
     """Add frames ``first``, ``first + 1``, ... into rows ``rows`` of the overlap-add ``acc``.
 
     ``acc`` is [n_rows, hop]; chunk j of a frame, its samples j*hop to
-    (j+1)*hop, goes to row (frame + j).  A row gets its chunks for
-    j = 0, 1, ..., newest frame first, so summing a row's frames in
-    pieces, the newer ones first, gives the bytes of one pass over all.
+    (j+1)*hop, goes to row (frame + j), for j = 0 to n_fft/hop - 1.  A
+    row gets its chunks for j = 0, 1, ..., newest frame first, so summing
+    a row's frames in pieces, the newer ones first, gives the bytes of
+    one pass over all.
     """
     n_frames, n_fft = frames.shape
     hop = acc.shape[1]
@@ -345,38 +329,30 @@ def _add_chunks(acc: np.ndarray, rows: slice, frames: np.ndarray, first: int) ->
         lo = max(rows.start, first + j)
         hi = min(rows.stop, first + n_frames + j)
         if lo < hi:
-            chunk = frames[lo - j - first : hi - j - first, start : start + hop]
-            acc[lo:hi, : chunk.shape[1]] += chunk
+            acc[lo:hi] += frames[lo - j - first : hi - j - first, start : start + hop]
 
 
-def _sum_frames(frames: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+def _sum_frames(frames: np.ndarray) -> np.ndarray:
     """Overlap-add [n_frames, n_fft] frames, trimmed of the center padding.
 
     Sums the frames chunk by chunk (see _add_chunks), one hop per row, and
     returns the (n_frames - 1) * hop_size samples after the first n_fft/2.
     """
     n_frames, n_fft = frames.shape
-    hop = cfg.hop_size
-    acc = np.zeros((n_frames + -(-n_fft // hop) - 1, hop))
+    hop = SpectralConfig.hop_size
+    acc = np.zeros((n_frames + n_fft // hop - 1, hop))
     _add_chunks(acc, slice(0, len(acc)), frames, 0)
     pad = n_fft // 2
     return acc.reshape(-1)[pad : pad + (n_frames - 1) * hop]
 
 
-def _window_sum(cfg: SpectralConfig, n_frames: int) -> np.ndarray:
-    """Overlap-added squared window over the trimmed output region.
+def _window_sum(n_frames: int) -> np.ndarray:
+    """The divisor that normalizes _sum_frames of n_frames synthesis frames.
 
-    The divisor that normalizes _sum_frames of n_frames synthesis frames.
-    Raises DegenerateWindowSum where it falls below 1e-9, since the
-    normalization would then divide by (nearly) zero.
+    The overlap-added squared window over the trimmed output region; at a
+    hop of a quarter window it lies between 1.25 and 1.5.
     """
-    denom = _sum_frames(np.broadcast_to(_WINDOW**2, (n_frames, cfg.n_fft)), cfg)
-    if denom.min() < 1e-9:
-        raise DegenerateWindowSum(
-            f"window sum fell below 1e-9 (min {denom.min():.3e}); "
-            "this hop/window combination cannot be inverted"
-        )
-    return denom
+    return _sum_frames(np.broadcast_to(_WINDOW**2, (n_frames, SpectralConfig.n_fft)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +367,7 @@ def _analysis_frames(w: Waveform, cfg: SpectralConfig) -> np.ndarray:
         )
     if len(w) < 1:
         raise ValueError("cannot analyze an empty waveform")
-    return _frames(np.pad(w.samples, cfg.n_fft // 2, mode="reflect"), cfg)
+    return _frames(np.pad(w.samples, cfg.n_fft // 2, mode="reflect"))
 
 
 def stft(w: Waveform, cfg: SpectralConfig) -> ComplexSpectrogram:
@@ -416,9 +392,9 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     cfg = s.config
     if s.n_frames < 2:
         return Waveform(np.zeros(0), cfg.sample_rate)
-    denom = _window_sum(cfg, s.n_frames)
+    denom = _window_sum(s.n_frames)
     frames = _synthesize(s.values, np.empty((s.n_frames, cfg.n_fft)))
-    return Waveform(_sum_frames(frames, cfg) / denom, cfg.sample_rate)
+    return Waveform(_sum_frames(frames) / denom, cfg.sample_rate)
 
 
 def hz_to_mel(f):
@@ -431,25 +407,11 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def _bins_and_edges(cfg: SpectralConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The FFT bin frequencies and the n_mels + 2 mel band edges, in Hz."""
+@cache
+def _filterbank() -> np.ndarray:
+    cfg = SpectralConfig
     fftfreqs = np.arange(cfg.n_bins) * (cfg.sample_rate / cfg.n_fft)
-    mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
-    return fftfreqs, mel_to_hz(mel_pts)
-
-
-@lru_cache(maxsize=32)
-def mel_filterbank(cfg: SpectralConfig) -> np.ndarray:
-    """Triangular mel filters as a cached, read-only [n_mels, n_fft/2+1] matrix.
-
-    Centers lie strictly between fmin and fmax on the
-    2595*log10(1 + f/700) scale; each filter is scaled by 2/bandwidth so
-    filters carry comparable area regardless of width.  No filter is all
-    zero: SpectralConfig refuses a band count at which one, narrower than
-    the FFT bin spacing, would fall between two bins (at 16 kHz from 284
-    bands, at 22.05 kHz from 207, at 48 kHz from 96).
-    """
-    fftfreqs, hz_pts = _bins_and_edges(cfg)
+    hz_pts = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2))
     fdiff = np.diff(hz_pts)
     ramps = hz_pts[:, None] - fftfreqs[None, :]
     lower = -ramps[:-2] / fdiff[:-1][:, None]
@@ -459,6 +421,17 @@ def mel_filterbank(cfg: SpectralConfig) -> np.ndarray:
     weights *= (2.0 / (hz_pts[2:] - hz_pts[:-2]))[:, None]
     weights.flags.writeable = False
     return weights
+
+
+def mel_filterbank(cfg: SpectralConfig) -> np.ndarray:
+    """Triangular mel filters as a read-only [n_mels, n_fft/2+1] matrix, built once per process.
+
+    Centers lie strictly between fmin and fmax on the
+    2595*log10(1 + f/700) scale; each filter is scaled by 2/bandwidth so
+    filters carry comparable area regardless of width.  Every filter
+    holds at least one FFT bin.
+    """
+    return _filterbank()
 
 
 def mel_spectrogram(w: Waveform, cfg: SpectralConfig) -> MelSpectrogram:
@@ -564,29 +537,31 @@ def write_melf(path, m: MelSpectrogram) -> None:
 def read_melf(path) -> MelSpectrogram:
     """Read a MELF container written by write_melf.
 
-    The container stores band count, sample rate and hop size, which are
-    all of SpectralConfig's fields.  A header or payload that
-    SpectralConfig or MelSpectrogram rejects raises MalformedContainer.
+    The container stores band count, sample rate and hop size; a header
+    with other values than SpectralConfig's, or of another version, raises
+    UnsupportedFormat naming the field.  A payload that MelSpectrogram
+    rejects raises MalformedContainer.
     """
     blob = read_bytes(path)
     if len(blob) < _MELF_HEADER.size:
         raise MalformedContainer(f"{path}: too short for a MELF header")
-    magic, version, n_frames, n_bins, sample_rate, hop_size = _MELF_HEADER.unpack_from(
-        blob
-    )
+    magic, version, n_frames, *settings = _MELF_HEADER.unpack_from(blob)
     if magic != _MELF_MAGIC:
         raise MalformedContainer(f"{path}: bad magic {magic!r}")
     if version != _MELF_VERSION:
         raise UnsupportedFormat(f"{path}: MELF version {version}")
-    expected = n_frames * n_bins * 4
+    for name, value in zip(("n_mels", "sample_rate", "hop_size"), settings):
+        if value != (want := getattr(SpectralConfig, name)):
+            raise UnsupportedFormat(f"{path}: MELF {name} {value}; sraug reads only {want}")
+    cfg = SpectralConfig()
+    expected = n_frames * cfg.n_mels * 4
     payload = blob[_MELF_HEADER.size :]
     if len(payload) != expected:
         raise MalformedContainer(
             f"{path}: expected {expected} data bytes, found {len(payload)}"
         )
-    values = np.frombuffer(payload, dtype="<f4").reshape(n_frames, n_bins)
+    values = np.frombuffer(payload, dtype="<f4").reshape(n_frames, cfg.n_mels)
     try:
-        cfg = SpectralConfig(n_mels=n_bins, sample_rate=sample_rate, hop_size=hop_size)
         return MelSpectrogram(values, cfg)
     except ValueError as exc:
         raise MalformedContainer(f"{path}: {exc}") from exc

@@ -115,7 +115,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     One array spans all frames: ``previous``, the last iteration's
     rebuilt spectrum for the momentum (the start phase until the first
     synthesis).  The signal lives in two buffers of (n_frames + n_tail) x
-    hop samples, n_tail = ceil(n_fft / hop) - 1, allocated once per call:
+    hop samples, n_tail = n_fft / hop - 1 = 3, allocated once per call:
     an iteration's analysis reads a fixed view of the frames of one while
     its synthesis overlap-adds into the other, and the two swap roles.
     Each buffer is the center-padded signal itself, so no padded copy is
@@ -132,7 +132,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     of the window sum, and a map from each signal row to its table row:
     rows that all n_tail + 1 frames reach share one.  Afterwards
     the calling thread adds the last frames of each slab to the first
-    n_tail rows of the slabs after it, divides those rows, and writes the
+    n_tail rows of the slab after it, divides those rows, and writes the
     reflected edges.  Every row sums its frames in the same order and
     every element goes through the same operations in any slab or block,
     so the bytes are those of a single slab.  The chaining of the start's
@@ -150,7 +150,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     length = (n_frames - 1) * hop
     # Row r of a signal buffer holds samples r*hop to (r+1)*hop of the
     # padded signal: frames r, r - 1, ..., r - n_tail overlap-added.
-    n_tail = -(-n_fft // hop) - 1
+    n_tail = n_fft // hop - 1
     shape = (n_frames + n_tail, hop)
     # Divisors: the window sum over the signal, and 1 over the padding,
     # which the reflected edges overwrite.  Rows 0 to n_tail and the last
@@ -159,11 +159,11 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     # are equal to the byte, and n_tail + 3 frames have every distinct row.
     n_table = min(n_frames, n_tail + 3)
     table = np.ones((n_table + n_tail, hop))
-    table.reshape(-1)[pad : pad + (n_table - 1) * hop] = _window_sum(spectral_cfg, n_table)
+    table.reshape(-1)[pad : pad + (n_table - 1) * hop] = _window_sum(n_table)
     row_of = np.minimum(np.arange(shape[0]), n_tail + 1)
     row_of[-n_tail - 1 :] = np.arange(n_table - 1, n_table + n_tail)
     signals = [np.empty(shape), np.empty(shape)]
-    views = [_frames(signal.reshape(-1)[: length + n_fft], spectral_cfg) for signal in signals]
+    views = [_frames(signal.reshape(-1)[: length + n_fft]) for signal in signals]
     previous = np.empty((n_frames, n_bins), dtype=np.complex128)
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
     step = 2.0 * np.pi * hop / n_fft
@@ -220,16 +220,15 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         emit(rows, i, phase)
 
     def finish():
-        # A later slab's first n_tail rows add the last frames of the
-        # slabs before it, newest first (only a slab shorter than n_tail
-        # lets an older one's reach them), and are divided.  Then the
-        # padding becomes the reflection of the signal.
+        # A later slab's first n_tail rows add the last n_tail frames of
+        # the slab before it and are divided.  Every slab of a cut into
+        # several has more than n_tail frames (see spectral._slabs), so no
+        # older slab's frames reach them.  Then the padding becomes the
+        # reflection of the signal.
         for i in range(1, len(slabs)):
-            rows = owned(slabs[i].start, slabs[i].stop)
-            rows = slice(rows.start, min(rows.stop, rows.start + n_tail))
-            for earlier, window in zip(slabs[i - 1 :: -1], windows[i - 1 :: -1]):
-                k = min(n_tail, earlier.stop - earlier.start)
-                _add_chunks(signal, rows, window[n_tail - k : n_tail], earlier.stop - k)
+            start = slabs[i].start
+            rows = slice(start, start + n_tail)
+            _add_chunks(signal, rows, windows[i - 1][:n_tail], start - n_tail)
             np.divide(signal[rows], table[row_of[rows]], out=signal[rows])
         flat = signal.reshape(-1)
         if length > pad:

@@ -11,7 +11,6 @@ blocks of frames as the library does.
 import numpy as np
 
 from sraug.audio_io import Waveform
-from sraug.errors import DegenerateWindowSum
 from sraug.spectral import _WINDOW, SpectralConfig
 
 _MOMENTUM = 0.99
@@ -49,10 +48,7 @@ def istft_raw(values: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     win_sq = _WINDOW**2
     wsum = _overlap_add(np.broadcast_to(win_sq, (n_frames, cfg.n_fft)), cfg.hop_size)
     region = slice(pad, pad + out_len)
-    denom = wsum[region]
-    if denom.min() < 1e-9:
-        raise DegenerateWindowSum("window sum fell below 1e-9")
-    return acc[region] / denom
+    return acc[region] / wsum[region]
 
 
 def start_angles(mags: np.ndarray, cfg: SpectralConfig) -> np.ndarray:

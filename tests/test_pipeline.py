@@ -719,22 +719,23 @@ from sraug.spectral import (
     MelSpectrogram, SpectralConfig, _tiled_matmul, mel_filterbank, mel_spectrogram,
     mel_to_linear,
 )
-wave = read_wav(sys.argv[1])
-# 283 bands, the most at 16 kHz; then NNLS with a dense 283 x 641
-# filterbank, whose tiles are the widest a filterbank gives.
-for cfg in (SpectralConfig(), SpectralConfig(n_mels=283)):
-    mel = mel_spectrogram(wave, cfg)
-    linear = mel_to_linear(mel, mel_filterbank(cfg))
-    sys.stdout.buffer.write(mel.logmels.tobytes() + linear.mags.tobytes())
+cfg = SpectralConfig()
+mel = mel_spectrogram(read_wav(sys.argv[1]), cfg)
+linear = mel_to_linear(mel, mel_filterbank(cfg))
+sys.stdout.buffer.write(mel.logmels.tobytes() + linear.mags.tobytes())
+# NNLS with dense 80 x 641 weights, whose tiles are wider than any of
+# the filterbank's.
 rng = np.random.default_rng(0)
-linear = mel_to_linear(MelSpectrogram(mel.logmels[:130], cfg), rng.random((283, cfg.n_bins)))
+linear = mel_to_linear(MelSpectrogram(mel.logmels[:130], cfg), rng.random((80, cfg.n_bins)))
 sys.stdout.buffer.write(linear.mags.tobytes())
-# Dense 2000 x 641 products: a 4-row gemm over a quarter of their columns
-# is large enough for OpenBLAS to split and round differently on more
-# threads, unless the tiles are cut into shorter runs of columns.
-dense = rng.random((2000, cfg.n_bins))
-sys.stdout.buffer.write(_tiled_matmul(dense.T)(rng.random((132, cfg.n_bins))).tobytes())
-sys.stdout.buffer.write(_tiled_matmul(dense)(rng.random((132, 2000))).tobytes())
+# Dense 283 x 641 and 2000 x 641 products.  A 4-row gemm over a quarter
+# of the 2000 x 641 columns is large enough for OpenBLAS to split and
+# round differently on more threads, unless the tiles are cut into
+# shorter runs of columns.
+for rows in (283, 2000):
+    dense = rng.random((rows, cfg.n_bins))
+    sys.stdout.buffer.write(_tiled_matmul(dense.T)(rng.random((132, cfg.n_bins))).tobytes())
+    sys.stdout.buffer.write(_tiled_matmul(dense)(rng.random((132, rows))).tobytes())
 """
 
 
@@ -996,13 +997,16 @@ def test_cli_stage_chain(tmp_path):
     assert len(got) > 0
 
 
-def test_cli_reconstruct_refuses_a_band_count_with_empty_filters(tmp_path):
-    melf = tmp_path / "huge.melf"
-    melf.write_bytes(struct.pack("<4sIIIII", b"MELF", 1, 0, 2**31 - 1, 16000, 320))
-    proc = run_cli("reconstruct", str(melf), str(tmp_path / "out.wav"))
+@pytest.mark.parametrize("command", ["reconstruct", "resize"])
+def test_cli_refuses_a_melf_of_another_layout(tmp_path, command):
+    melf = tmp_path / "hop300.melf"
+    melf.write_bytes(struct.pack("<4sIIIII", b"MELF", 1, 0, 80, 16000, 300))
+    out = tmp_path / "out"
+    ratio = ["--ratio", "0.9"] if command == "resize" else []
+    proc = run_cli(command, str(melf), str(out), *ratio)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("sraug reconstruct:") and "n_mels" in proc.stderr
-    assert not (tmp_path / "out.wav").exists()
+    assert proc.stderr == f"sraug {command}: {melf}: MELF hop_size 300; sraug reads only 320\n"
+    assert not out.exists()
 
 
 def test_cli_main_help_lists_the_commands(capsys):

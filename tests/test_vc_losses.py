@@ -18,8 +18,8 @@ from sraug.vc_losses import (
     recon_l1,
 )
 
-CFG2 = SpectralConfig(n_mels=2)
-FLOOR = math.log(CFG2.log_floor)
+CFG = SpectralConfig()
+FLOOR = math.log(CFG.log_floor)
 
 finite_floats = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -37,7 +37,8 @@ def gaussians(max_dim=8):
 
 
 def mel2(rows) -> MelSpectrogram:
-    return MelSpectrogram(np.asarray(rows, dtype=np.float64), CFG2)
+    # 80 bands: each of a row's two values 40 times, so means are those of ``rows``.
+    return MelSpectrogram(np.repeat(np.asarray(rows, dtype=np.float64), 40, axis=1), CFG)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from sraug import spectral, vocoder
 from sraug.audio_io import Waveform, read_wav, write_wav
-from sraug.errors import DegenerateWindowSum, VocoderOutputMissing, VocoderProcessFailure
+from sraug.errors import VocoderOutputMissing, VocoderProcessFailure
 from sraug.pitch_eval import PitchConfig, yin_f0
 from sraug.spectral import (
     LinearSpectrogram,
@@ -177,18 +177,17 @@ class _CountingPool(spectral.ThreadPoolExecutor):
         return super().map(fn, *iterables)
 
 
-# (frames, threads, n_iters, config): 2 and 3 frames give a single slab
+# (frames, threads, n_iters, layout): 2 and 3 frames give a single slab
 # and a signal of at most n_fft/2 = 640 samples, whose padding np.pad
-# reflects more than once (as do 3 frames at hop 300 and 21 at hop 32;
-# 4, 4 and 22 frames give the first longer signals).  31/32/65 frames sit
-# at the 32-frame slab floor, 301 frames give each of 2 or 3 threads a
-# slab of about 100 frames, and 64 and 96 frames end on a 32-frame block
-# edge and 33, 97 and 129 one frame past one, in one slab or in slabs
-# whose blocks start at the slab's start.  At hop 32 a signal row sums 40
-# frames, more than a 32-frame block: a row's older frames lie in earlier
-# blocks, or in the slabs before its own, two back after a slab of 32
-# frames (97 frames on 3 threads).  At hop 700 a row sums 2 frames, and
-# the last frame's row already holds the end padding.
+# reflects more than once; 4 frames give the first longer signal.
+# 31/32/65 frames sit at the 32-frame slab floor, 301 frames give each of
+# 2 or 3 threads a slab of about 100 frames, and 64 and 96 frames end on a
+# 32-frame block edge and 33, 97 and 129 one frame past one, in one slab
+# or in slabs whose blocks start at the slab's start.  A layout
+# {"block": b} runs the per-frame work in b-frame blocks instead of 32,
+# which must not change a byte: at 4 frames, one more than n_tail, the
+# rows of every block add the last frames of the block before it, which
+# the slab's window carries over.
 _GL_CASES = [
     (2, 2, 3, {}),
     (3, 3, 3, {}),
@@ -200,28 +199,28 @@ _GL_CASES = [
     (301, 2, 2, {}),
     (301, 3, 2, {}),
     (126, 3, 1, {}),
-    (126, 2, 3, {"hop_size": 384}),
-    (126, 3, 3, {"hop_size": 300}),
-    (126, 2, 3, {"hop_size": 240}),
+    (126, 2, 3, {"block": 4}),
+    (126, 3, 3, {"block": 4}),
+    (126, 2, 3, {"block": 12}),
     *[(n, threads, 2, {}) for n in (33, 64, 96, 97, 129) for threads in (1, 2, 3)],
-    (97, 2, 2, {"hop_size": 300}),
-    *[(n, threads, 2, {"hop_size": 32}) for n in (97, 130) for threads in (2, 3)],
+    (97, 2, 2, {"block": 8}),
+    *[(n, threads, 2, {"block": 4}) for n in (97, 130) for threads in (2, 3)],
     (4, 2, 3, {}),
-    *[(n, 2, 3, {"hop_size": hop}) for n, hop in ((3, 300), (4, 300), (21, 32), (22, 32))],
-    (70, 2, 2, {"hop_size": 700}),
+    *[(n, 2, 3, {"block": 4}) for n in (3, 4, 21, 22)],
+    (70, 2, 2, {"block": 8}),
 ]
 
 
 @pytest.mark.parametrize("n_frames, threads, n_iters, layout", _GL_CASES)
 def test_gl_matches_serial_reference(monkeypatch, n_frames, threads, n_iters, layout):
-    cfg = SpectralConfig(**layout)
-    mags = np.random.default_rng(n_frames).gamma(0.5, size=(n_frames, cfg.n_bins))
+    mags = np.random.default_rng(n_frames).gamma(0.5, size=(n_frames, CFG.n_bins))
     _CountingPool.slab_counts = []
     monkeypatch.setattr(spectral, "ThreadPoolExecutor", _CountingPool)
     monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    monkeypatch.setattr(vocoder, "_BLOCK", layout.get("block", vocoder._BLOCK))
     spectral._set_threads(threads)
-    got = griffin_lim(LinearSpectrogram(mags, cfg), GriffinLimConfig(n_iters=n_iters))
-    want = ref.griffin_lim(mags, cfg, n_iters)
+    got = griffin_lim(LinearSpectrogram(mags, CFG), GriffinLimConfig(n_iters=n_iters))
+    want = ref.griffin_lim(mags, CFG, n_iters)
     assert np.array_equal(got.samples, want.samples)
     # The start's turns, the first synthesis and every iteration map over
     # the same slabs; a single slab runs on the calling thread.
@@ -250,18 +249,6 @@ def test_gl_default_threads_match_serial_reference():
     assert np.array_equal(got.samples, ref.griffin_lim(mags, CFG, 5).samples)
 
 
-def test_gl_degenerate_window_sum_raises_before_first_iteration(monkeypatch):
-    # hop == n_fft leaves the Hann window's zero sample uncovered.
-    cfg = SpectralConfig(hop_size=1280)
-
-    def no_analysis(*args):
-        raise AssertionError("an iteration ran")
-
-    monkeypatch.setattr(vocoder, "_analyze", no_analysis)
-    with pytest.raises(DegenerateWindowSum):
-        griffin_lim(LinearSpectrogram(np.ones((40, cfg.n_bins)), cfg), GriffinLimConfig())
-
-
 def test_thread_count_rejects_zero():
     with pytest.raises(ValueError):
         spectral._set_threads(0)
@@ -277,6 +264,20 @@ def test_slabs_cover_the_rows_with_cuts_on_4_row_groups(monkeypatch, threads):
         assert slabs[0].start == 0 and slabs[-1].stop == n_rows
         for before, after in zip(slabs, slabs[1:]):
             assert before.stop == after.start and after.start % 4 == 0
+
+
+def test_slabs_of_a_cut_are_longer_than_n_tail(monkeypatch):
+    # griffin_lim's finish adds only the slab just before to a slab's
+    # first n_tail = 3 rows; that holds while every slab of a cut into
+    # several has more than 3 frames.
+    n_tail = CFG.n_fft // CFG.hop_size - 1
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    for threads in range(1, 65):
+        spectral._set_threads(threads)
+        for n_rows in range(1, 2001):
+            slabs = spectral._slabs(n_rows)
+            if len(slabs) > 1:
+                assert min(s.stop - s.start for s in slabs) > n_tail
 
 
 class _SizedPool(spectral.ThreadPoolExecutor):

@@ -13,9 +13,10 @@ side that runs first alternates from one seed to the next.  A held-out
 seed, if given, is one more pair of each workload, run last.  Traced
 runs (``--trace 1``) give the per-layer metrics of both sides.
 
-The output holds, per workload and metric, each side's quartiles, the
-pairs the change won and lost, and whether its median is worse than the
-parent's by more than the bound in BENCHMARK.json.  ``title`` and the
+The output holds each side's count of lines of Python under ``src/``
+and, per workload and metric, each side's quartiles, the pairs the
+change won and lost, and whether its median is worse than the parent's
+by more than the bound in BENCHMARK.json.  ``title`` and the
 ``note`` fields are left for a person to fill in.  A failed run stops
 the tool with exit code 1.
 """
@@ -62,6 +63,11 @@ def code_hash(tree: Path) -> str:
     for path in sorted((tree / "src").rglob("*.py")) + sorted((tree / "perfbench").glob("*.py")):
         h.update(path.read_bytes())
     return h.hexdigest()[:16]
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the Python files under ``tree/src``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -170,6 +176,7 @@ def main(argv=None) -> int:
         trees = {"parent": scratch / "parent", "change": ROOT}
         trees["parent"].mkdir()
         export(args.base, trees["parent"])
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         benches = {side: {p.name: p.read_bytes() for p in (tree / "perfbench").glob("*")
                           if p.is_file()} for side, tree in trees.items()}
         if benches["parent"] != benches["change"]:
@@ -190,6 +197,7 @@ def main(argv=None) -> int:
         "title": "",
         "parent_commit": git("rev-parse", "--short", args.base),
         "change": f"working tree on {git('rev-parse', '--short', 'HEAD')}",
+        "src_lines": lines,
         "machine": {k: environment.get(k)
                     for k in ("nproc", "machine", "python", "numpy", "blas")},
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
