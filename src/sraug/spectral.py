@@ -294,6 +294,9 @@ def _tiled_matmul(weights: np.ndarray) -> Callable[..., np.ndarray]:
 # The analysis and synthesis window: a periodic Hann of n_fft samples.
 _WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(SpectralConfig.n_fft) / SpectralConfig.n_fft)
 _WINDOW.flags.writeable = False
+# Its single-precision copy, for Griffin-Lim's float32 frames.
+_WINDOW32 = _WINDOW.astype(np.float32)
+_WINDOW32.flags.writeable = False
 
 
 def _frames(padded: np.ndarray) -> np.ndarray:
@@ -303,15 +306,21 @@ def _frames(padded: np.ndarray) -> np.ndarray:
 
 
 def _analyze(frames: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Windowed frames to spectrum: window ``frames`` into ``scratch``, rfft into ``out``."""
-    np.multiply(frames, _WINDOW, out=scratch)
+    """Windowed frames to spectrum: window ``frames`` into ``scratch``, rfft into ``out``.
+
+    The window has ``scratch``'s precision, float32 or float64.
+    """
+    np.multiply(frames, _WINDOW32 if scratch.dtype == np.float32 else _WINDOW, out=scratch)
     return np.fft.rfft(scratch, SpectralConfig.n_fft, axis=1, out=out)
 
 
 def _synthesize(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Spectrum to windowed frames: irfft each row into ``out``, window it again."""
+    """Spectrum to windowed frames: irfft each row into ``out``, window it again.
+
+    The window has ``out``'s precision, float32 or float64.
+    """
     np.fft.irfft(values, SpectralConfig.n_fft, axis=1, out=out)
-    return np.multiply(out, _WINDOW, out=out)
+    return np.multiply(out, _WINDOW32 if out.dtype == np.float32 else _WINDOW, out=out)
 
 
 def _add_chunks(acc: np.ndarray, rows: slice, frames: np.ndarray, first: int) -> None:

@@ -6,7 +6,17 @@ require the library to give exactly the same arrays (np.array_equal).
 The phase-vocoder start finds each bin's peak by filling every peak's
 index left and right up to a local minimum, not by counting basins in
 blocks of frames as the library does.
+
+Each function takes the precision of its signal, ``dtype``.  At float64
+it is the plain double-precision algorithm, the quality yardstick.  At
+float32 it makes the library's casts: the window, the window sum, the
+magnitudes and the start's turns (computed in float64) are cast to
+single precision, and the signal and spectra stay there, until the
+limiter's scale is applied in float64 as the output widens.  Magnitudes
+past 2**64 are first divided by a power of two, as in the library.
 """
+
+import math
 
 import numpy as np
 
@@ -17,11 +27,11 @@ _MOMENTUM = 0.99
 _PEAK_LIMIT = 0.95
 
 
-def stft_raw(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+def stft_raw(x: np.ndarray, cfg: SpectralConfig, dtype=np.float64) -> np.ndarray:
     pad = cfg.n_fft // 2
-    padded = np.pad(x, pad, mode="reflect")
+    padded = np.pad(x.astype(dtype, copy=False), pad, mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop_size]
-    return np.fft.rfft(frames * _WINDOW, cfg.n_fft, axis=1)
+    return np.fft.rfft(frames * _WINDOW.astype(dtype), cfg.n_fft, axis=1)
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -31,27 +41,27 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     if padded_len != frame_len:
         frames = np.pad(frames, ((0, 0), (0, padded_len - frame_len)))
     chunks = frames.reshape(n_frames, n_chunks, hop)
-    acc = np.zeros((n_frames + n_chunks - 1, hop))
+    acc = np.zeros((n_frames + n_chunks - 1, hop), dtype=frames.dtype)
     for j in range(n_chunks):
         acc[j : j + n_frames] += chunks[:, j, :]
     return acc.reshape(-1)[: (n_frames - 1) * hop + frame_len]
 
 
-def istft_raw(values: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+def istft_raw(values: np.ndarray, cfg: SpectralConfig, dtype=np.float64) -> np.ndarray:
     n_frames = values.shape[0]
     pad = cfg.n_fft // 2
     out_len = (n_frames - 1) * cfg.hop_size
     if out_len <= 0:
-        return np.zeros(0)
-    frames = np.fft.irfft(values, cfg.n_fft, axis=1) * _WINDOW
+        return np.zeros(0, dtype=dtype)
+    frames = np.fft.irfft(values, cfg.n_fft, axis=1) * _WINDOW.astype(dtype)
     acc = _overlap_add(frames, cfg.hop_size)
     win_sq = _WINDOW**2
     wsum = _overlap_add(np.broadcast_to(win_sq, (n_frames, cfg.n_fft)), cfg.hop_size)
     region = slice(pad, pad + out_len)
-    return acc[region] / wsum[region]
+    return acc[region] / wsum[region].astype(dtype)
 
 
-def start_angles(mags: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+def start_angles(mags: np.ndarray, cfg: SpectralConfig, dtype=np.float64) -> np.ndarray:
     logmag = np.log(np.maximum(mags, 1e-16))
     n_frames, n_bins = logmag.shape
     padded = np.pad(logmag, ((0, 0), (1, 1)), constant_values=-np.inf)
@@ -71,7 +81,7 @@ def start_angles(mags: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     next_peak = np.minimum.accumulate(np.where(is_peak, bins, n_bins)[:, ::-1], axis=1)[:, ::-1]
     last_min = np.maximum.accumulate(np.where(is_min, bins, -1), axis=1)
     source = np.where(last_min < last_peak, last_peak, next_peak)
-    turns = np.take_along_axis(turns, source, axis=1)
+    turns = np.take_along_axis(turns, source, axis=1).astype(np.result_type(dtype, 1j))
     angles = np.empty_like(turns)
     angles[0] = (-1.0) ** bins
     for t in range(1, n_frames):
@@ -79,19 +89,22 @@ def start_angles(mags: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     return angles
 
 
-def griffin_lim(mags: np.ndarray, cfg: SpectralConfig, n_iters: int) -> Waveform:
+def griffin_lim(mags: np.ndarray, cfg: SpectralConfig, n_iters: int, dtype=np.float64) -> Waveform:
     if mags.shape[0] < 2:
         return Waveform(np.zeros(0), cfg.sample_rate)
-    angles = start_angles(mags, cfg)
-    previous = np.zeros_like(mags, dtype=np.complex128)
+    angles = start_angles(mags, cfg, dtype)
+    unit = 2.0 ** max(0, math.frexp(float(mags.max()))[1] - 64)
+    mags = (mags / unit).astype(dtype)
+    spectrum = mags * angles
+    previous = np.zeros_like(spectrum)
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
     for _ in range(n_iters):
-        rebuilt = stft_raw(istft_raw(mags * angles, cfg), cfg)
+        rebuilt = stft_raw(istft_raw(spectrum, cfg, dtype), cfg, dtype)
         accelerated = rebuilt - blend * previous
-        angles = accelerated / np.maximum(np.abs(accelerated), 1e-16)
+        # One real scale takes the accelerated value to the magnitudes.
+        spectrum = accelerated * (mags / np.maximum(np.abs(accelerated), 1e-16))
         previous = rebuilt
-    out = istft_raw(mags * angles, cfg)
-    peak = np.max(np.abs(out)) if out.size else 0.0
-    if peak > _PEAK_LIMIT:
-        out *= _PEAK_LIMIT / peak
-    return Waveform(out, cfg.sample_rate)
+    out = istft_raw(spectrum, cfg, dtype)
+    peak = float(np.max(np.abs(out))) * unit if out.size else 0.0
+    scale = unit * (_PEAK_LIMIT / peak if peak > _PEAK_LIMIT else 1.0)
+    return Waveform(np.multiply(out, scale, dtype=np.float64), cfg.sample_rate)

@@ -235,6 +235,22 @@ def test_stft_istft_match_serial_reference(layout, n):
     assert np.array_equal(back, ref.istft_raw(values, CFG))
 
 
+def test_single_precision_ffts_stay_single():
+    # Griffin-Lim's FFTs run in float32, natively since numpy 2.0.  A
+    # numpy that widened them to double would still fill float32 buffers
+    # through out=, only slower, so the result types are checked too.
+    frames = np.random.default_rng(3).standard_normal((4, CFG.n_fft)).astype(np.float32)
+    spectrum = np.empty((4, CFG.n_bins), dtype=np.complex64)
+    got = np.fft.rfft(frames, CFG.n_fft, axis=1, out=spectrum)
+    assert got is spectrum and got.dtype == np.complex64
+    assert np.fft.rfft(frames, CFG.n_fft, axis=1).dtype == np.complex64
+    back = np.empty((4, CFG.n_fft), dtype=np.float32)
+    got = np.fft.irfft(spectrum, CFG.n_fft, axis=1, out=back)
+    assert got is back and got.dtype == np.float32
+    assert np.fft.irfft(spectrum, CFG.n_fft, axis=1).dtype == np.float32
+    assert np.max(np.abs(back - frames)) < 1e-5
+
+
 # ---------------------------------------------------------------------------
 # mel scale and filterbank
 
