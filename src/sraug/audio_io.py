@@ -66,16 +66,30 @@ class Waveform:
         return self.samples.size / self.sample_rate
 
 
+@dataclass(frozen=True)
+class _Owned:
+    """An array the library has just built and hands to a value type.
+
+    _frozen_array takes it over as it is, dtype included, without a copy.
+    """
+
+    array: np.ndarray
+
+
 def _frozen_array(values, dtype, ndim: int, name: str, lower=None) -> np.ndarray:
     """A private, read-only copy of ``values`` as a finite ``ndim``-D ``dtype`` array.
 
-    ValueError, naming ``name``, for a non-numeric entry, another rank,
-    NaN, Inf, or an entry below ``lower`` when one is given.
+    An _Owned array is checked and frozen in place instead.  ValueError,
+    naming ``name``, for a non-numeric entry, another rank, NaN, Inf, or
+    an entry below ``lower`` when one is given.
     """
-    try:
-        array = np.array(values, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be numeric: {exc}") from exc
+    if isinstance(values, _Owned):
+        array = values.array
+    else:
+        try:
+            array = np.array(values, dtype=dtype)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name} must be numeric: {exc}") from exc
     if array.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {array.shape}")
     if array.size and not np.isfinite(array).all():

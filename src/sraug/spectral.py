@@ -23,7 +23,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .audio_io import Waveform, _frozen_array, _integer, read_bytes, write_atomic
+from .audio_io import Waveform, _frozen_array, _integer, _Owned, read_bytes, write_atomic
 from .errors import ConfigMismatch, MalformedContainer, UnsupportedFormat
 
 _MELF_MAGIC = b"MELF"
@@ -37,13 +37,13 @@ _FLOOR_SLACK = 1e-4
 _NNLS_ITERS = 50
 _NNLS_EPS = 1e-18
 # Frames per block of the mel analysis and of NNLS.  A mel block's
-# arrays (1.6 MB) stay in a 2 MB L2 cache.  An NNLS block's (2.1 MB with
-# its rows of the solution) stay about there for all 50 updates, and
-# each of its tile products is one np.matmul of 32 gemms.  np.matmul
+# arrays (1.6 MB) stay in a 2 MB L2 cache.  An NNLS block's (1.1 MB of
+# float32 with its rows of the solution) stay there for all 50 updates,
+# and each of its tile products is one np.matmul of 32 gemms.  np.matmul
 # lets go of the interpreter lock only while its gemms run, so shorter
 # calls from two slab threads wait on each other: on 31 s of frames and
-# two slab threads of a 2-core x86-64 box, NNLS took 0.16 ms a frame in
-# 64-frame blocks and 0.13 in 128-frame blocks.
+# two slab threads of a 2-core x86-64 box, float64 NNLS took 0.16 ms a
+# frame in 64-frame blocks and 0.13 in 128-frame blocks.
 _MEL_BLOCK = 64
 _NNLS_BLOCK = 128
 
@@ -109,14 +109,32 @@ class ComplexSpectrogram:
 
 @dataclass(frozen=True)
 class LinearSpectrogram:
-    """Non-negative magnitude frames, [n_frames, n_fft/2+1]."""
+    """Non-negative magnitude frames, [n_frames, n_fft/2+1]: float32 ``mags`` times ``unit``.
+
+    ``unit`` is a power of two, 1.0 unless the largest magnitude passes
+    2**64: the magnitudes given (``mags`` times the ``unit`` given) are
+    divided by the power of two that _unit picks for their largest, which
+    rounds nothing, so single-precision work on ``mags`` cannot overflow.
+    A caller's ``mags`` are read in float64, which holds any finite size,
+    and rounded to float32 after that division; an _Owned float32 array
+    is taken over without a copy.
+    """
 
     mags: np.ndarray
     config: SpectralConfig
+    unit: float = 1.0
 
     def __post_init__(self):
+        unit = float(self.unit)
+        if not (unit >= 1.0 and math.frexp(unit)[0] == 0.5):
+            raise ValueError(f"unit must be a power of two of at least 1, got {self.unit!r}")
         mags = _frozen_frames(self.mags, np.float64, self.config.n_bins, "mags", lower=0.0)
+        step = _unit(float(mags.max(initial=0.0)))
+        if step > 1.0 or mags.dtype != np.float32:
+            mags = np.divide(mags, step, out=np.empty(mags.shape, np.float32))
+            mags.flags.writeable = False
         object.__setattr__(self, "mags", mags)
+        object.__setattr__(self, "unit", unit * step)
 
     @property
     def n_frames(self) -> int:
@@ -147,6 +165,15 @@ def _frozen_frames(values, dtype, n_bins: int, name: str, lower=None) -> np.ndar
     if values.shape[1] != n_bins:
         raise ValueError(f"expected {n_bins} bins per frame, got {values.shape[1]}")
     return values
+
+
+def _unit(largest: float) -> float:
+    """The power of two that takes ``largest`` below 2**64; 1.0 if it is below already.
+
+    Float32 tops out near 2**128, and an FFT or a filterbank product sums
+    hundreds of values, so single-precision spectra stay below 2**64.
+    """
+    return 2.0 ** max(0, math.frexp(largest)[1] - 64)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +251,8 @@ def _block_pool(n_rows: int, block: int, *scratch):
             list(each(partial(walk, fn), range(len(slabs)), *buffers))
 
         yield run, slabs
+    # ``run`` stays bound in the caller after the with block; the buffers go now.
+    buffers.clear()
 
 
 def _tiles(weights: np.ndarray) -> list[tuple[slice, slice]]:
@@ -259,8 +288,9 @@ def _tiled_matmul(weights: np.ndarray) -> Callable[..., np.ndarray]:
     round it differently), so every row of the result is rounded the
     same way whatever the BLAS thread count, the calling thread and the
     rows around it.  A short last group is padded with zero rows, so no
-    product falls back to gemv.  ``out``, if given, is C-contiguous with
-    ``a``'s row count, a multiple of 4.
+    product falls back to gemv.  The zero rows and the result have
+    ``a``'s dtype; ``out``, if given, is C-contiguous with ``a``'s row
+    count, a multiple of 4.
     """
     k, m = weights.shape
     tiles = [(inner, cols, weights[inner, cols]) for inner, cols in _tiles(weights)]
@@ -269,9 +299,9 @@ def _tiled_matmul(weights: np.ndarray) -> Callable[..., np.ndarray]:
         n_rows = a.shape[0]
         padded = -(-n_rows // _GEMM_ROWS) * _GEMM_ROWS
         if padded != n_rows:
-            a = np.concatenate([a, np.zeros((padded - n_rows, k))])
+            a = np.concatenate([a, np.zeros((padded - n_rows, k), dtype=a.dtype)])
         if out is None:
-            out = np.empty((padded, m))
+            out = np.empty((padded, m), dtype=a.dtype)
         groups = a.reshape(-1, _GEMM_ROWS, k)
         out_groups = out.reshape(-1, _GEMM_ROWS, m)
         for inner, cols, tile in tiles:
@@ -447,7 +477,8 @@ def mel_spectrogram(w: Waveform, cfg: SpectralConfig) -> MelSpectrogram:
     """Log-mel analysis: ln(max(filterbank @ |stft|, log_floor)).
 
     The filterbank is applied to magnitude (not power) spectra.  The
-    frames, padded with zero magnitude frames to a multiple of 4, are
+    result is handed to the MelSpectrogram without a copy.  The frames,
+    padded with zero magnitude frames to a multiple of 4, are
     analyzed in 64-frame blocks on the slab threads (see _block_pool and
     _set_threads), so no array spans every frame's spectrum.  Each frame
     goes through the operations of stft, and the filterbank product is a
@@ -473,7 +504,7 @@ def mel_spectrogram(w: Waveform, cfg: SpectralConfig) -> MelSpectrogram:
         run(analyze)
     logmels = mel[:n_frames]
     np.maximum(logmels, cfg.log_floor, out=logmels)
-    return MelSpectrogram(np.log(logmels, out=logmels), cfg)
+    return MelSpectrogram(_Owned(np.log(logmels, out=logmels)), cfg)
 
 
 def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
@@ -484,6 +515,12 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     updates from x0 = W^T m, where W is the mel_filterbank ``weights``;
     weights of another shape than [n_mels, n_bins] raise ConfigMismatch.
 
+    The solve runs in single precision: exp(logmels), divided by the
+    power of two that _unit picks for its largest value, and the weights
+    are rounded to float32, and every product and update stays there.
+    The float32 solution becomes the result's ``mags``, without a copy,
+    and that power of two its ``unit``.
+
     The frames are padded with zero frames, which solve to 0, to a
     multiple of 4 and solved in 128-frame blocks on the slab threads (see
     _block_pool and _set_threads).  Every product is a stack of 4-row
@@ -491,16 +528,19 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     grouped in fours from frame 0 whatever the slabs.  So the output
     bytes do not depend on the slab or BLAS thread counts.
     """
-    weights = _frozen_array(weights, np.float64, 2, "weights")
+    weights = _frozen_array(weights, np.float32, 2, "weights")
     n_mels, n_bins = m.config.n_mels, m.config.n_bins
     if weights.shape != (n_mels, n_bins):
         raise ConfigMismatch(f"mel needs a {n_mels} x {n_bins} filterbank, got {weights.shape}")
     apply_w, apply_wt = _tiled_matmul(weights.T), _tiled_matmul(weights)
     n_frames = m.n_frames
     padded = -(-n_frames // _GEMM_ROWS) * _GEMM_ROWS
-    target = np.zeros((padded, n_mels))
-    np.exp(m.logmels, out=target[:n_frames])
-    x = np.empty((padded, n_bins))
+    mel = np.exp(m.logmels)
+    unit = _unit(float(mel.max(initial=0.0)))
+    target = np.zeros((padded, n_mels), dtype=np.float32)
+    np.divide(mel, unit, out=target[:n_frames])
+    del mel
+    x = np.empty((padded, n_bins), dtype=np.float32)
 
     def solve(rows, _, numer, denom, mixed):
         # numer is W^T m; denom is W^T W x, then the update factor; mixed is W x.
@@ -514,10 +554,10 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
             np.divide(numer, denom, out=denom)
             xb *= denom
 
-    scratch = (n_bins, np.float64), (n_bins, np.float64), (n_mels, np.float64)
+    scratch = (n_bins, np.float32), (n_bins, np.float32), (n_mels, np.float32)
     with _block_pool(padded, _NNLS_BLOCK, *scratch) as (run, _):
         run(solve)
-    return LinearSpectrogram(x[:n_frames], m.config)
+    return LinearSpectrogram(_Owned(x[:n_frames]), m.config, unit)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ available.
 
 from __future__ import annotations
 
-import math
 import shlex
 import subprocess
 import tempfile
@@ -102,10 +101,11 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     peak if it comes out louder.
 
     The loop runs in single precision: complex64 spectra, float32
-    signal, windows, window sum and magnitudes.  The output is 16-bit
-    PCM, and on speech-like input the spectral convergence and log-mel
-    L1 agree with a float64 loop's to 5 decimal places.  The output
-    widens to float64, and the limiter's scale is applied as it widens.
+    signal, windows and window sum, and the float32 ``s.mags``, read in
+    place.  The output is 16-bit PCM, and on speech-like input the
+    spectral convergence and log-mel L1 agree with a float64 loop's to 5
+    decimal places.  The output widens to float64, and the limiter's
+    scale, with ``s.unit`` folded in, is applied as it widens.
 
     The start is a phase-vocoder phase, the time-direction half of
     phase-gradient heap integration (Prusa, Balazs & Sondergaard 2017),
@@ -123,7 +123,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
 
     Two arrays span all frames: ``previous``, the last iteration's
     rebuilt spectrum for the momentum (the start phase until the first
-    synthesis), and the float32 magnitudes.  The signal lives in two
+    synthesis), and ``s.mags``.  The signal lives in two
     buffers of (n_frames + n_tail) x hop samples, n_tail = n_fft / hop -
     1 = 3, allocated once per call: an iteration's analysis reads a fixed
     view of the frames of one while its synthesis overlap-adds into the
@@ -174,14 +174,10 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     signals = [np.empty(shape, dtype=np.float32), np.empty(shape, dtype=np.float32)]
     views = [_frames(signal.reshape(-1)[: length + n_fft]) for signal in signals]
     previous = np.empty((n_frames, n_bins), dtype=np.complex64)
-    # The magnitudes in float32, divided by ``unit``: a power of two, which
-    # rounds nothing, past 2**64, so no value of the loop overflows.
-    unit = 2.0 ** max(0, math.frexp(float(s.mags.max()))[1] - 64)
-    mags = np.empty((n_frames, n_bins), dtype=np.float32)
-    np.divide(s.mags, unit, out=mags)
+    mags = s.mags
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
     step = 2.0 * np.pi * hop / n_fft
-    # Block buffers: a spectrum (the log-magnitudes as float64, the turns,
+    # Block buffers: a spectrum (the log-magnitudes in float64, the turns,
     # the momentum term, then the accelerated value and mags times its
     # phase) and a scale (the accelerated value's magnitude, then mags
     # over that).
@@ -194,9 +190,9 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
 
     def turn(rows, _, phase, size):
         # Frame t's turn goes to previous[t + 1], to be chained below.  The
-        # turns come from the float64 magnitudes, whose logs fill the bytes
-        # of ``phase`` until _peak_turns writes the turns over them.
-        logmag = np.maximum(s.mags[rows], 1e-16, out=phase.view(np.float64))
+        # logs of the magnitudes, widened to float64, fill the bytes of
+        # ``phase`` until _peak_turns writes the turns over them.
+        logmag = np.maximum(mags[rows], 1e-16, out=phase.view(np.float64), dtype=np.float64)
         np.log(logmag, out=logmag)
         _peak_turns(logmag, step, phase)
         following = previous[rows.start + 1 : rows.stop + 1]
@@ -276,10 +272,10 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     # Free all but the output's buffer before it widens.  The limiter's
     # scale is applied in float64 as the samples widen, so no float32
     # rounding can lift a sample above the limit.
-    del previous, views, analysis, signals, mags
+    del previous, views, analysis, signals
     out = signal.reshape(-1)[pad : pad + length]
-    peak = float(max(out.max(), -out.min())) * unit
-    scale = unit * (_PEAK_LIMIT / peak if peak > _PEAK_LIMIT else 1.0)
+    peak = float(max(out.max(), -out.min())) * s.unit
+    scale = s.unit * (_PEAK_LIMIT / peak if peak > _PEAK_LIMIT else 1.0)
     return Waveform(np.multiply(out, scale, dtype=np.float64), spectral_cfg.sample_rate)
 
 

@@ -10,10 +10,12 @@ blocks of frames as the library does.
 Each function takes the precision of its signal, ``dtype``.  At float64
 it is the plain double-precision algorithm, the quality yardstick.  At
 float32 it makes the library's casts: the window, the window sum, the
-magnitudes and the start's turns (computed in float64) are cast to
-single precision, and the signal and spectra stay there, until the
-limiter's scale is applied in float64 as the output widens.  Magnitudes
-past 2**64 are first divided by a power of two, as in the library.
+magnitudes and the start's turns are cast to single precision, and the
+signal and spectra stay there, until the limiter's scale is applied in
+float64 as the output widens.  Magnitudes past 2**64 are first divided
+by a power of two, as LinearSpectrogram does, or come with that ``unit``
+already divided out; the start's turns are computed in float64 from the
+magnitudes in the loop's precision, as in the library.
 """
 
 import math
@@ -62,7 +64,7 @@ def istft_raw(values: np.ndarray, cfg: SpectralConfig, dtype=np.float64) -> np.n
 
 
 def start_angles(mags: np.ndarray, cfg: SpectralConfig, dtype=np.float64) -> np.ndarray:
-    logmag = np.log(np.maximum(mags, 1e-16))
+    logmag = np.log(np.maximum(mags.astype(np.float64), 1e-16))
     n_frames, n_bins = logmag.shape
     padded = np.pad(logmag, ((0, 0), (1, 1)), constant_values=-np.inf)
     left, right = padded[:, :-2], padded[:, 2:]
@@ -89,12 +91,16 @@ def start_angles(mags: np.ndarray, cfg: SpectralConfig, dtype=np.float64) -> np.
     return angles
 
 
-def griffin_lim(mags: np.ndarray, cfg: SpectralConfig, n_iters: int, dtype=np.float64) -> Waveform:
+def griffin_lim(
+    mags: np.ndarray, cfg: SpectralConfig, n_iters: int, dtype=np.float64, unit=None
+) -> Waveform:
     if mags.shape[0] < 2:
         return Waveform(np.zeros(0), cfg.sample_rate)
+    if unit is None:
+        unit = 2.0 ** max(0, math.frexp(float(mags.max()))[1] - 64)
+        mags = mags / unit
+    mags = mags.astype(dtype)
     angles = start_angles(mags, cfg, dtype)
-    unit = 2.0 ** max(0, math.frexp(float(mags.max()))[1] - 64)
-    mags = (mags / unit).astype(dtype)
     spectrum = mags * angles
     previous = np.zeros_like(spectrum)
     blend = _MOMENTUM / (1.0 + _MOMENTUM)

@@ -138,6 +138,34 @@ def test_value_arrays_are_frozen():
         m.logmels[0, 0] = 0.0
 
 
+def test_linear_spectrogram_keeps_its_own_copy_of_a_callers_array():
+    # A float32 array is copied too: changing it afterwards leaves .mags.
+    for dtype in (np.float64, np.float32):
+        mags = np.ones((3, 641), dtype=dtype)
+        s = LinearSpectrogram(mags, CFG)
+        mags[:] = 7.0
+        assert s.mags.dtype == np.float32 and s.unit == 1.0
+        assert (s.mags == 1.0).all()
+
+
+def test_linear_spectrogram_divides_out_a_power_of_two_past_2_64():
+    tone = np.random.default_rng(4).gamma(0.5, size=(3, 641))
+    for exponent in (0, 40, 100, 1000):
+        s = LinearSpectrogram(tone * 2.0**exponent, CFG)
+        assert s.mags.max() < 2.0**64
+        assert s.unit == 2.0 ** max(0, exponent + math.frexp(tone.max())[1] - 64)
+        # Dividing by the unit rounds nothing; float32 rounds once.
+        assert np.array_equal(s.mags, tone.astype(np.float32) * np.float32(2.0**exponent / s.unit))
+    # A unit given multiplies the magnitudes given.
+    s = LinearSpectrogram(np.full((2, 641), 2.0**63), CFG, unit=2.0**10)
+    assert s.unit == 2.0**10 and (s.mags == 2.0**63).all()
+    s = LinearSpectrogram(np.full((2, 641), 2.0**64), CFG, unit=2.0**10)
+    assert s.unit == 2.0**11 and (s.mags == 2.0**63).all()
+    for unit in (0.5, 3.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            LinearSpectrogram(np.ones((2, 641)), CFG, unit=unit)
+
+
 # ---------------------------------------------------------------------------
 # stft
 
@@ -387,10 +415,12 @@ def test_mel_bytes_do_not_depend_on_slab_threads(monkeypatch, n_frames):
 
 
 def test_mel_peak_memory_on_a_minute_of_audio(monkeypatch):
-    # On 2 slab threads, 60 s at 16 kHz peaks at 15.1 MB: the padded
-    # signal (7.7), the [T, n_mels] output (1.9), its frozen copy, and
-    # each slab's block buffers (1.6).  Through stft, the frame buffer,
-    # the spectrum and its frozen copy over all frames took 71.2 MB.
+    # On 2 slab threads, 60 s at 16 kHz peaks at 13.2 MB: the padded
+    # signal (7.7), the [T, n_mels] output (1.9), which the MelSpectrogram
+    # takes over without a copy, and each slab's block buffers (1.6).
+    # With a frozen copy of the output it was 15.1 MB; through stft, the
+    # frame buffer, the spectrum and its frozen copy over all frames took
+    # 71.2 MB.
     monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
     spectral._set_threads(2)
     w = Waveform(np.random.default_rng(2).standard_normal(60 * 16000), 16000)
@@ -418,10 +448,13 @@ def test_mel_to_linear_of_silence_is_tiny():
 
 
 def test_nnls_peak_memory_on_a_minute_of_audio(monkeypatch):
-    # On 2 slab threads, 3,001 frames peak at about 38 MB: the solution
-    # and its frozen copy (15.4 MB each), the target (1.9), the frozen
-    # filterbank (0.4) and each slab's 128-frame block buffers (1.4).
-    # One more array over all frames and bins would add 15.4.
+    # On 2 slab threads, 3,001 frames peak at 10.8 MB: the float32
+    # solution (7.7), which the LinearSpectrogram takes over without a
+    # copy, the float32 target (1.0) and filterbank (0.2), and each slab's
+    # 128-frame block buffers (0.7), or, once the blocks are done, the
+    # finiteness check of the solution (1.9).  In float64, with a frozen
+    # copy of the solution, it was 37.9 MB.  The bound leaves 2.2, less
+    # than one more float32 array over all frames and bins (7.7).
     monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
     spectral._set_threads(2)
     rng = np.random.default_rng(6)
@@ -434,7 +467,7 @@ def test_nnls_peak_memory_on_a_minute_of_audio(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 42e6
+    assert peak < 13e6
 
 
 def test_mel_round_trip_error_on_voiced_input():

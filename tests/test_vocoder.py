@@ -120,17 +120,17 @@ def test_gl_start_phase_fits_a_bin_centred_tone():
 
 
 def test_gl_start_keeps_peak_memory(monkeypatch):
-    # At 1,751 frames on 2 slab threads the loop's arrays peak at 2.29 x
-    # T x n_bins x 8 bytes.  Only the complex64 ``previous`` (1) and the
-    # float32 copy of the magnitudes (0.5) span all frames; the two
-    # float32 signal buffers span all samples (0.25 each), each slab's
-    # block buffers and window of frames add 0.05, and the start's
-    # per-block temporaries about 0.1.  The window sum is a table of a
-    # few frames' rows, not a third array over all samples (0.25 more
-    # with one).  The bound leaves 0.41, less than one more float32
-    # array over all frames, let alone the 1 of a complex64 frame buffer.
-    # The start works in those buffers and in blocks of frames, so it
-    # must not raise that peak.
+    # At 1,751 frames on 2 slab threads the loop's arrays peak at 1.79 x
+    # T x n_bins x 8 bytes.  Only the complex64 ``previous`` (1) spans all
+    # frames, besides the input's float32 magnitudes, which the loop reads
+    # in place; the two float32 signal buffers span all samples (0.25
+    # each), each slab's block buffers and window of frames add 0.05, and
+    # the start's per-block temporaries about 0.1.  The window sum is a
+    # table of a few frames' rows, not a third array over all samples
+    # (0.25 more with one).  The bound leaves 0.31, less than a float32
+    # copy of the magnitudes (0.5), let alone the 1 of a complex64 frame
+    # buffer.  The start works in those buffers and in blocks of frames,
+    # so it must not raise that peak.
     monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
     spectral._set_threads(2)
     n_frames = 1751
@@ -143,7 +143,7 @@ def test_gl_start_keeps_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.7 * n_frames * CFG.n_bins * 8
+    assert peak <= 2.1 * n_frames * CFG.n_bins * 8
 
 
 def test_gl_keeps_nothing_between_calls():
@@ -181,13 +181,14 @@ def test_gl_holds_magnitudes_past_float32_range():
     # Float32 tops out near 3.4e38, and an FFT sums 1,280 values; the loop
     # divides magnitudes past 2**64 by a power of two, which rounds
     # nothing, so they give the same limited output as 64 times a tone.
-    mags = magnitudes(synth.tone(300.0, 0.5, amp=1.0)).mags
+    # Float64 magnitudes, which hold 2**1000 times a tone.
+    mags = np.abs(stft(synth.tone(300.0, 0.5, amp=1.0), CFG).values)
     want = griffin_lim(LinearSpectrogram(mags * 2.0**6, CFG), GriffinLimConfig(n_iters=3))
     for exponent in (100, 500, 1000):
         loud = LinearSpectrogram(mags * 2.0**exponent, CFG)
         got = griffin_lim(loud, GriffinLimConfig(n_iters=3))
         assert np.array_equal(got.samples, want.samples)
-        want_ref = ref.griffin_lim(loud.mags, CFG, 3, np.float32)
+        want_ref = ref.griffin_lim(loud.mags, CFG, 3, np.float32, loud.unit)
         assert np.array_equal(got.samples, want_ref.samples)
 
 
@@ -465,6 +466,20 @@ def test_reconstruct_tone_keeps_pitch():
     m = mel_spectrogram(synth.tone(220.0, 1.0), CFG)
     out = reconstruct_from_mel(m, GriffinLimConfig())
     assert abs(median_f0(out) - 220.0) <= 5.0
+
+
+@pytest.mark.parametrize("level", [100.0, 300.0])
+def test_reconstruct_holds_log_mels_past_float32_range(level):
+    # exp(100) and exp(300) overflow float32.  NNLS divides its target by
+    # a power of two, and the LinearSpectrogram carries it as ``unit``
+    # into the limiter, so the output is a finite, limited waveform.
+    m = mel_spectrogram(synth.voiced(0.5, 170, 260, seed=1), CFG)
+    loud = MelSpectrogram(m.logmels + level, CFG)
+    s = mel_to_linear(loud, mel_filterbank(CFG))
+    assert s.unit > 1.0 and s.mags.max() < 2.0**64
+    out = reconstruct_from_mel(loud, GriffinLimConfig(n_iters=5))
+    assert np.isfinite(out.samples).all()
+    assert 0.95 - 1e-12 < np.max(np.abs(out.samples)) <= 0.95 + 1e-12
 
 
 # ---------------------------------------------------------------------------

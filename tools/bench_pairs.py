@@ -16,9 +16,12 @@ runs (``--trace 1``) give the per-layer metrics of both sides.
 The output holds each side's count of lines of Python under ``src/``
 and, per workload and metric, each side's quartiles, the pairs the
 change won and lost, and whether its median is worse than the parent's
-by more than the bound in BENCHMARK.json.  ``title`` and the
-``note`` fields are left for a person to fill in.  A failed run stops
-the tool with exit code 1.
+by more than the bound in BENCHMARK.json; with ``--claim``, also the
+claim rule's verdict.  A claim on a metric that is not one of
+BENCHMARK.json's end-to-end metrics, or on a workload that does not
+run, is refused before the first run.  ``title`` and the ``note``
+fields are left for a person to fill in.  A failed run stops the tool
+with exit code 1.
 """
 
 from __future__ import annotations
@@ -170,6 +173,16 @@ def main(argv=None) -> int:
     seeds = [FIRST_SEED + i for i in range(args.pairs)]
     trace_seeds = [int(s) for s in args.trace_seeds.split(",") if s]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.claim:
+        # Refused before the first run, not after every pair has run.
+        metric, _, workload = args.claim.partition(":")
+        metrics = [m["name"] for m in spec["end_to_end"]]
+        if metric not in metrics:
+            parser.error(f"--claim: {metric!r} is none of BENCHMARK.json's end-to-end "
+                         f"metrics ({', '.join(metrics)})")
+        if workload not in workloads:
+            parser.error(f"--claim: workload {workload!r} is not in --workloads "
+                         f"({','.join(workloads)})")
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
@@ -223,7 +236,6 @@ def main(argv=None) -> int:
         for w, ps in untraced.items()
     }
     if args.claim:
-        metric, workload = args.claim.split(":")
         out["claim"] = claim(metric, workload, out["end_to_end"])
     if trace_seeds:
         out["trace"] = {
