@@ -92,12 +92,24 @@ def _frozen_array(values, dtype, ndim: int, name: str, lower=None) -> np.ndarray
             raise ValueError(f"{name} must be numeric: {exc}") from exc
     if array.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {array.shape}")
-    if array.size and not np.isfinite(array).all():
-        raise ValueError(f"{name} entries must be finite")
-    if lower is not None and array.size and array.min() < lower:
-        raise ValueError(f"{name} entries must be >= {lower:.6f}")
+    if array.size:
+        low = _finite_min(array.real)
+        if low is None or (np.iscomplexobj(array) and _finite_min(array.imag) is None):
+            raise ValueError(f"{name} entries must be finite")
+        if lower is not None and low < lower:
+            raise ValueError(f"{name} entries must be >= {lower:.6f}")
     array.flags.writeable = False
     return array
+
+
+def _finite_min(array: np.ndarray):
+    """The least entry of a non-empty real ``array``; None if an entry is NaN or infinite.
+
+    A NaN makes min() and max() NaN, and an infinity is one of them, so
+    that pair tells with no whole-array temporary.
+    """
+    low, high = array.min(), array.max()
+    return low if -math.inf < low <= high < math.inf else None
 
 
 def _integer(value, name: str, minimum: int) -> int:
@@ -205,7 +217,7 @@ def read_wav(path) -> Waveform:
         samples = ints.astype(np.float64) / 2.0**23
     else:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-        if samples.size and not np.isfinite(samples).all():
+        if samples.size and _finite_min(samples) is None:
             raise MalformedContainer(f"{path}: non-finite float samples")
 
     if n_channels == 2:

@@ -42,15 +42,13 @@ class PitchConfig:
 
 @dataclass(frozen=True)
 class F0Track:
-    """Per-frame F0 values in Hz; exactly 0.0 marks an unvoiced frame."""
+    """F0 in Hz every PitchConfig.hop_size samples; exactly 0.0 marks an unvoiced frame."""
 
     f0: np.ndarray
-    hop_size: int
     sample_rate: int
 
     def __post_init__(self):
         object.__setattr__(self, "f0", _frozen_array(self.f0, np.float64, 1, "f0", lower=0.0))
-        object.__setattr__(self, "hop_size", _integer(self.hop_size, "hop_size", 1))
         object.__setattr__(self, "sample_rate", _integer(self.sample_rate, "sample_rate", 1))
 
     def __len__(self) -> int:
@@ -63,7 +61,7 @@ class F0Track:
 
     def times(self) -> np.ndarray:
         """Start time of each frame in seconds."""
-        return np.arange(self.f0.size) * (self.hop_size / self.sample_rate)
+        return np.arange(self.f0.size) * (PitchConfig.hop_size / self.sample_rate)
 
 
 def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> F0Track:
@@ -109,7 +107,7 @@ def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> F0Track:
             block[t] = sr / _refine_lag(row, tau, tau_max)
         np.clip(block, 0.0, cfg.f0_max, out=block)
         block[has_dip] = np.maximum(block[has_dip], cfg.f0_min)
-    return F0Track(f0, cfg.hop_size, sr)
+    return F0Track(f0, sr)
 
 
 def _cmndf(frames: np.ndarray, tau_max: int) -> np.ndarray:

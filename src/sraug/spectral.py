@@ -47,11 +47,12 @@ _NNLS_EPS = 1e-18
 _MEL_BLOCK = 64
 _NNLS_BLOCK = 128
 
-# _tiled_matmul runs every product as 4-row gemms over tiles of at most
-# 65,536 inner x output columns, so at most 65,536 x 4 multiply-adds:
-# OpenBLAS splits a gemm over its threads only above that.  4 runs of
-# columns of equal width cut the default filterbank's products to 13,200
-# (x W^T) and 13,769 (m W) of 51,280 multiply-adds a row.  The cheapest
+# _tiled_matmul runs every product as 4-row gemms over _TILES tiles.  Of
+# any 80 x 641 weights, the only shape mel_to_linear takes, a tile spans
+# at most 12,880 inner x output columns (80 x 161), under the 65,536 above
+# which OpenBLAS splits a 4-row gemm over its threads.  4 runs of columns
+# of equal width cut the default filterbank's products to 13,200 (x W^T)
+# and 13,769 (m W) of 51,280 multiply-adds a row.  The cheapest
 # cut into 4 runs, found by dynamic programming, leaves 11,894 and
 # 11,923, but NNLS took 0.111 and 0.117 ms a frame with it against 0.120
 # and 0.122 with equal runs (medians of two sets of 20 alternating runs
@@ -61,7 +62,6 @@ _NNLS_BLOCK = 128
 # gemms made NNLS no clearly faster on 128-frame blocks, and 8 tiles
 # made it slower on 64-frame ones.
 _GEMM_ROWS = 4
-_GEMM_MAX_INNER_X_COLUMNS = 65_536
 _TILES = 4
 
 # Slab threads in this process; None uses every available CPU.
@@ -256,57 +256,45 @@ def _block_pool(n_rows: int, block: int, *scratch):
 
 
 def _tiles(weights: np.ndarray) -> list[tuple[slice, slice]]:
-    """Tiles ``(inner, columns)`` of [k, m] ``weights`` that hold all its non-zeros.
+    """The _TILES tiles ``(inner, columns)`` of [k, m] ``weights`` that hold all its non-zeros.
 
     The columns are cut into _TILES runs of equal width, up to one
-    column; each run's tile spans the inner rows from the first to the
-    last non-zero of its columns, and a tile over more than 65,536 inner x
-    output columns is cut into shorter runs of columns.  For the default
-    filterbank the x W^T tiles are groups of bands over the bins they
-    touch, and the m W tiles groups of bins over the bands that touch them.
+    column, and each run's tile spans the inner rows from the first to the
+    last non-zero of its columns.  For the default filterbank the x W^T
+    tiles are groups of bands over the bins they touch, and the m W tiles
+    groups of bins over the bands that touch them.
     """
     m = weights.shape[1]
     nonzero = weights != 0
     tiles = []
     for i in range(_TILES):
-        col_lo, col_hi = m * i // _TILES, m * (i + 1) // _TILES
-        rows = np.flatnonzero(nonzero[:, col_lo:col_hi].any(axis=1))
+        cols = slice(m * i // _TILES, m * (i + 1) // _TILES)
+        rows = np.flatnonzero(nonzero[:, cols].any(axis=1))
         inner = slice(int(rows[0]), int(rows[-1]) + 1) if rows.size else slice(0, 0)
-        step = max(1, _GEMM_MAX_INNER_X_COLUMNS // max(1, inner.stop - inner.start))
-        for lo in range(col_lo, col_hi, step):
-            tiles.append((inner, slice(lo, min(col_hi, lo + step))))
+        tiles.append((inner, cols))
     return tiles
 
 
-def _tiled_matmul(weights: np.ndarray) -> Callable[..., np.ndarray]:
-    """``matmul(a, out=None)``: ``a @ weights`` as stacked 4-row products over _tiles.
+def _tiled_matmul(weights: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+    """``matmul(a, out)``: ``a @ weights`` into ``out`` as stacked 4-row products over _tiles.
 
-    Each tile of ``weights`` is one np.matmul of ``a``'s rows grouped in
-    fours from row 0, [n/4, 4, inner] @ [inner, columns], into its
-    columns of the result; a tile over no inner rows writes zeros.  Each
-    gemm is too small for OpenBLAS to split over threads (which may
+    ``a``'s row count is a multiple of 4, and ``out`` is C-contiguous with
+    as many rows.  Each tile of ``weights`` is one np.matmul of ``a``'s
+    rows grouped in fours from row 0, [n/4, 4, inner] @ [inner, columns],
+    into its columns of ``out``; a tile over no inner rows writes zeros.
+    Each gemm is too small for OpenBLAS to split over threads (which may
     round it differently), so every row of the result is rounded the
     same way whatever the BLAS thread count, the calling thread and the
-    rows around it.  A short last group is padded with zero rows, so no
-    product falls back to gemv.  The zero rows and the result have
-    ``a``'s dtype; ``out``, if given, is C-contiguous with ``a``'s row
-    count, a multiple of 4.
+    rows around it.
     """
     k, m = weights.shape
     tiles = [(inner, cols, weights[inner, cols]) for inner, cols in _tiles(weights)]
 
-    def matmul(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        n_rows = a.shape[0]
-        padded = -(-n_rows // _GEMM_ROWS) * _GEMM_ROWS
-        if padded != n_rows:
-            a = np.concatenate([a, np.zeros((padded - n_rows, k), dtype=a.dtype)])
-        if out is None:
-            out = np.empty((padded, m), dtype=a.dtype)
+    def matmul(a: np.ndarray, out: np.ndarray) -> None:
         groups = a.reshape(-1, _GEMM_ROWS, k)
         out_groups = out.reshape(-1, _GEMM_ROWS, m)
         for inner, cols, tile in tiles:
             np.matmul(groups[:, :, inner], tile, out=out_groups[:, :, cols])
-        return out[:n_rows]
 
     return matmul
 
@@ -447,8 +435,15 @@ def mel_to_hz(m):
 
 
 @cache
-def _filterbank() -> np.ndarray:
-    cfg = SpectralConfig
+def mel_filterbank(cfg: SpectralConfig) -> np.ndarray:
+    """Triangular mel filters as a read-only [n_mels, n_fft/2+1] matrix, built once per process.
+
+    Centers lie strictly between fmin and fmax on the
+    2595*log10(1 + f/700) scale; each filter is scaled by 2/bandwidth so
+    filters carry comparable area regardless of width.  Every filter
+    holds at least one FFT bin.  SpectralConfig instances are equal, so
+    every call returns the array of the first.
+    """
     fftfreqs = np.arange(cfg.n_bins) * (cfg.sample_rate / cfg.n_fft)
     hz_pts = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2))
     fdiff = np.diff(hz_pts)
@@ -460,17 +455,6 @@ def _filterbank() -> np.ndarray:
     weights *= (2.0 / (hz_pts[2:] - hz_pts[:-2]))[:, None]
     weights.flags.writeable = False
     return weights
-
-
-def mel_filterbank(cfg: SpectralConfig) -> np.ndarray:
-    """Triangular mel filters as a read-only [n_mels, n_fft/2+1] matrix, built once per process.
-
-    Centers lie strictly between fmin and fmax on the
-    2595*log10(1 + f/700) scale; each filter is scaled by 2/bandwidth so
-    filters carry comparable area regardless of width.  Every filter
-    holds at least one FFT bin.
-    """
-    return _filterbank()
 
 
 def mel_spectrogram(w: Waveform, cfg: SpectralConfig) -> MelSpectrogram:
@@ -489,6 +473,7 @@ def mel_spectrogram(w: Waveform, cfg: SpectralConfig) -> MelSpectrogram:
     frames = _analysis_frames(w, cfg)
     filter_mags = _tiled_matmul(mel_filterbank(cfg).T)
     n_frames = frames.shape[0]
+    # Whole 4-row groups of frames, so no product falls back to gemv.
     padded = -(-n_frames // _GEMM_ROWS) * _GEMM_ROWS
     mel = np.empty((padded, cfg.n_mels))
 
@@ -534,6 +519,7 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
         raise ConfigMismatch(f"mel needs a {n_mels} x {n_bins} filterbank, got {weights.shape}")
     apply_w, apply_wt = _tiled_matmul(weights.T), _tiled_matmul(weights)
     n_frames = m.n_frames
+    # Whole 4-row groups of frames, so no product falls back to gemv.
     padded = -(-n_frames // _GEMM_ROWS) * _GEMM_ROWS
     mel = np.exp(m.logmels)
     unit = _unit(float(mel.max(initial=0.0)))

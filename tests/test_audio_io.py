@@ -142,6 +142,14 @@ def test_float32_samples(tmp_path):
     assert np.array_equal(w.samples, [0.25, -0.5, 1.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float32_non_finite_samples_are_refused(tmp_path, bad):
+    path = tmp_path / "f32.wav"
+    path.write_bytes(build_wav(struct.pack("<3f", 0.25, bad, 1.5), fmt_tag=3, bits=32))
+    with pytest.raises(MalformedContainer, match="non-finite"):
+        read_wav(path)
+
+
 def test_extensible_pcm24_mono(tmp_path):
     payload = b"\x00\x00\x80" + b"\xff\xff\x7f" + b"\x00\x00\x40"
     ext = extensible_fmt_ext(1, 24, 1)

@@ -723,8 +723,7 @@ import sys
 import numpy as np
 from sraug.audio_io import read_wav
 from sraug.spectral import (
-    MelSpectrogram, SpectralConfig, _tiled_matmul, mel_filterbank, mel_spectrogram,
-    mel_to_linear,
+    MelSpectrogram, SpectralConfig, mel_filterbank, mel_spectrogram, mel_to_linear,
 )
 cfg = SpectralConfig()
 mel = mel_spectrogram(read_wav(sys.argv[1]), cfg)
@@ -735,18 +734,6 @@ sys.stdout.buffer.write(mel.logmels.tobytes() + linear.mags.tobytes())
 rng = np.random.default_rng(0)
 linear = mel_to_linear(MelSpectrogram(mel.logmels[:130], cfg), rng.random((80, cfg.n_bins)))
 sys.stdout.buffer.write(linear.mags.tobytes())
-# Dense 283 x 641 and 2000 x 641 products, in double and in single
-# precision, as NNLS runs them.  A 4-row gemm over a quarter of the
-# 2000 x 641 columns is large enough for OpenBLAS to split and round
-# differently on more threads, unless the tiles are cut into shorter runs
-# of columns; its sgemm splits and rounds differently too.
-for rows in (283, 2000):
-    dense = rng.random((rows, cfg.n_bins))
-    a, b = rng.random((132, cfg.n_bins)), rng.random((132, rows))
-    for dtype in (np.float64, np.float32):
-        weights = dense.astype(dtype)
-        sys.stdout.buffer.write(_tiled_matmul(weights.T)(a.astype(dtype)).tobytes())
-        sys.stdout.buffer.write(_tiled_matmul(weights)(b.astype(dtype)).tobytes())
 """
 
 

@@ -61,13 +61,13 @@ def test_pitch_config_validation(kwargs):
 
 def test_f0_track_validation_and_helpers():
     with pytest.raises(ValueError):
-        F0Track(np.array([100.0, -1.0]), 320, 16000)
+        F0Track(np.array([100.0, -1.0]), 16000)
     with pytest.raises(ValueError):
-        F0Track(np.array([[100.0]]), 320, 16000)
-    for hop_size, sample_rate in ((0, 16000), (2.5, 16000), (320, 0)):
+        F0Track(np.array([[100.0]]), 16000)
+    for sample_rate in (0, 2.5):
         with pytest.raises(ValueError):
-            F0Track(np.array([100.0]), hop_size, sample_rate)
-    track = F0Track(np.array([0.0, 220.0, 0.0, 230.0]), 320, 16000)
+            F0Track(np.array([100.0]), sample_rate)
+    track = F0Track(np.array([0.0, 220.0, 0.0, 230.0]), 16000)
     assert len(track) == 4
     assert np.array_equal(track.voiced, [False, True, False, True])
     assert np.allclose(track.times(), [0.0, 0.02, 0.04, 0.06])
@@ -284,7 +284,7 @@ def test_f0_pcc_silence_has_no_overlap():
 
 
 def test_write_f0_csv(tmp_path):
-    track = F0Track(np.array([0.0, 220.5, 330.25]), 320, 16000)
+    track = F0Track(np.array([0.0, 220.5, 330.25]), 16000)
     path = tmp_path / "f0.csv"
     write_f0_csv(path, track)
     lines = path.read_text().splitlines()
@@ -295,6 +295,6 @@ def test_write_f0_csv(tmp_path):
 
 
 def test_write_f0_csv_io_failure(tmp_path):
-    track = F0Track(np.array([220.0]), 320, 16000)
+    track = F0Track(np.array([220.0]), 16000)
     with pytest.raises(IoFailure):
         write_f0_csv(tmp_path / "missing" / "f0.csv", track)

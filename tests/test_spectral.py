@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sraug import spectral
-from sraug.audio_io import Waveform
+from sraug.audio_io import Waveform, _Owned
 from sraug.errors import (
     ConfigMismatch,
     IoFailure,
@@ -102,7 +102,7 @@ def test_value_types_validate_shape_and_range():
 # valid value for that array.
 _VALUE_TYPES = {
     "Waveform": (lambda v: Waveform(v, 16000).samples, np.zeros(4)),
-    "F0Track": (lambda v: F0Track(v, 320, 16000).f0, np.zeros(4)),
+    "F0Track": (lambda v: F0Track(v, 16000).f0, np.zeros(4)),
     "DiagGaussian": (lambda v: DiagGaussian(np.zeros(4), v).log_std, np.zeros(4)),
     "ComplexSpectrogram": (
         lambda v: ComplexSpectrogram(v, CFG).values,
@@ -120,16 +120,30 @@ def test_value_types_share_one_array_rule(type_name):
     not_numeric.flat[0] = {"a": 1}
     with pytest.raises(ValueError):
         build(not_numeric)
-    not_finite = good.copy()
-    not_finite.flat[0] = np.nan
-    with pytest.raises(ValueError):
-        build(not_finite)
+    for bad in (np.nan, np.inf, -np.inf):
+        not_finite = good.copy()
+        not_finite.flat[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            build(not_finite)
     with pytest.raises(ValueError):
         build(good[None])  # one rank too many
     out = build(good)
     assert not out.flags.writeable
     assert not np.shares_memory(out, good)
     np.testing.assert_array_equal(out, good)
+
+
+def test_value_checks_hold_no_whole_array_temporary():
+    # Finiteness and the lower bound come from one min() and max() pair:
+    # np.isfinite held one byte an element, 1.9 MB on these 3,001 frames.
+    mags = np.ones((3001, CFG.n_bins), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        LinearSpectrogram(_Owned(mags), CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
 
 
 def test_value_arrays_are_frozen():
@@ -319,13 +333,6 @@ def test_filterbank_is_deterministic_and_frozen():
 def _tiler_weights(name):
     if name == "default":
         return mel_filterbank(CFG)
-    if name == "283 bands":
-        # Random weights on the supports of 283 mel-spaced triangles, about
-        # the most bands a 641-bin filterbank has: its tiles are wider.
-        edges = mel_to_hz(np.linspace(0.0, hz_to_mel(CFG.fmax), 285)) / 12.5
-        bins = np.arange(CFG.n_bins)
-        support = (bins > edges[:-2, None]) & (bins < edges[2:, None])
-        return np.where(support, np.random.default_rng(2).random(support.shape), 0.0)
     if name == "dense":
         return np.random.default_rng(3).random((80, CFG.n_bins))
     weights = np.array(mel_filterbank(CFG))  # "zero band and bin"
@@ -334,11 +341,15 @@ def _tiler_weights(name):
     return weights
 
 
-@pytest.mark.parametrize("name", ["default", "283 bands", "dense", "zero band and bin"])
+# mel_to_linear takes any 80 x 641 weights.  Every tile stays within
+# the 65,536 inner x output columns above which OpenBLAS splits a 4-row
+# gemm over its threads and may round it differently.
+@pytest.mark.parametrize("name", ["default", "dense", "zero band and bin"])
 def test_tiled_products_cover_the_weights(name):
     weights = _tiler_weights(name)
     for w in (weights.T, weights):  # the x W^T and the m W products
         tiles = spectral._tiles(w)
+        assert len(tiles) == spectral._TILES
         covered = np.zeros(w.shape, bool)
         columns = np.zeros(w.shape[1], int)
         for inner, cols in tiles:
@@ -348,12 +359,10 @@ def test_tiled_products_cover_the_weights(name):
         assert not (w != 0)[~covered].any()
         assert (columns == 1).all()  # every output column is written once
         a = np.random.default_rng(4).gamma(0.5, size=(37, w.shape[0]))
-        want = a @ w
-        np.testing.assert_allclose(spectral._tiled_matmul(w)(a), want, rtol=1e-12, atol=0)
         out = np.empty((40, w.shape[1]))
-        got = spectral._tiled_matmul(w)(np.concatenate([a, np.zeros((3, w.shape[0]))]), out)
-        np.testing.assert_allclose(got[:37], want, rtol=1e-12, atol=0)
-        assert not got[37:].any()
+        spectral._tiled_matmul(w)(np.concatenate([a, np.zeros((3, w.shape[0]))]), out)
+        np.testing.assert_allclose(out[:37], a @ w, rtol=1e-12, atol=0)
+        assert not out[37:].any()
 
 
 def test_tiles_of_the_default_filterbank_cut_the_work_to_a_quarter():
@@ -363,21 +372,6 @@ def test_tiles_of_the_default_filterbank_cut_the_work_to_a_quarter():
         tiles = spectral._tiles(w)
         assert len(tiles) == 4
         assert sum((i.stop - i.start) * (c.stop - c.start) for i, c in tiles) == want
-
-
-def test_tiles_cap_a_dense_product():
-    # A dense 512 x 641 product is 328,192 inner x output columns a row,
-    # so each of the 4 runs of columns is cut into runs of at most
-    # 65,536 // inner columns.
-    weights = np.random.default_rng(5).random((512, CFG.n_bins))
-    assert [c for _, c in spectral._tiles(weights.T)] == [
-        slice(0, 102), slice(102, 128), slice(128, 230), slice(230, 256),
-        slice(256, 358), slice(358, 384), slice(384, 486), slice(486, 512),
-    ]
-    assert [c for _, c in spectral._tiles(weights)] == [
-        slice(0, 128), slice(128, 160), slice(160, 288), slice(288, 320),
-        slice(320, 448), slice(448, 480), slice(480, 608), slice(608, 641),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +397,12 @@ def test_mel_tone_peak_band_is_stationary():
 @pytest.mark.parametrize("n_frames", [1, 3, 51, 64, 65, 166, 3001])
 def test_mel_bytes_do_not_depend_on_slab_threads(monkeypatch, n_frames):
     w = Waveform(np.random.default_rng(n_frames).standard_normal((n_frames - 1) * 320 + 7), 16000)
-    mags = np.abs(stft(w, CFG).values)
-    product = spectral._tiled_matmul(mel_filterbank(CFG).T)
-    want = np.log(np.maximum(product(mags), CFG.log_floor))
+    padded = -(-n_frames // 4) * 4
+    mags = np.zeros((padded, CFG.n_bins))
+    mags[:n_frames] = np.abs(stft(w, CFG).values)
+    product = np.empty((padded, CFG.n_mels))
+    spectral._tiled_matmul(mel_filterbank(CFG).T)(mags, product)
+    want = np.log(np.maximum(product[:n_frames], CFG.log_floor))
     monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
     for threads in (1, 2, 3):
         spectral._set_threads(threads)

@@ -18,10 +18,10 @@ and, per workload and metric, each side's quartiles, the pairs the
 change won and lost, and whether its median is worse than the parent's
 by more than the bound in BENCHMARK.json; with ``--claim``, also the
 claim rule's verdict.  A claim on a metric that is not one of
-BENCHMARK.json's end-to-end metrics, or on a workload that does not
-run, is refused before the first run.  ``title`` and the ``note``
-fields are left for a person to fill in.  A failed run stops the tool
-with exit code 1.
+BENCHMARK.json's end-to-end metrics or on a workload that does not run,
+and ``--pairs`` below 1, are refused before the first run.  ``title``
+and the ``note`` fields are left for a person to fill in.  A failed run
+stops the tool with exit code 1.
 """
 
 from __future__ import annotations
@@ -169,6 +169,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--claim", help="METRIC:WORKLOAD, checked by the claim rule")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        # The output's environment record and method name the first untraced seed.
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
     workloads = args.workloads.split(",")
     seeds = [FIRST_SEED + i for i in range(args.pairs)]
     trace_seeds = [int(s) for s in args.trace_seeds.split(",") if s]
