@@ -151,18 +151,18 @@ def read_wav(path) -> Waveform:
     stereo is averaged down to mono.  A WAVE_FORMAT_EXTENSIBLE header is
     read through its sub-format GUID, which must name PCM or IEEE float.
     Integer samples are scaled by 2^(bits-1).  Unknown chunks are skipped.
+    The peak is the file, the float64 samples and 4 B a PCM-24 sample.
     """
-    blob = read_bytes(path)
+    blob = memoryview(read_bytes(path))
     if len(blob) < 12:
         raise MalformedContainer(f"{path}: too short for a RIFF header")
     if blob[0:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise MalformedContainer(f"{path}: not a RIFF/WAVE file")
 
-    fmt = None
-    data = None
+    fmt = data = None
     pos = 12
     while pos + 8 <= len(blob):
-        chunk_id = blob[pos : pos + 4]
+        chunk_id = bytes(blob[pos : pos + 4])
         (chunk_size,) = struct.unpack_from("<I", blob, pos + 4)
         body = blob[pos + 8 : pos + 8 + chunk_size]
         if len(body) < chunk_size:
@@ -201,28 +201,28 @@ def read_wav(path) -> Waveform:
     if sample_rate == 0:
         raise MalformedContainer(f"{path}: zero sample rate")
 
-    bytes_per_sample = bits // 8
-    frame_size = bytes_per_sample * n_channels
+    frame_size = bits // 8 * n_channels
     if block_align not in (0, frame_size):
         raise MalformedContainer(f"{path}: block align {block_align} != {frame_size}")
     if len(data) % frame_size != 0:
         raise MalformedContainer(f"{path}: data chunk is not a whole number of frames")
 
-    if bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 2.0**15
-    elif bits == 24:
-        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        ints = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-        ints -= (ints & 0x800000) << 1  # sign-extend 24 -> 32 bits
-        samples = ints.astype(np.float64) / 2.0**23
+    if bits == 24:
+        # Each sample in the top three bytes of a word: one shift sign-extends it.
+        words = np.zeros((len(data) // 3, 4), np.uint8)
+        words[:, 1:] = np.frombuffer(data, np.uint8).reshape(-1, 3)
+        stored = words.view("<i4")[:, 0]
+        stored >>= 8
     else:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-        if samples.size and _finite_min(samples) is None:
-            raise MalformedContainer(f"{path}: non-finite float samples")
-
+        stored = np.frombuffer(data, "<i2" if bits == 16 else "<f4")
+    if format_tag == WAVE_FORMAT_IEEE_FLOAT and stored.size and _finite_min(stored) is None:
+        raise MalformedContainer(f"{path}: non-finite float samples")
+    # The channels' sum times a power of two: every step is exact.
+    samples = stored[::n_channels].astype(np.float64)
     if n_channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
-    return Waveform(samples, int(sample_rate))
+        samples += stored[1::2]
+    samples *= (2.0 ** (1 - bits) if format_tag == WAVE_FORMAT_PCM else 1.0) / n_channels
+    return Waveform(_Owned(samples), int(sample_rate))
 
 
 def write_wav(path, w: Waveform) -> None:
@@ -329,7 +329,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         for first, base, taps in zip(firsts, bases, table):
             run = out[first::up]
             run[:] = np.einsum("ij,j->i", windows[base::down][: run.size], taps)
-    return Waveform(out, target_rate)
+    return Waveform(_Owned(out), target_rate)
 
 
 def _kaiser(u: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .audio_io import _integer, read_wav, resample, write_atomic, write_wav
 from .errors import EmptyCorpus, IoFailure, OutputCollision, StageFailure
 from .spectral import SpectralConfig, _set_threads, available_cpus, mel_spectrogram
 from .sr_ops import VERTICAL, RatioRange, ResizeSpec, resize, sample_ratio
-from .vocoder import GriffinLimConfig, external_vocoder, reconstruct_from_mel
+from .vocoder import GriffinLimConfig, command_words, external_vocoder, reconstruct_from_mel
 
 MANIFEST_NAME = "manifest.jsonl"
 
@@ -51,6 +51,8 @@ class PipelineConfig:
         object.__setattr__(self, "input", str(self.input))
         object.__setattr__(self, "output_dir", str(self.output_dir))
         _integer(self.variants_per_file, "variants_per_file", 1)
+        if self.vocoder_cmd:  # None and "" run Griffin-Lim
+            command_words(self.vocoder_cmd)
         # The rules for axis, noise and seed.
         ResizeSpec(1.0, self.axis, self.pad_noise_std, self.master_seed)
         in_path = Path(self.input)

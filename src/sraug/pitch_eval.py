@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .audio_io import Waveform, _frozen_array, _integer, write_atomic
+from .audio_io import Waveform, _frozen_array, _integer, _Owned, write_atomic
 from .errors import ConfigMismatch, DegenerateVariance, InputTooShort, InsufficientVoicedOverlap
 
 # A sequence whose total variation is this small (relative to its mean
@@ -107,7 +107,7 @@ def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> F0Track:
             block[t] = sr / _refine_lag(row, tau, tau_max)
         np.clip(block, 0.0, cfg.f0_max, out=block)
         block[has_dip] = np.maximum(block[has_dip], cfg.f0_min)
-    return F0Track(f0, sr)
+    return F0Track(_Owned(f0), sr)
 
 
 def _cmndf(frames: np.ndarray, tau_max: int) -> np.ndarray:

@@ -406,7 +406,7 @@ def stft(w: Waveform, cfg: SpectralConfig) -> ComplexSpectrogram:
     """
     frames = _analysis_frames(w, cfg)
     values = np.empty((frames.shape[0], cfg.n_bins), dtype=np.complex128)
-    return ComplexSpectrogram(_analyze(frames, np.empty(frames.shape), values), cfg)
+    return ComplexSpectrogram(_Owned(_analyze(frames, np.empty(frames.shape), values)), cfg)
 
 
 def istft(s: ComplexSpectrogram) -> Waveform:
@@ -421,7 +421,7 @@ def istft(s: ComplexSpectrogram) -> Waveform:
         return Waveform(np.zeros(0), cfg.sample_rate)
     denom = _window_sum(s.n_frames)
     frames = _synthesize(s.values, np.empty((s.n_frames, cfg.n_fft)))
-    return Waveform(_sum_frames(frames) / denom, cfg.sample_rate)
+    return Waveform(_Owned(_sum_frames(frames) / denom), cfg.sample_rate)
 
 
 def hz_to_mel(f):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import Waveform, _integer, read_wav, resample
+from .audio_io import Waveform, _integer, _Owned, read_wav, resample
 from .errors import VocoderOutputMissing, VocoderProcessFailure
 from .spectral import (
     LinearSpectrogram,
@@ -276,7 +276,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     out = signal.reshape(-1)[pad : pad + length]
     peak = float(max(out.max(), -out.min())) * s.unit
     scale = s.unit * (_PEAK_LIMIT / peak if peak > _PEAK_LIMIT else 1.0)
-    return Waveform(np.multiply(out, scale, dtype=np.float64), spectral_cfg.sample_rate)
+    return Waveform(_Owned(np.multiply(out, scale, dtype=np.float64)), spectral_cfg.sample_rate)
 
 
 def reconstruct_from_mel(m: MelSpectrogram, glcfg: GriffinLimConfig) -> Waveform:
@@ -288,29 +288,39 @@ def reconstruct_from_mel(m: MelSpectrogram, glcfg: GriffinLimConfig) -> Waveform
     return griffin_lim(mel_to_linear(m, mel_filterbank(m.config)), glcfg)
 
 
+def command_words(command: str) -> list[str]:
+    """The words of an external vocoder ``command``, as shlex splits them.
+
+    ValueError unless it holds both {mel} and {wav} and its quotes close.
+    """
+    if "{mel}" not in command or "{wav}" not in command:
+        raise ValueError(f"vocoder command {command!r} must contain {{mel}} and {{wav}}")
+    try:
+        return shlex.split(command)
+    except ValueError as exc:  # an unclosed quote, or an escape at the end
+        raise ValueError(f"vocoder command {command!r}: {exc}") from None
+
+
 def external_vocoder(m: MelSpectrogram, command: str) -> Waveform:
     """Hand a mel-spectrogram to an external synthesis command.
 
     ``command`` is a shell-less invocation template containing the
-    placeholders {mel} and {wav}; the mel is written as a MELF file to a
-    fresh temp directory, the command runs with both placeholders
-    substituted, and the WAV it writes is read back (resampled to
-    m.config.sample_rate when the command produced a different rate).
+    placeholders {mel} and {wav} (see command_words); the mel is written
+    as a MELF file to a fresh temp directory, the command runs with both
+    placeholders substituted, and the WAV it writes is read back
+    (resampled to m.config.sample_rate when the command produced a
+    different rate).
     A command still running after EXTERNAL_VOCODER_TIMEOUT seconds is
     killed and raises VocoderProcessFailure.
     """
-    if "{mel}" not in command or "{wav}" not in command:
-        raise ValueError("command template must contain {mel} and {wav}")
+    words = command_words(command)
     with tempfile.TemporaryDirectory(
         prefix="sraug-vocoder-", ignore_cleanup_errors=True
     ) as tmpdir:
         mel_path = Path(tmpdir) / "in.melf"
         wav_path = Path(tmpdir) / "out.wav"
         write_melf(mel_path, m)
-        argv = [
-            arg.replace("{mel}", str(mel_path)).replace("{wav}", str(wav_path))
-            for arg in shlex.split(command)
-        ]
+        argv = [w.replace("{mel}", str(mel_path)).replace("{wav}", str(wav_path)) for w in words]
         try:
             proc = subprocess.run(argv, capture_output=True, timeout=EXTERNAL_VOCODER_TIMEOUT)
         except subprocess.TimeoutExpired as exc:

@@ -168,6 +168,83 @@ def test_extensible_float32_stereo(tmp_path):
     assert np.array_equal(read_wav(path).samples, [-0.25, 0.75])
 
 
+# A frame with a non-finite value in either channel, or in both.
+@pytest.mark.parametrize(
+    "frame", [(math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.25), (math.inf, -math.inf)]
+)
+def test_float32_stereo_non_finite_samples_are_refused(tmp_path, frame):
+    path = tmp_path / "f32.wav"
+    payload = struct.pack("<6f", 0.25, -0.5, *frame, 1.0, 0.5)
+    path.write_bytes(build_wav(payload, fmt_tag=3, channels=2, bits=32))
+    with pytest.raises(MalformedContainer, match="non-finite"):
+        read_wav(path)
+
+
+def _direct_decode(data: bytes, bits: int, channels: int) -> np.ndarray:
+    """The samples of a data chunk, by byte arithmetic spelled out step by step.
+
+    The reference that read_wav must equal: PCM-24 is put together from
+    its three bytes and sign-extended by hand, integers are divided by
+    2^(bits-1), and stereo is the mean of each frame.
+    """
+    if bits == 16:
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 2.0**15
+    elif bits == 24:
+        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+        ints = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
+        ints -= (ints & 0x800000) << 1  # sign-extend 24 -> 32 bits
+        samples = ints.astype(np.float64) / 2.0**23
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+    if channels == 2:
+        samples = samples.reshape(-1, 2).mean(axis=1)
+    return samples
+
+
+def _pack(values, bits: int) -> bytes:
+    if bits == 24:
+        return b"".join(struct.pack("<i", v)[:3] for v in values)
+    return struct.pack(f"<{len(values)}{'h' if bits == 16 else 'f'}", *values)
+
+
+_F32 = np.finfo(np.float32)
+# Zero, the least and the largest subnormal, and the largest finite value.
+_F32_EDGES = [0.0, _F32.smallest_subnormal, _F32.smallest_normal - _F32.smallest_subnormal,
+              _F32.max]
+# (format tag, bits): the samples a payload draws, its edge values or any
+# other; the float-32 edges come with both signs.
+_SAMPLES = {
+    (1, 16): st.sampled_from([-32768, 32767, 0, -1]) | st.integers(-32768, 32767),
+    (1, 24): st.sampled_from([-(2**23), 2**23 - 1, 0, -1]) | st.integers(-(2**23), 2**23 - 1),
+    (3, 32): st.sampled_from([sign * float(edge) for edge in _F32_EDGES for sign in (1.0, -1.0)])
+    | st.floats(width=32, allow_nan=False, allow_infinity=False),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(_SAMPLES)),
+    channels=st.sampled_from([1, 2]),
+    extensible=st.booleans(),
+    data=st.data(),
+)
+def test_read_wav_matches_the_direct_decoder(tmp_path_factory, layout, channels, extensible, data):
+    fmt_tag, bits = layout
+    n_frames = data.draw(st.integers(0, 12))
+    values = data.draw(st.lists(_SAMPLES[layout], min_size=n_frames * channels,
+                                max_size=n_frames * channels))
+    payload = _pack(values, bits)
+    if extensible:
+        header = {"fmt_tag": 0xFFFE, "fmt_ext": extensible_fmt_ext(fmt_tag, bits, channels)}
+    else:
+        header = {"fmt_tag": fmt_tag}
+    path = tmp_path_factory.getbasetemp() / "direct_decode.wav"
+    path.write_bytes(build_wav(payload, channels=channels, bits=bits, rate=48000, **header))
+    # Equal, and bit for bit but for the sign of a zero: a float-32 stereo
+    # frame of two -0.0 reads -0.0, where the mean, a sum from +0.0, gives +0.0.
+    assert np.array_equal(read_wav(path).samples, _direct_decode(payload, bits, channels))
+
+
 @pytest.mark.parametrize(
     "sub_tag, tail",
     [
@@ -290,6 +367,35 @@ def test_only_audio_io_calls_math_isfinite():
         if ast.unparse(call.func) in ("math.isfinite", "isfinite")
     ]
     assert offenders == []
+
+
+# read_wav holds the file, the float64 samples and, for PCM-24, the
+# 4-byte words it widens the samples into; the bound allows 1 MiB more.
+# A decoder that also held a copy of the data chunk, a temporary of the
+# scaling, the stereo mean and a copy for the Waveform peaked at 1.9 to
+# 2.8 times this bound.
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("fmt_tag, bits", [(1, 16), (1, 24), (3, 32)])
+def test_read_wav_peak_memory(tmp_path, fmt_tag, bits, channels):
+    n_stored = 48000 * 10 * channels
+    rng = np.random.default_rng(bits + channels)
+    if bits == 32:
+        payload = rng.uniform(-1.0, 1.0, n_stored).astype("<f4").tobytes()
+    else:
+        payload = rng.integers(0, 256, n_stored * bits // 8, dtype=np.uint8).tobytes()
+    path = tmp_path / "long.wav"
+    path.write_bytes(build_wav(payload, fmt_tag=fmt_tag, channels=channels, rate=48000, bits=bits))
+    del payload
+    read_wav(path)
+    tracemalloc.start()
+    try:
+        samples = read_wav(path).samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = 4 * n_stored if bits == 24 else 0
+    bound = path.stat().st_size + samples.nbytes + words + 2**20
+    assert peak <= bound, f"{peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +642,8 @@ def test_resample_refuses_a_kernel_longer_than_a_block_before_allocating():
 
 # 1 s at 44,101 Hz has 16,000 phases, so a table of all of them would be
 # 45 MB; 10 s at 48 kHz is 3.8 MB of padded input.  The peak is that copy,
-# the output and the Waveform's copy of it, and one block of kernel rows
-# with its temporaries: measured 7.4 and 6.3 MiB.
+# the output, and one block of kernel rows with its temporaries: measured
+# 7.4 and 6.1 MiB.
 @pytest.mark.parametrize("src, seconds", [(44101, 1), (48000, 10)])
 def test_resample_peak_memory(src, seconds):
     w = Waveform(_noise(src * seconds, 7), src)

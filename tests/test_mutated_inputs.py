@@ -16,19 +16,20 @@ from sraug.sr_ops import RatioRange, ResizeSpec
 
 from test_audio_io import build_wav, extensible_fmt_ext
 
-# One valid file of each layout read_wav accepts; every mutation starts
-# from one of them.
+# One valid file of each layout read_wav accepts: PCM-16, PCM-24 and
+# float-32, mono and stereo, each plain and WAVE_FORMAT_EXTENSIBLE.  Every
+# mutation starts from one of them.
+_PAYLOADS = {  # (format tag, bits): a payload of whole mono and stereo frames
+    (1, 16): struct.pack("<4h", 0, 1000, -1000, 32767),
+    (1, 24): bytes(range(12)),
+    (3, 32): struct.pack("<4f", 0.25, -0.75, 1.0, 0.5),
+}
 _WAVS = [
-    build_wav(struct.pack("<4h", 0, 1000, -1000, 32767)),
-    build_wav(bytes(range(12)), channels=2, bits=24),
-    build_wav(struct.pack("<3f", 0.25, -0.5, 1.0), fmt_tag=3, bits=32),
-    build_wav(
-        struct.pack("<4f", 0.25, -0.75, 1.0, 0.5),
-        fmt_tag=0xFFFE,
-        channels=2,
-        bits=32,
-        fmt_ext=extensible_fmt_ext(3, 32, 2),
-    ),
+    build_wav(payload, fmt_tag=fmt_tag, channels=channels, bits=bits, fmt_ext=fmt_ext)
+    for (tag, bits), payload in _PAYLOADS.items()
+    for channels in (1, 2)
+    for fmt_tag, fmt_ext in [(tag, b""), (0xFFFE, extensible_fmt_ext(tag, bits, channels))]
+] + [
     build_wav(
         struct.pack("<h", 12345), extra_chunks=b"LIST" + struct.pack("<I", 3) + b"abc\x00"
     ),

@@ -127,6 +127,40 @@ def test_config_validation(tmp_path):
         PipelineConfig(input=str(src), output_dir=str(out), master_seed=1.5)
     with pytest.raises(ValueError):
         PipelineConfig(input=str(src), output_dir=str(out), variants_per_file=1.5)
+    # No vocoder command, given as None or as an empty string, runs Griffin-Lim.
+    for griffin_lim in (None, ""):
+        PipelineConfig(input=str(src), output_dir=str(out), vocoder_cmd=griffin_lim)
+
+
+# No placeholder, one placeholder, an unclosed quote, an escape at the end.
+_BAD_VOCODER_TEMPLATES = ["myvoc", "voc {mel} out.wav", "voc '{mel} {wav}", "voc {mel} {wav} \\"]
+
+
+@pytest.mark.parametrize("template", _BAD_VOCODER_TEMPLATES)
+def test_config_checks_the_vocoder_template(tmp_path, template):
+    src = tmp_path / "in"
+    src.mkdir()
+    with pytest.raises(ValueError, match="vocoder command"):
+        PipelineConfig(input=str(src), output_dir=str(tmp_path / "out"), vocoder_cmd=template)
+
+
+@pytest.mark.parametrize("template", _BAD_VOCODER_TEMPLATES)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_refuses_a_bad_vocoder_template_before_any_work(tmp_path, capsys, template, source):
+    src = tmp_path / "in"
+    small_corpus(src, n=1)
+    out = tmp_path / "out"
+    args = ["augment", "--in", str(src), "--out", str(out)]
+    if source == "flag":
+        args += ["--vocoder-cmd", template]
+    else:
+        config = tmp_path / "settings.conf"
+        config.write_text(f"vocoder_cmd = {template}\n")
+        args += ["--config", str(config)]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("sraug augment: vocoder command"), err
+    assert not out.exists()  # rejected before any work
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +564,35 @@ def test_run_peak_memory_grows_at_most_0_72_mb_per_input_second(tmp_path):
         peaks.append(int(proc.stdout) / 1024)
     slope = (peaks[1] - peaks[0]) / 105
     assert slope <= 0.72, f"{slope:.3f} MB per input second ({peaks[0]:.1f}, {peaks[1]:.1f} MB)"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+def test_run_peak_memory_on_48khz_pcm24_stereo(tmp_path):
+    # 60 s at 48 kHz, 24-bit stereo, a 17.3 MB file.  Measured on a 2-core
+    # x86-64 box: 97 MB, of which read_wav sets 95 (the interpreter's 35,
+    # the file, the 23 MB of float64 samples and 4 B a stored sample);
+    # the same audio at 16 kHz, 16-bit mono, peaks at 84 MB in
+    # Griffin-Lim.  A decoder that held a copy of the data chunk, PCM-24
+    # in int32 at 12 B a sample, the scaled samples, the stereo mean and a
+    # copy for the Waveform peaked at 224 MB.  The bound leaves room for
+    # one more float64 array of the samples (23 MB), and no more.
+    from test_audio_io import build_wav
+
+    src = tmp_path / "in"
+    src.mkdir()
+    left = synth.voiced(60.0, 150, 230, seed=3, vibrato=4.0, sr=48000).samples
+    frames = np.stack([left, 0.8 * np.roll(left, 37)], axis=1)
+    words = np.round(frames * 2**23).astype("<i4").view(np.uint8).reshape(-1, 4)
+    payload = words[:, :3].tobytes()
+    del left, frames, words
+    (src / "clip.wav").write_bytes(build_wav(payload, channels=2, rate=48000, bits=24))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, str(src), str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak = int(proc.stdout) / 1024
+    assert peak <= 120, f"{peak:.1f} MB"
 
 
 def _collision_run(tmp_path, names, capsys):

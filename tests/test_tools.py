@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py refuses a bad command line before it runs anything."""
+"""tools/bench_pairs.py: its command-line checks and its line counts."""
 
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -27,3 +29,37 @@ def test_bench_pairs_refuses_fewer_than_one_pair(tmp_path, monkeypatch, capsys):
     assert info.value.code == 2
     assert "--pairs must be at least 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "b.json").exists()
+
+
+def test_bench_pairs_writes_both_sides_src_and_tests_lines(tmp_path, monkeypatch):
+    # Two small trees with different line counts; the runs themselves are
+    # stubbed, so only the counting and the output record are exercised.
+    bench_pairs = _bench_pairs()
+    change, parent = tmp_path / "change", tmp_path / "parent"
+    for tree, src_text, tests_text in ((change, "a\nb\n", "t\n"), (parent, "a\n", "t\nu\nv\n")):
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "src" / "pkg" / "m.py").write_text(src_text)
+        (tree / "src" / "pkg" / "notes.txt").write_text("not\npython\n")
+        (tree / "tests").mkdir()
+        (tree / "tests" / "test_m.py").write_text(tests_text)
+        (tree / "perfbench").mkdir()
+        (tree / "perfbench" / "run.py").write_text("")
+    spec = {"end_to_end": [{"name": "m", "better": "higher", "bound": 0.1}]}
+    (change / "BENCHMARK.json").write_text(json.dumps(spec))
+    results = change / ".perfbench" / "results"
+    results.mkdir(parents=True)
+    (results / f"w-seed{bench_pairs.FIRST_SEED}-trace0.json").write_text('{"environment": {}}')
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        return {"metrics": {"m": 1.0}, "digest": "d"}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: shutil.copytree(
+        parent, into, dirs_exist_ok=True))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "abc1234")
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "b.json"
+    assert bench_pairs.main(["--out", str(out), "--workloads", "w", "--pairs", "1"]) == 0
+    written = json.loads(out.read_text())
+    assert written["src_lines"] == {"parent": 1, "change": 2}
+    assert written["tests_lines"] == {"parent": 3, "change": 1}

@@ -572,3 +572,5 @@ def test_external_vocoder_requires_placeholders():
     m = mel_spectrogram(synth.tone(220.0, 0.3), CFG)
     with pytest.raises(ValueError):
         external_vocoder(m, "vocoder --in foo --out bar")
+    with pytest.raises(ValueError, match="No closing quotation"):
+        external_vocoder(m, f"{sys.executable} '{{mel}} {{wav}}")

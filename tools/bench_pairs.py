@@ -14,10 +14,10 @@ seed, if given, is one more pair of each workload, run last.  Traced
 runs (``--trace 1``) give the per-layer metrics of both sides.
 
 The output holds each side's count of lines of Python under ``src/``
-and, per workload and metric, each side's quartiles, the pairs the
-change won and lost, and whether its median is worse than the parent's
-by more than the bound in BENCHMARK.json; with ``--claim``, also the
-claim rule's verdict.  A claim on a metric that is not one of
+and under ``tests/`` and, per workload and metric, each side's
+quartiles, the pairs the change won and lost, and whether its median is
+worse than the parent's by more than the bound in BENCHMARK.json; with
+``--claim``, also the claim rule's verdict.  A claim on a metric that is not one of
 BENCHMARK.json's end-to-end metrics or on a workload that does not run,
 and ``--pairs`` below 1, are refused before the first run.  ``title``
 and the ``note`` fields are left for a person to fill in.  A failed run
@@ -68,9 +68,9 @@ def code_hash(tree: Path) -> str:
     return h.hexdigest()[:16]
 
 
-def src_lines(tree: Path) -> int:
-    """Lines of the Python files under ``tree/src``, as ``wc -l`` counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+def py_lines(tree: Path, top: str) -> int:
+    """Lines of the Python files under ``tree/top``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / top).rglob("*.py"))
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -192,7 +192,8 @@ def main(argv=None) -> int:
         trees = {"parent": scratch / "parent", "change": ROOT}
         trees["parent"].mkdir()
         export(args.base, trees["parent"])
-        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        lines = {top: {side: py_lines(tree, top) for side, tree in trees.items()}
+                 for top in ("src", "tests")}
         benches = {side: {p.name: p.read_bytes() for p in (tree / "perfbench").glob("*")
                           if p.is_file()} for side, tree in trees.items()}
         if benches["parent"] != benches["change"]:
@@ -213,7 +214,8 @@ def main(argv=None) -> int:
         "title": "",
         "parent_commit": git("rev-parse", "--short", args.base),
         "change": f"working tree on {git('rev-parse', '--short', 'HEAD')}",
-        "src_lines": lines,
+        "src_lines": lines["src"],
+        "tests_lines": lines["tests"],
         "machine": {k: environment.get(k)
                     for k in ("nproc", "machine", "python", "numpy", "blas")},
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
