@@ -76,12 +76,12 @@ class _Owned:
     array: np.ndarray
 
 
-def _frozen_array(values, dtype, ndim: int, name: str, lower=None) -> np.ndarray:
+def _frozen_array(values, dtype, ndim: int, name: str, lower=None, upper=None) -> np.ndarray:
     """A private, read-only copy of ``values`` as a finite ``ndim``-D ``dtype`` array.
 
     An _Owned array is checked and frozen in place instead.  ValueError,
     naming ``name``, for a non-numeric entry, another rank, NaN, Inf, or
-    an entry below ``lower`` when one is given.
+    an entry below ``lower`` or above ``upper`` when one is given.
     """
     if isinstance(values, _Owned):
         array = values.array
@@ -93,23 +93,25 @@ def _frozen_array(values, dtype, ndim: int, name: str, lower=None) -> np.ndarray
     if array.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {array.shape}")
     if array.size:
-        low = _finite_min(array.real)
-        if low is None or (np.iscomplexobj(array) and _finite_min(array.imag) is None):
+        bounds = _finite_range(array.real)
+        if bounds is None or (np.iscomplexobj(array) and _finite_range(array.imag) is None):
             raise ValueError(f"{name} entries must be finite")
-        if lower is not None and low < lower:
+        if lower is not None and bounds[0] < lower:
             raise ValueError(f"{name} entries must be >= {lower:.6f}")
+        if upper is not None and bounds[1] > upper:
+            raise ValueError(f"{name} entries must be <= {upper:.6f}")
     array.flags.writeable = False
     return array
 
 
-def _finite_min(array: np.ndarray):
-    """The least entry of a non-empty real ``array``; None if an entry is NaN or infinite.
+def _finite_range(array: np.ndarray):
+    """The least and greatest entries of a non-empty real ``array``; None if one is not finite.
 
     A NaN makes min() and max() NaN, and an infinity is one of them, so
     that pair tells with no whole-array temporary.
     """
     low, high = array.min(), array.max()
-    return low if -math.inf < low <= high < math.inf else None
+    return (low, high) if -math.inf < low <= high < math.inf else None
 
 
 def _integer(value, name: str, minimum: int) -> int:
@@ -215,7 +217,7 @@ def read_wav(path) -> Waveform:
         stored >>= 8
     else:
         stored = np.frombuffer(data, "<i2" if bits == 16 else "<f4")
-    if format_tag == WAVE_FORMAT_IEEE_FLOAT and stored.size and _finite_min(stored) is None:
+    if format_tag == WAVE_FORMAT_IEEE_FLOAT and stored.size and _finite_range(stored) is None:
         raise MalformedContainer(f"{path}: non-finite float samples")
     # The channels' sum times a power of two: every step is exact.
     samples = stored[::n_channels].astype(np.float64)

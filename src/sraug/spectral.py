@@ -6,7 +6,7 @@ Conventions used throughout:
 * analysis is center-aligned: the signal is reflect-padded by n_fft/2 on
   each side, so frame k is centered on sample k*hop of the original;
 * log-mels are the natural log of magnitude-domain mel energies, floored
-  at ``log_floor`` before the log.
+  at ``log_floor`` before the log and at most ln ``mel_ceiling``.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ _MELF_MAGIC = b"MELF"
 _MELF_VERSION = 1
 _MELF_HEADER = struct.Struct("<4sIIIII")
 
-# Tolerance when checking log-mel values against the configured floor;
-# covers float32 round-trips through the MELF container.
+# Tolerance when checking log-mel values against the floor and the
+# ceiling; covers float32 round-trips through the MELF container.
 _FLOOR_SLACK = 1e-4
 
 _NNLS_ITERS = 50
@@ -79,6 +79,14 @@ class SpectralConfig:
     ``n_mels`` bands from ``fmin`` to ``fmax`` floored at ``log_floor``.
     A MELF header stores hop_size, n_mels and sample_rate, and read_melf
     refuses other values.
+
+    Magnitudes are at most ``mag_ceiling`` and mel energies at most
+    ``mel_ceiling``.  Float32 tops out near 2**128, and an FFT or a
+    filterbank product sums hundreds of values, so single-precision
+    Griffin-Lim holds magnitudes up to 2**64.  The mel ceiling sits 2**16
+    lower because the NNLS solution can exceed its target: over a million
+    random mel frames its largest magnitude was at most 59 times the
+    largest mel energy.  A full-scale signal's log-mels stay below 4.
     """
 
     hop_size: ClassVar[int] = 320  # divides n_fft
@@ -89,6 +97,8 @@ class SpectralConfig:
     fmin: ClassVar[float] = 0.0
     fmax: ClassVar[float] = 8000.0
     log_floor: ClassVar[float] = 1e-5
+    mel_ceiling: ClassVar[float] = 2.0**48
+    mag_ceiling: ClassVar[float] = 2.0**64
 
 
 @dataclass(frozen=True)
@@ -109,32 +119,23 @@ class ComplexSpectrogram:
 
 @dataclass(frozen=True)
 class LinearSpectrogram:
-    """Non-negative magnitude frames, [n_frames, n_fft/2+1]: float32 ``mags`` times ``unit``.
+    """Magnitude frames, [n_frames, n_fft/2+1], float32, from 0 to ``mag_ceiling``.
 
-    ``unit`` is a power of two, 1.0 unless the largest magnitude passes
-    2**64: the magnitudes given (``mags`` times the ``unit`` given) are
-    divided by the power of two that _unit picks for their largest, which
-    rounds nothing, so single-precision work on ``mags`` cannot overflow.
-    A caller's ``mags`` are read in float64, which holds any finite size,
-    and rounded to float32 after that division; an _Owned float32 array
-    is taken over without a copy.
+    A caller's ``mags`` are checked in float64, which holds any finite
+    size, and then rounded to float32 once; an _Owned float32 array is
+    taken over without a copy.
     """
 
     mags: np.ndarray
     config: SpectralConfig
-    unit: float = 1.0
 
     def __post_init__(self):
-        unit = float(self.unit)
-        if not (unit >= 1.0 and math.frexp(unit)[0] == 0.5):
-            raise ValueError(f"unit must be a power of two of at least 1, got {self.unit!r}")
-        mags = _frozen_frames(self.mags, np.float64, self.config.n_bins, "mags", lower=0.0)
-        step = _unit(float(mags.max(initial=0.0)))
-        if step > 1.0 or mags.dtype != np.float32:
-            mags = np.divide(mags, step, out=np.empty(mags.shape, np.float32))
+        cfg = self.config
+        mags = _frozen_frames(self.mags, np.float64, cfg.n_bins, "mags", 0.0, cfg.mag_ceiling)
+        if mags.dtype != np.float32:
+            mags = mags.astype(np.float32)
             mags.flags.writeable = False
         object.__setattr__(self, "mags", mags)
-        object.__setattr__(self, "unit", unit * step)
 
     @property
     def n_frames(self) -> int:
@@ -143,15 +144,16 @@ class LinearSpectrogram:
 
 @dataclass(frozen=True)
 class MelSpectrogram:
-    """Log-mel frames, [n_frames, n_mels], floored at ln(log_floor)."""
+    """Log-mel frames, [n_frames, n_mels], from ln(log_floor) to ln(mel_ceiling)."""
 
     logmels: np.ndarray
     config: SpectralConfig
 
     def __post_init__(self):
         floor = math.log(self.config.log_floor) - _FLOOR_SLACK
+        ceiling = math.log(self.config.mel_ceiling) + _FLOOR_SLACK
         n_mels = self.config.n_mels
-        logmels = _frozen_frames(self.logmels, np.float64, n_mels, "logmels", floor)
+        logmels = _frozen_frames(self.logmels, np.float64, n_mels, "logmels", floor, ceiling)
         object.__setattr__(self, "logmels", logmels)
 
     @property
@@ -159,21 +161,12 @@ class MelSpectrogram:
         return self.logmels.shape[0]
 
 
-def _frozen_frames(values, dtype, n_bins: int, name: str, lower=None) -> np.ndarray:
+def _frozen_frames(values, dtype, n_bins: int, name: str, lower=None, upper=None) -> np.ndarray:
     """The _frozen_array of [n_frames, n_bins] frames."""
-    values = _frozen_array(values, dtype, 2, name, lower)
+    values = _frozen_array(values, dtype, 2, name, lower, upper)
     if values.shape[1] != n_bins:
         raise ValueError(f"expected {n_bins} bins per frame, got {values.shape[1]}")
     return values
-
-
-def _unit(largest: float) -> float:
-    """The power of two that takes ``largest`` below 2**64; 1.0 if it is below already.
-
-    Float32 tops out near 2**128, and an FFT or a filterbank product sums
-    hundreds of values, so single-precision spectra stay below 2**64.
-    """
-    return 2.0 ** max(0, math.frexp(largest)[1] - 64)
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +493,9 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     updates from x0 = W^T m, where W is the mel_filterbank ``weights``;
     weights of another shape than [n_mels, n_bins] raise ConfigMismatch.
 
-    The solve runs in single precision: exp(logmels), divided by the
-    power of two that _unit picks for its largest value, and the weights
-    are rounded to float32, and every product and update stays there.
-    The float32 solution becomes the result's ``mags``, without a copy,
-    and that power of two its ``unit``.
+    The solve runs in single precision: exp(logmels) and the weights are
+    rounded to float32, and every product and update stays there.  The
+    float32 solution becomes the result's ``mags``, without a copy.
 
     The frames are padded with zero frames, which solve to 0, to a
     multiple of 4 and solved in 128-frame blocks on the slab threads (see
@@ -521,11 +512,8 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     n_frames = m.n_frames
     # Whole 4-row groups of frames, so no product falls back to gemv.
     padded = -(-n_frames // _GEMM_ROWS) * _GEMM_ROWS
-    mel = np.exp(m.logmels)
-    unit = _unit(float(mel.max(initial=0.0)))
     target = np.zeros((padded, n_mels), dtype=np.float32)
-    np.divide(mel, unit, out=target[:n_frames])
-    del mel
+    np.exp(m.logmels, out=target[:n_frames])
     x = np.empty((padded, n_bins), dtype=np.float32)
 
     def solve(rows, _, numer, denom, mixed):
@@ -543,7 +531,7 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     scratch = (n_bins, np.float32), (n_bins, np.float32), (n_mels, np.float32)
     with _block_pool(padded, _NNLS_BLOCK, *scratch) as (run, _):
         run(solve)
-    return LinearSpectrogram(_Owned(x[:n_frames]), m.config, unit)
+    return LinearSpectrogram(_Owned(x[:n_frames]), m.config)
 
 
 # ---------------------------------------------------------------------------

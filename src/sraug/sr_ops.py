@@ -115,8 +115,9 @@ def vertical_sr(
       are cropped away;
     * ratio = 1: bit-exact no-op.
 
-    Output shape always equals input shape.  Padded cells are clamped to
-    the configured log floor so the result stays a valid MelSpectrogram.
+    Output shape always equals input shape.  Padded cells are clamped
+    between the log floor and the log ceiling, so the result stays a
+    valid MelSpectrogram.
     Noise is drawn in one row-major block, so a given (rng state, shape)
     always yields the same fill.
     """
@@ -131,7 +132,7 @@ def vertical_sr(
         n_frames = resized.shape[0]
         base = resized[:, -1:]  # highest surviving bin, per frame
         noise = rng.normal(0.0, spec.pad_noise_std, size=(n_frames, h - h_resized))
-        pad = np.maximum(base + noise, math.log(m.config.log_floor))
+        pad = np.clip(base + noise, math.log(m.config.log_floor), math.log(m.config.mel_ceiling))
         out = np.concatenate([resized, pad], axis=1)
     else:
         out = resized[:, :h]

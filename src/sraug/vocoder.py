@@ -96,7 +96,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     Fast Griffin-Lim (Perraudin et al. 2013): alternate istft/stft
     projections, keeping only the phase of each projection (accelerated
     by a 0.99 momentum term) and reimposing the target magnitudes: the
-    accelerated spectrum c is multiplied by one real scale,
+    accelerated spectrum c is multiplied by one real factor,
     mags / max(|c|, 1e-16).  The final waveform is scaled down to a 0.95
     peak if it comes out louder.
 
@@ -105,7 +105,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     place.  The output is 16-bit PCM, and on speech-like input the
     spectral convergence and log-mel L1 agree with a float64 loop's to 5
     decimal places.  The output widens to float64, and the limiter's
-    scale, with ``s.unit`` folded in, is applied as it widens.
+    scale is applied as it widens.
 
     The start is a phase-vocoder phase, the time-direction half of
     phase-gradient heap integration (Prusa, Balazs & Sondergaard 2017),
@@ -179,7 +179,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     step = 2.0 * np.pi * hop / n_fft
     # Block buffers: a spectrum (the log-magnitudes in float64, the turns,
     # the momentum term, then the accelerated value and mags times its
-    # phase) and a scale (the accelerated value's magnitude, then mags
+    # phase) and a factor (the accelerated value's magnitude, then mags
     # over that).
     scratch = (n_bins, np.complex64), (n_bins, np.float32)
 
@@ -274,8 +274,8 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     # rounding can lift a sample above the limit.
     del previous, views, analysis, signals
     out = signal.reshape(-1)[pad : pad + length]
-    peak = float(max(out.max(), -out.min())) * s.unit
-    scale = s.unit * (_PEAK_LIMIT / peak if peak > _PEAK_LIMIT else 1.0)
+    peak = float(max(out.max(), -out.min()))
+    scale = _PEAK_LIMIT / peak if peak > _PEAK_LIMIT else 1.0
     return Waveform(_Owned(np.multiply(out, scale, dtype=np.float64)), spectral_cfg.sample_rate)
 
 

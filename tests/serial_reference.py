@@ -12,13 +12,9 @@ it is the plain double-precision algorithm, the quality yardstick.  At
 float32 it makes the library's casts: the window, the window sum, the
 magnitudes and the start's turns are cast to single precision, and the
 signal and spectra stay there, until the limiter's scale is applied in
-float64 as the output widens.  Magnitudes past 2**64 are first divided
-by a power of two, as LinearSpectrogram does, or come with that ``unit``
-already divided out; the start's turns are computed in float64 from the
-magnitudes in the loop's precision, as in the library.
+float64 as the output widens.  The start's turns are computed in float64
+from the magnitudes in the loop's precision, as in the library.
 """
-
-import math
 
 import numpy as np
 
@@ -91,14 +87,9 @@ def start_angles(mags: np.ndarray, cfg: SpectralConfig, dtype=np.float64) -> np.
     return angles
 
 
-def griffin_lim(
-    mags: np.ndarray, cfg: SpectralConfig, n_iters: int, dtype=np.float64, unit=None
-) -> Waveform:
+def griffin_lim(mags: np.ndarray, cfg: SpectralConfig, n_iters: int, dtype=np.float64) -> Waveform:
     if mags.shape[0] < 2:
         return Waveform(np.zeros(0), cfg.sample_rate)
-    if unit is None:
-        unit = 2.0 ** max(0, math.frexp(float(mags.max()))[1] - 64)
-        mags = mags / unit
     mags = mags.astype(dtype)
     angles = start_angles(mags, cfg, dtype)
     spectrum = mags * angles
@@ -111,6 +102,6 @@ def griffin_lim(
         spectrum = accelerated * (mags / np.maximum(np.abs(accelerated), 1e-16))
         previous = rebuilt
     out = istft_raw(spectrum, cfg, dtype)
-    peak = float(np.max(np.abs(out))) * unit if out.size else 0.0
-    scale = unit * (_PEAK_LIMIT / peak if peak > _PEAK_LIMIT else 1.0)
+    peak = float(np.max(np.abs(out))) if out.size else 0.0
+    scale = _PEAK_LIMIT / peak if peak > _PEAK_LIMIT else 1.0
     return Waveform(np.multiply(out, scale, dtype=np.float64), cfg.sample_rate)

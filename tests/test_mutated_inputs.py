@@ -1,18 +1,23 @@
-"""Mutated inputs: a damaged WAV file or augment config file raises only a
-typed SraugError or a ValueError, never another exception, and a
-real-valued setting that is not a finite real number raises ValueError."""
+"""Mutated inputs: a damaged WAV, MELF or augment config file raises only a
+typed SraugError or a ValueError, never another exception, a MELF file
+that is read reconstructs to a finite waveform, and a real-valued setting
+that is not a finite real number raises ValueError."""
 
 import math
 import struct
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sraug.audio_io import read_wav
 from sraug.cli import _AUGMENT_SETTINGS, _read_config_file
 from sraug.errors import SraugError
+from sraug.spectral import SpectralConfig, read_melf
 from sraug.sr_ops import RatioRange, ResizeSpec
+from sraug.vocoder import GriffinLimConfig, reconstruct_from_mel
 
 from test_audio_io import build_wav, extensible_fmt_ext
 
@@ -93,6 +98,50 @@ def mutated_wav(draw) -> bytes:
     return bytes(blob)
 
 
+# A valid MELF file of 4 frames: its header fields (magic, version,
+# n_frames, n_mels, sample_rate, hop_size), then log-mels from the floor
+# up to 3.
+_MELF_HEADER = struct.Struct("<4sIIIII")
+_MELF_FIELDS = (b"MELF", 1, 4, SpectralConfig.n_mels, SpectralConfig.sample_rate,
+                SpectralConfig.hop_size)
+_MELF_PAYLOAD = np.linspace(math.log(SpectralConfig.log_floor), 3.0, 4 * SpectralConfig.n_mels)
+_TOP = math.log(SpectralConfig.mel_ceiling)
+# Payload words: not finite, float32's largest, and log-mels far past and
+# just either side of the ceiling.
+_WORDS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 3.4028234663852886e38, 800.0, _TOP - 1e-3, _TOP + 1e-3]
+) | st.floats(width=32)
+
+
+def _melf(fields=_MELF_FIELDS, words=()) -> bytes:
+    """The valid MELF with header ``fields`` and ``(index, value)`` payload ``words``."""
+    payload = _MELF_PAYLOAD.astype("<f4")
+    for index, value in words:
+        payload[index] = value
+    return _MELF_HEADER.pack(*fields) + payload.tobytes()
+
+
+@st.composite
+def mutated_melf(draw) -> bytes:
+    """The valid MELF with changed header fields and payload words, then
+    a truncation or extra bytes, each drawn or not."""
+    fields = list(_MELF_FIELDS)
+    for index in draw(st.lists(st.integers(0, 5), max_size=2, unique=True)):
+        fields[index] = draw(
+            st.binary(min_size=4, max_size=4) if index == 0
+            else st.sampled_from([0, 1, 2, 3, 5, 79, 81, 320, 16000, 2**32 - 1])
+            | st.integers(0, 2**32 - 1)
+        )
+    words = draw(st.lists(st.tuples(st.integers(0, _MELF_PAYLOAD.size - 1), _WORDS), max_size=3))
+    blob = _melf(fields, words)
+    cut = draw(st.sampled_from(["none", "truncate", "extend"]))
+    if cut == "truncate":
+        blob = blob[: draw(st.integers(0, len(blob) - 1))]
+    elif cut == "extend":
+        blob += draw(st.binary(min_size=1, max_size=8))
+    return blob
+
+
 _LINE_TEXT = st.text(
     alphabet=st.sampled_from(list("ab01.-_ =#'\"\t{}") + ["é", "\x00", "\r", "\u2028", "٣"]),
     max_size=20,
@@ -134,6 +183,24 @@ def test_mutated_wav_raises_only_typed_errors(scratch, blob):
     path = scratch / "mutated.wav"
     path.write_bytes(blob)
     _typed_errors_only(read_wav, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=mutated_melf())
+@example(blob=_melf(words=[(5, 800.0)]))
+@example(blob=_melf(words=[(5, _TOP + 1e-3)]))
+@example(blob=_melf(words=[(5, _TOP - 1e-3), (85, _TOP - 1e-3)]))
+def test_mutated_melf_raises_only_typed_errors_or_reconstructs(scratch, blob):
+    path = scratch / "mutated.melf"
+    path.write_bytes(blob)
+    try:
+        mel = read_melf(path)
+    except (SraugError, ValueError):
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = reconstruct_from_mel(mel, GriffinLimConfig(n_iters=2))
+    assert np.isfinite(out.samples).all()
 
 
 @settings(max_examples=400, deadline=None)

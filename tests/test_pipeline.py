@@ -32,6 +32,8 @@ from sraug.pitch_eval import PitchConfig, write_f0_csv, yin_f0
 from sraug.spectral import SpectralConfig, mel_spectrogram, write_melf
 from sraug.sr_ops import HORIZONTAL, VERTICAL, RatioRange, resize_axis
 
+from test_audio_io import build_wav
+
 MANIFEST_FIELDS = [
     "source_path",
     "output_path",
@@ -1068,6 +1070,38 @@ def test_cli_refuses_a_melf_of_another_layout(tmp_path, command):
     assert proc.returncode == 1
     assert proc.stderr == f"sraug {command}: {melf}: MELF hop_size 300; sraug reads only 320\n"
     assert not out.exists()
+
+
+def test_cli_reconstruct_refuses_a_log_mel_past_the_ceiling(tmp_path):
+    # exp(800) overflows even float64: one line names the file and the
+    # bound, with no RuntimeWarning before it.
+    logmels = np.full((3, 80), np.log(SpectralConfig.log_floor), dtype="<f4")
+    logmels[1, 7] = 800.0
+    melf = tmp_path / "loud.melf"
+    melf.write_bytes(struct.pack("<4sIIIII", b"MELF", 1, 3, 80, 16000, 320) + logmels.tobytes())
+    out = tmp_path / "loud.wav"
+    proc = run_cli("reconstruct", str(melf), str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == f"sraug reconstruct: {melf}: logmels entries must be <= 33.271165\n"
+    assert not out.exists()
+
+
+def test_cli_augment_fails_a_wav_past_the_mel_ceiling_alone(tmp_path):
+    # Float-32 samples of 1e30 give log-mels near 73, past the ceiling of
+    # 33.27: that file fails at stage mel, and the others are written.
+    src = tmp_path / "in"
+    small_corpus(src, n=2)
+    loud = synth.voiced(0.6, 180, 220, seed=9).samples * 1e30
+    (src / "loud.wav").write_bytes(build_wav(loud.astype("<f4").tobytes(), fmt_tag=3, bits=32))
+    out = tmp_path / "out"
+    proc = run_cli("augment", "--in", str(src), "--out", str(out), "--variants", "2")
+    assert proc.returncode == 1
+    assert "wrote 4 files, 1 failures" in proc.stdout
+    failed = [line for line in proc.stderr.splitlines() if line.startswith("FAILED")]
+    assert len(failed) == 1, proc.stderr
+    assert failed[0].startswith(f"FAILED {src / 'loud.wav'} at stage mel: logmels entries must be <=")
+    assert len(read_manifest(out)) == 4
+    assert len(list(out.glob("*.wav"))) == 4
 
 
 def test_cli_main_help_lists_the_commands(capsys):

@@ -53,6 +53,7 @@ def test_config_defaults_and_n_bins():
     assert (CFG.n_fft, CFG.hop_size) == (1280, 320)
     assert (CFG.n_mels, CFG.sample_rate) == (80, 16000)
     assert (CFG.fmin, CFG.fmax, CFG.log_floor) == (0.0, 8000.0, 1e-5)
+    assert (CFG.mel_ceiling, CFG.mag_ceiling) == (2.0**48, 2.0**64)
     assert CFG.n_bins == 641
     assert dataclasses.fields(SpectralConfig) == ()
 
@@ -158,26 +159,27 @@ def test_linear_spectrogram_keeps_its_own_copy_of_a_callers_array():
         mags = np.ones((3, 641), dtype=dtype)
         s = LinearSpectrogram(mags, CFG)
         mags[:] = 7.0
-        assert s.mags.dtype == np.float32 and s.unit == 1.0
+        assert s.mags.dtype == np.float32
         assert (s.mags == 1.0).all()
 
 
-def test_linear_spectrogram_divides_out_a_power_of_two_past_2_64():
-    tone = np.random.default_rng(4).gamma(0.5, size=(3, 641))
-    for exponent in (0, 40, 100, 1000):
-        s = LinearSpectrogram(tone * 2.0**exponent, CFG)
-        assert s.mags.max() < 2.0**64
-        assert s.unit == 2.0 ** max(0, exponent + math.frexp(tone.max())[1] - 64)
-        # Dividing by the unit rounds nothing; float32 rounds once.
-        assert np.array_equal(s.mags, tone.astype(np.float32) * np.float32(2.0**exponent / s.unit))
-    # A unit given multiplies the magnitudes given.
-    s = LinearSpectrogram(np.full((2, 641), 2.0**63), CFG, unit=2.0**10)
-    assert s.unit == 2.0**10 and (s.mags == 2.0**63).all()
-    s = LinearSpectrogram(np.full((2, 641), 2.0**64), CFG, unit=2.0**10)
-    assert s.unit == 2.0**11 and (s.mags == 2.0**63).all()
-    for unit in (0.5, 3.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
-            LinearSpectrogram(np.ones((2, 641)), CFG, unit=unit)
+def test_value_types_hold_their_ceilings():
+    # The ceilings are inclusive.  A caller's magnitudes are checked in
+    # float64, before float32 would round 2**64 + 4096 down to 2**64 and
+    # 1e300 up to infinity; log-mels keep the float32 slack.
+    s = LinearSpectrogram(np.full((2, 641), 2.0**64), CFG)
+    assert (s.mags == 2.0**64).all()
+    for big in (np.nextafter(2.0**64, np.inf), 1e300):
+        mags = np.ones((2, 641))
+        mags[1, 7] = big
+        with pytest.raises(ValueError, match=r"^mags entries must be <= 18446744073709551616\."):
+            LinearSpectrogram(mags, CFG)
+    top = math.log(CFG.mel_ceiling) + spectral._FLOOR_SLACK
+    MelSpectrogram(np.full((2, 80), top), CFG)
+    logmels = np.full((2, 80), FLOOR)
+    logmels[0, 3] = np.nextafter(top, np.inf)
+    with pytest.raises(ValueError, match=r"^logmels entries must be <= 33\.271165$"):
+        MelSpectrogram(logmels, CFG)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,18 @@ def test_vertical_stretch_cuts_top():
     assert np.array_equal(out.logmels, stretched[:, :80])
 
 
+def test_resizing_at_the_mel_ceiling_stays_under_it():
+    # Noise of scale 5 on a top band at the ceiling would pass it; the
+    # padding is clipped there, as it is at the floor.
+    top = math.log(CFG.mel_ceiling)
+    m = mel_from(np.tile(np.linspace(FLOOR, top, 80), (40, 1)))
+    out = vertical_sr(m, ResizeSpec(ratio=0.85, pad_noise_std=5.0, seed=1))
+    pad = out.logmels[:, 68:]
+    assert pad.max() == top and pad.min() < top - 5.0
+    out = horizontal_sr(mel_from(np.full((40, 80), top)), ResizeSpec(ratio=1.3, axis=HORIZONTAL))
+    assert out.n_frames == 52
+
+
 def test_vertical_requires_vertical_axis():
     m = mel_spectrogram(synth.tone(200.0, 0.3), CFG)
     with pytest.raises(ValueError):

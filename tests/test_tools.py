@@ -1,8 +1,9 @@
-"""tools/bench_pairs.py: its command-line checks and its line counts."""
+"""tools/bench_pairs.py: its command-line checks, failed runs and line counts."""
 
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,30 @@ def test_bench_pairs_writes_both_sides_src_and_tests_lines(tmp_path, monkeypatch
     written = json.loads(out.read_text())
     assert written["src_lines"] == {"parent": 1, "change": 2}
     assert written["tests_lines"] == {"parent": 3, "change": 1}
+
+
+@pytest.mark.parametrize(
+    "returncode, stdout",
+    [
+        (-9, "environment: python 3.11.7\nenvironment: numpy 2.4.6\n"),  # killed
+        (0, "environment: python 3.11.7\n"),
+        (0, "[1, 2]\n"),
+        (1, '{"correct": true, "metrics": {}}\n'),
+        (0, '{"correct": false, "metrics": {}}\n'),
+    ],
+)
+def test_bench_pairs_reports_a_failed_run_with_its_stderr(
+    tmp_path, monkeypatch, capsys, returncode, stdout
+):
+    # The exit code is read first, and a last line that is not a JSON
+    # object is a failed run: the run's stderr tail, then the tool's exit.
+    bench_pairs = _bench_pairs()
+
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, returncode, stdout, "Killed in gl\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.run(tmp_path, "w", 7, 1.0, 0)
+    assert str(info.value) == f"bench_pairs: w seed 7 trace 0 failed in {tmp_path}"
+    assert capsys.readouterr().err == "Killed in gl\n"

@@ -1,5 +1,6 @@
 """Griffin-Lim reconstruction and the external vocoder hook."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -177,19 +178,15 @@ def test_gl_limits_output_peak():
         assert np.max(np.abs(out.samples)) > 0.95 - 1e-12  # the limiter acted
 
 
-def test_gl_holds_magnitudes_past_float32_range():
-    # Float32 tops out near 3.4e38, and an FFT sums 1,280 values; the loop
-    # divides magnitudes past 2**64 by a power of two, which rounds
-    # nothing, so they give the same limited output as 64 times a tone.
-    # Float64 magnitudes, which hold 2**1000 times a tone.
+def test_gl_holds_magnitudes_at_the_ceiling():
+    # Float32 tops out near 3.4e38, and an FFT sums 1,280 values; the
+    # loop holds magnitudes up to LinearSpectrogram's ceiling, 2**64.
     mags = np.abs(stft(synth.tone(300.0, 0.5, amp=1.0), CFG).values)
-    want = griffin_lim(LinearSpectrogram(mags * 2.0**6, CFG), GriffinLimConfig(n_iters=3))
-    for exponent in (100, 500, 1000):
-        loud = LinearSpectrogram(mags * 2.0**exponent, CFG)
-        got = griffin_lim(loud, GriffinLimConfig(n_iters=3))
-        assert np.array_equal(got.samples, want.samples)
-        want_ref = ref.griffin_lim(loud.mags, CFG, 3, np.float32, loud.unit)
-        assert np.array_equal(got.samples, want_ref.samples)
+    loud = LinearSpectrogram(np.minimum(mags / mags.max() * 2.0**64, 2.0**64), CFG)
+    assert loud.mags.max() == 2.0**64
+    got = griffin_lim(loud, GriffinLimConfig(n_iters=3))
+    assert 0.95 - 1e-12 < np.max(np.abs(got.samples)) <= 0.95 + 1e-12
+    assert np.array_equal(got.samples, ref.griffin_lim(loud.mags, CFG, 3, np.float32).samples)
 
 
 class _CountingPool(spectral.ThreadPoolExecutor):
@@ -468,18 +465,33 @@ def test_reconstruct_tone_keeps_pitch():
     assert abs(median_f0(out) - 220.0) <= 5.0
 
 
-@pytest.mark.parametrize("level", [100.0, 300.0])
-def test_reconstruct_holds_log_mels_past_float32_range(level):
-    # exp(100) and exp(300) overflow float32.  NNLS divides its target by
-    # a power of two, and the LinearSpectrogram carries it as ``unit``
-    # into the limiter, so the output is a finite, limited waveform.
-    m = mel_spectrogram(synth.voiced(0.5, 170, 260, seed=1), CFG)
-    loud = MelSpectrogram(m.logmels + level, CFG)
-    s = mel_to_linear(loud, mel_filterbank(CFG))
-    assert s.unit > 1.0 and s.mags.max() < 2.0**64
-    out = reconstruct_from_mel(loud, GriffinLimConfig(n_iters=5))
+def _frames_at_the_mel_ceiling() -> np.ndarray:
+    """Log-mel frames that reach the mel ceiling: every band, each run of 1
+    to 3 bands over the floor, and exponential fall-offs from each band."""
+    top, floor = math.log(CFG.mel_ceiling), math.log(CFG.log_floor)
+    bands = np.arange(CFG.n_mels)
+    frames = [np.full(CFG.n_mels, top)]
+    for width in (1, 2, 3):
+        for start in range(CFG.n_mels - width + 1):
+            frames.append(np.where((bands >= start) & (bands < start + width), top, floor))
+    for slope in (0.05, 0.5, 2.0, 8.0):  # log-mel per band
+        for peak in bands:
+            frames.append(np.maximum(top - slope * np.abs(bands - peak), floor))
+    return np.array(frames)
+
+
+@pytest.mark.parametrize("order", ["in turn", "shuffled"])
+def test_reconstruct_holds_log_mels_at_the_ceiling(order):
+    # NNLS can solve to more than its target: at the mel ceiling, 2**48,
+    # every magnitude stays within LinearSpectrogram's 2**64, and
+    # Griffin-Lim's float32 loop stays finite, with no RuntimeWarning.
+    frames = _frames_at_the_mel_ceiling()
+    if order == "shuffled":
+        frames = frames[np.random.default_rng(5).permutation(len(frames))]
+    s = mel_to_linear(MelSpectrogram(frames, CFG), mel_filterbank(CFG))
+    out = griffin_lim(s, GriffinLimConfig(n_iters=2))
     assert np.isfinite(out.samples).all()
-    assert 0.95 - 1e-12 < np.max(np.abs(out.samples)) <= 0.95 + 1e-12
+    assert 0.0 < np.max(np.abs(out.samples)) <= 0.95 + 1e-12
 
 
 # ---------------------------------------------------------------------------

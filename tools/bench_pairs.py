@@ -79,8 +79,13 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {}
-    if proc.returncode != 0 or not result.get("correct"):
+    # A run that exits non-zero, or whose last line is not a JSON object,
+    # failed, whatever it printed before.
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
+    except json.JSONDecodeError:
+        result = {}
+    if not isinstance(result, dict) or not result.get("correct"):
         sys.stderr.write(proc.stderr[-4000:])
         raise SystemExit(f"bench_pairs: {workload} seed {seed} trace {trace} failed in {tree}")
     digests = json.loads((tree / ".perfbench" / "results" / "digests.json").read_text())
