@@ -25,7 +25,8 @@ _MIN_VOICED_OVERLAP = 10
 
 # Frames per block of YIN: a frame's arrays in _cmndf (two 2,240-point
 # spectra at 16 kHz, the correlation and the cumulative sums) take about
-# 80 kB, so a block peaks at about 20 MB whatever the input's length.
+# 80 kB, so a block peaks at about 20 MB whatever the input's length
+# (27 MB at 48 kHz, whose lag arrays are three times as wide).
 _YIN_BLOCK = 256
 
 
@@ -92,21 +93,27 @@ def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> F0Track:
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_size)[
         :: cfg.hop_size
     ]
+    lags = np.arange(tau_min, tau_max + 1)
     f0 = np.zeros(frames.shape[0])
     for lo in range(0, f0.size, _YIN_BLOCK):
         cmndf = _cmndf(np.ascontiguousarray(frames[lo : lo + _YIN_BLOCK]), tau_max)
-        dips = cmndf[:, tau_min : tau_max + 1] < cfg.yin_threshold
-        has_dip = dips.any(axis=1)
-        first_dip = tau_min + np.argmax(dips, axis=1)
-        block = f0[lo : lo + len(cmndf)]
-        for t in np.flatnonzero(has_dip):
-            tau = int(first_dip[t])
-            row = cmndf[t]
-            while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
-                tau += 1
-            block[t] = sr / _refine_lag(row, tau, tau_max)
-        np.clip(block, 0.0, cfg.f0_max, out=block)
-        block[has_dip] = np.maximum(block[has_dip], cfg.f0_min)
+        scan = cmndf[:, tau_min:]
+        dips = scan < cfg.yin_threshold
+        voiced = dips.any(axis=1)
+        first_dip = lags[np.argmax(dips, axis=1)]
+        # Downhill from the dip: the first lag not above the next one, else tau_max.
+        stop = np.ones_like(dips)
+        stop[:, :-1] = ~(scan[:, 1:] < scan[:, :-1])
+        stop &= lags >= first_dip[:, None]
+        tau = lags[np.argmax(stop, axis=1)]
+        # Parabolic refinement at an inner minimum of positive curvature.
+        near = np.minimum(tau[:, None] + np.arange(-1, 2), tau_max)
+        left, mid, right = np.take_along_axis(cmndf, near, axis=1).T
+        denom = left - 2.0 * mid + right
+        inner = (tau < tau_max) & (denom > 0.0)
+        delta = np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=inner)
+        period = tau + np.clip(delta, -0.5, 0.5)
+        f0[lo : lo + len(cmndf)][voiced] = np.clip(sr / period[voiced], cfg.f0_min, cfg.f0_max)
     return F0Track(_Owned(f0), sr)
 
 
@@ -130,12 +137,11 @@ def _cmndf(frames: np.ndarray, tau_max: int) -> np.ndarray:
     np.multiply(spec, np.fft.rfft(frames, n, axis=1), out=spec)
     corr = np.fft.irfft(spec, n, axis=1)[:, : tau_max + 1]
 
-    sq = np.cumsum(frames**2, axis=1)
-    head_energy = sq[:, window - 1 : window]  # sum of x_j^2, j < window
-    tail_start = np.concatenate(
-        [np.zeros((n_frames, 1)), sq[:, :tau_max]], axis=1
-    )
-    tail_energy = sq[:, window - 1 : window + tau_max] - tail_start
+    # sq[:, k] = sum of x_j^2 for j < k.
+    sq = np.zeros((n_frames, frame_size + 1))
+    np.cumsum(frames**2, axis=1, out=sq[:, 1:])
+    head_energy = sq[:, window : window + 1]
+    tail_energy = sq[:, window : window + tau_max + 1] - sq[:, : tau_max + 1]
 
     diff = head_energy + tail_energy - 2.0 * corr
     np.maximum(diff, 0.0, out=diff)  # clip FFT round-off below zero
@@ -148,18 +154,6 @@ def _cmndf(frames: np.ndarray, tau_max: int) -> np.ndarray:
     # Frames with zero running sum (silence) have no dips: leave them at 1.
     out[:, 1:] = np.where(running > 0.0, normalized, 1.0)
     return out
-
-
-def _refine_lag(row: np.ndarray, tau: int, tau_max: int) -> float:
-    """Parabolic interpolation around a local minimum of the CMNDF."""
-    if tau <= 1 or tau >= tau_max:
-        return float(tau)
-    left, mid, right = row[tau - 1], row[tau], row[tau + 1]
-    denom = left - 2.0 * mid + right
-    if denom <= 0.0:
-        return float(tau)
-    delta = 0.5 * (left - right) / denom
-    return tau + float(np.clip(delta, -0.5, 0.5))
 
 
 def pearson(x, y) -> float:

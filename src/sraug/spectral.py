@@ -121,9 +121,10 @@ class ComplexSpectrogram:
 class LinearSpectrogram:
     """Magnitude frames, [n_frames, n_fft/2+1], float32, from 0 to ``mag_ceiling``.
 
-    A caller's ``mags`` are checked in float64, which holds any finite
-    size, and then rounded to float32 once; an _Owned float32 array is
-    taken over without a copy.
+    A caller's float32 ``mags`` are checked as they are, since widening
+    them would change no value; others are checked in float64, which holds
+    any finite size, and then rounded to float32 once.  An _Owned float32
+    array is taken over without a copy.
     """
 
     mags: np.ndarray
@@ -131,7 +132,8 @@ class LinearSpectrogram:
 
     def __post_init__(self):
         cfg = self.config
-        mags = _frozen_frames(self.mags, np.float64, cfg.n_bins, "mags", 0.0, cfg.mag_ceiling)
+        dtype = np.float32 if getattr(self.mags, "dtype", None) == np.float32 else np.float64
+        mags = _frozen_frames(self.mags, dtype, cfg.n_bins, "mags", 0.0, cfg.mag_ceiling)
         if mags.dtype != np.float32:
             mags = mags.astype(np.float32)
             mags.flags.writeable = False

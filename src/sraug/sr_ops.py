@@ -72,9 +72,10 @@ def resize_axis(mat: np.ndarray, new_len: int, axis: str) -> np.ndarray:
 
     Align-corners convention: output index j samples input position
     j*(L-1)/(L'-1), so the first and last lines are kept exactly.  A
-    single-line output takes input position 0.  axis 'vertical' resizes
-    the per-frame bin vectors (second dimension), 'horizontal' the time
-    dimension.
+    single-line output takes input position 0.  The result is clipped to
+    the input's [min, max], which a blend may round one ulp past.  axis
+    'vertical' resizes the per-frame bin vectors (second dimension),
+    'horizontal' the time dimension.
     """
     mat = _frozen_array(mat, np.float64, 2, "mat")
     if mat.size == 0:
@@ -98,6 +99,7 @@ def resize_axis(mat: np.ndarray, new_len: int, axis: str) -> np.ndarray:
 
     lines = np.moveaxis(mat, dim, -1)
     out = lines[..., lo] * (1.0 - frac) + lines[..., hi] * frac
+    np.clip(out, mat.min(), mat.max(), out=out)
     return np.moveaxis(out, -1, dim)
 
 

@@ -14,11 +14,18 @@ magnitudes and the start's turns are cast to single precision, and the
 signal and spectra stay there, until the limiter's scale is applied in
 float64 as the output widens.  The start's turns are computed in float64
 from the magnitudes in the loop's precision, as in the library.
+
+``yin_f0`` picks each frame's period one frame at a time, walking
+downhill from the first dip in a loop, as pitch_eval.yin_f0 did before
+it picked every frame of a block with array operations.
 """
+
+import math
 
 import numpy as np
 
 from sraug.audio_io import Waveform
+from sraug.pitch_eval import PitchConfig, _cmndf
 from sraug.spectral import _WINDOW, SpectralConfig
 
 _MOMENTUM = 0.99
@@ -105,3 +112,33 @@ def griffin_lim(mags: np.ndarray, cfg: SpectralConfig, n_iters: int, dtype=np.fl
     peak = float(np.max(np.abs(out))) if out.size else 0.0
     scale = _PEAK_LIMIT / peak if peak > _PEAK_LIMIT else 1.0
     return Waveform(np.multiply(out, scale, dtype=np.float64), cfg.sample_rate)
+
+
+def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> np.ndarray:
+    sr = w.sample_rate
+    tau_min = max(2, int(math.floor(sr / cfg.f0_max)))
+    tau_max = math.ceil(sr / cfg.f0_min)
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, cfg.frame_size)
+    cmndf = _cmndf(np.ascontiguousarray(frames[:: cfg.hop_size]), tau_max)
+    f0 = np.zeros(len(cmndf))
+    for t, row in enumerate(cmndf):
+        dips = np.flatnonzero(row[tau_min:] < cfg.yin_threshold)
+        if dips.size == 0:
+            continue
+        tau = tau_min + int(dips[0])
+        while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
+            tau += 1
+        f0[t] = max(min(sr / _refine_lag(row, tau, tau_max), cfg.f0_max), cfg.f0_min)
+    return f0
+
+
+def _refine_lag(row: np.ndarray, tau: int, tau_max: int) -> float:
+    """Parabolic interpolation around a local minimum of the CMNDF."""
+    if tau <= 1 or tau >= tau_max:
+        return float(tau)
+    left, mid, right = row[tau - 1], row[tau], row[tau + 1]
+    denom = left - 2.0 * mid + right
+    if denom <= 0.0:
+        return float(tau)
+    delta = 0.5 * (left - right) / denom
+    return tau + float(np.clip(delta, -0.5, 0.5))

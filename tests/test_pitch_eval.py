@@ -20,6 +20,7 @@ from sraug.errors import (
 from sraug import pitch_eval
 from sraug.pitch_eval import F0Track, PitchConfig, f0_pcc, pearson, write_f0_csv, yin_f0
 
+import serial_reference as ref
 import synth
 
 PCFG = PitchConfig()
@@ -124,6 +125,21 @@ def test_yin_voiced_range_invariant():
     assert (unvoiced == 0.0).all()
 
 
+@pytest.mark.parametrize("sr", [16000, 48000])
+def test_cmndf_matches_its_definition(sr):
+    # d(tau) = sum over j < frame_size - tau_max of (x_j - x_{j+tau})^2,
+    # normalized by its running mean over lags 1..tau.
+    tau_max = math.ceil(sr / PCFG.f0_min)
+    window = PCFG.frame_size - tau_max
+    frames = np.random.default_rng(sr).standard_normal((3, PCFG.frame_size))
+    frames[1] = synth.voiced(0.2, 150, 150, sr=sr).samples[sr // 20 :][: PCFG.frame_size]
+    shifted = np.lib.stride_tricks.sliding_window_view(frames, window, axis=1)
+    d = ((frames[:, None, :window] - shifted[:, : tau_max + 1]) ** 2).sum(axis=2)
+    expected = np.ones_like(d)
+    expected[:, 1:] = d[:, 1:] * np.arange(1, tau_max + 1) / np.cumsum(d[:, 1:], axis=1)
+    np.testing.assert_allclose(pitch_eval._cmndf(frames, tau_max), expected, rtol=0, atol=1e-9)
+
+
 # One frame, a block's edge (255-257 frames) and several blocks with a
 # short last one, at 16 kHz and at 48 kHz (lags to 960, 1,600-point FFTs).
 @pytest.mark.parametrize("n_frames", [1, 7, 255, 256, 257, 600])
@@ -146,17 +162,48 @@ def test_yin_blocks_match_one_pass_over_all_frames(monkeypatch, n_frames, sr):
     assert len(track) == n_frames
 
 
+def _pick_signal(kind: str, sr: int, n: int) -> Waveform:
+    dur = n / sr + 0.01
+    if kind == "noise":
+        return Waveform(0.3 * np.random.default_rng(4).standard_normal(n), sr)
+    if kind == "silence":
+        return Waveform(np.zeros(n), sr)
+    if kind == "voiced":
+        w = synth.voiced(dur, 120, 180, seed=1, sr=sr)
+    elif kind == "vibrato":
+        w = synth.voiced(dur, 110, 320, seed=2, sr=sr, vibrato=6.0)
+    else:  # a chirp past both ends of [f0_min, f0_max]
+        w = synth.voiced(dur, 40, 700, seed=3, sr=sr)
+    return Waveform(w.samples[:n], sr)
+
+
+# The chirp reaches every branch of the pick: a walk to tau_max, a lag
+# left unrefined, and both ends of the clip to [f0_min, f0_max].
+@pytest.mark.parametrize("kind", ["voiced", "vibrato", "chirp", "noise", "silence"])
+@pytest.mark.parametrize("sr", [8000, 16000, 22050, 48000])
+def test_yin_matches_the_per_frame_reference(kind, sr):
+    def n_samples(n_frames):
+        return PCFG.frame_size + PCFG.hop_size * (n_frames - 1)
+
+    w = _pick_signal(kind, sr, n_samples(600))
+    for n_frames in (255, 256, 257, 600):
+        part = Waveform(w.samples[: n_samples(n_frames)], sr)
+        assert np.array_equal(yin_f0(part, PCFG).f0, ref.yin_f0(part, PCFG))
+
+
 def test_yin_memory_does_not_grow_with_input_length():
-    # Whole-file YIN held about 92 kB a frame: 277 MB on this 60 s file.
-    # A 256-frame block of about 80 kB a frame peaked at 20 MB.
-    w = synth.voiced(60.0, 110, 300, seed=1)
-    tracemalloc.start()
-    try:
-        yin_f0(w, PCFG)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6
+    # Whole-file YIN held about 92 kB a frame: 277 MB on this 60 s file
+    # at 16 kHz.  A 256-frame block peaks at 20 MB at 16 kHz and at 27 MB
+    # at 48 kHz, whose 961 lags a frame triple the lag arrays.
+    for sr in (16000, 48000):
+        w = synth.voiced(60.0, 110, 300, seed=1, sr=sr)
+        tracemalloc.start()
+        try:
+            yin_f0(w, PCFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, sr
 
 
 def test_yin_input_too_short():
