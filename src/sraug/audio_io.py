@@ -53,7 +53,7 @@ class Waveform:
 
     def __post_init__(self):
         rate = _integer(self.sample_rate, "sample_rate", 1)
-        samples = _frozen_array(self.samples, np.float64, 1, "samples")
+        samples = _frozen_array(self.samples, np.float64, (None,), "samples")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", rate)
 
@@ -76,12 +76,14 @@ class _Owned:
     array: np.ndarray
 
 
-def _frozen_array(values, dtype, ndim: int, name: str, lower=None, upper=None) -> np.ndarray:
-    """A private, read-only copy of ``values`` as a finite ``ndim``-D ``dtype`` array.
+def _frozen_array(values, dtype, shape, name: str, lower=None, upper=None) -> np.ndarray:
+    """A private, read-only copy of ``values`` as a finite ``dtype`` array of ``shape``.
 
-    An _Owned array is checked and frozen in place instead.  ValueError,
-    naming ``name``, for a non-numeric entry, another rank, NaN, Inf, or
-    an entry below ``lower`` or above ``upper`` when one is given.
+    ``shape`` has one entry per axis: an int fixes that axis's length, and
+    None takes any.  A ``shape`` of None takes any rank.  An _Owned array
+    is checked and frozen in place instead.  ValueError, naming ``name``,
+    for a non-numeric entry, another shape, NaN, Inf, or an entry below
+    ``lower`` or above ``upper`` when one is given.
     """
     if isinstance(values, _Owned):
         array = values.array
@@ -90,8 +92,10 @@ def _frozen_array(values, dtype, ndim: int, name: str, lower=None, upper=None) -
             array = np.array(values, dtype=dtype)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{name} must be numeric: {exc}") from exc
-    if array.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-D, got shape {array.shape}")
+    if shape is not None and (
+        array.ndim != len(shape) or any(n not in (None, got) for n, got in zip(shape, array.shape))
+    ):
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
     if array.size:
         bounds = _finite_range(array.real)
         if bounds is None or (np.iscomplexobj(array) and _finite_range(array.imag) is None):

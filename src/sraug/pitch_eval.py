@@ -49,7 +49,7 @@ class F0Track:
     sample_rate: int
 
     def __post_init__(self):
-        object.__setattr__(self, "f0", _frozen_array(self.f0, np.float64, 1, "f0", lower=0.0))
+        object.__setattr__(self, "f0", _frozen_array(self.f0, np.float64, (None,), "f0", lower=0.0))
         object.__setattr__(self, "sample_rate", _integer(self.sample_rate, "sample_rate", 1))
 
     def __len__(self) -> int:
@@ -74,8 +74,10 @@ def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> F0Track:
     refined by parabolic interpolation) gives the period.  Frames with no
     dip below the threshold are reported as 0.0 (unvoiced).  Frames are
     analyzed in blocks of 256, so memory beyond the input and the track
-    does not grow with the input's length.  ``cfg`` is the one fixed
-    PitchConfig; a rate outside 1,201-63,950 Hz is a ValueError.
+    does not grow with the input's length.  Each block is scaled exactly,
+    by the power of two that puts its peak in [0.5, 1) (a silent block by
+    1), so its squares stay in float range at any level.  ``cfg`` is the
+    one fixed PitchConfig; a rate outside 1,201-63,950 Hz is a ValueError.
     """
     sr = w.sample_rate
     if not cfg.f0_max < sr / 2:
@@ -96,7 +98,8 @@ def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> F0Track:
     lags = np.arange(tau_min, tau_max + 1)
     f0 = np.zeros(frames.shape[0])
     for lo in range(0, f0.size, _YIN_BLOCK):
-        cmndf = _cmndf(np.ascontiguousarray(frames[lo : lo + _YIN_BLOCK]), tau_max)
+        block = frames[lo : lo + _YIN_BLOCK]
+        cmndf = _cmndf(np.ldexp(block, -math.frexp(max(block.max(), -block.min()))[1]), tau_max)
         scan = cmndf[:, tau_min:]
         dips = scan < cfg.yin_threshold
         voiced = dips.any(axis=1)
@@ -162,8 +165,8 @@ def pearson(x, y) -> float:
     Sequences with (relatively) zero total variation cannot be
     correlated and raise DegenerateVariance.
     """
-    x = _frozen_array(x, np.float64, 1, "x")
-    y = _frozen_array(y, np.float64, 1, "y")
+    x = _frozen_array(x, np.float64, (None,), "x")
+    y = _frozen_array(y, np.float64, (None,), "y")
     if x.size != y.size:
         raise ValueError("x and y must be the same length")
     if x.size < 2:

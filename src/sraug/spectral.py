@@ -106,10 +106,9 @@ class ComplexSpectrogram:
     """Complex STFT frames, [n_frames, n_fft/2+1]."""
 
     values: np.ndarray
-    config: SpectralConfig
 
     def __post_init__(self):
-        values = _frozen_frames(self.values, np.complex128, self.config.n_bins, "values")
+        values = _frozen_array(self.values, np.complex128, (None, SpectralConfig.n_bins), "values")
         object.__setattr__(self, "values", values)
 
     @property
@@ -128,12 +127,11 @@ class LinearSpectrogram:
     """
 
     mags: np.ndarray
-    config: SpectralConfig
 
     def __post_init__(self):
-        cfg = self.config
+        cfg = SpectralConfig
         dtype = np.float32 if getattr(self.mags, "dtype", None) == np.float32 else np.float64
-        mags = _frozen_frames(self.mags, dtype, cfg.n_bins, "mags", 0.0, cfg.mag_ceiling)
+        mags = _frozen_array(self.mags, dtype, (None, cfg.n_bins), "mags", 0.0, cfg.mag_ceiling)
         if mags.dtype != np.float32:
             mags = mags.astype(np.float32)
             mags.flags.writeable = False
@@ -154,21 +152,13 @@ class MelSpectrogram:
     def __post_init__(self):
         floor = math.log(self.config.log_floor) - _FLOOR_SLACK
         ceiling = math.log(self.config.mel_ceiling) + _FLOOR_SLACK
-        n_mels = self.config.n_mels
-        logmels = _frozen_frames(self.logmels, np.float64, n_mels, "logmels", floor, ceiling)
+        shape = (None, self.config.n_mels)
+        logmels = _frozen_array(self.logmels, np.float64, shape, "logmels", floor, ceiling)
         object.__setattr__(self, "logmels", logmels)
 
     @property
     def n_frames(self) -> int:
         return self.logmels.shape[0]
-
-
-def _frozen_frames(values, dtype, n_bins: int, name: str, lower=None, upper=None) -> np.ndarray:
-    """The _frozen_array of [n_frames, n_bins] frames."""
-    values = _frozen_array(values, dtype, 2, name, lower, upper)
-    if values.shape[1] != n_bins:
-        raise ValueError(f"expected {n_bins} bins per frame, got {values.shape[1]}")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +391,7 @@ def stft(w: Waveform, cfg: SpectralConfig) -> ComplexSpectrogram:
     """
     frames = _analysis_frames(w, cfg)
     values = np.empty((frames.shape[0], cfg.n_bins), dtype=np.complex128)
-    return ComplexSpectrogram(_Owned(_analyze(frames, np.empty(frames.shape), values)), cfg)
+    return ComplexSpectrogram(_Owned(_analyze(frames, np.empty(frames.shape), values)))
 
 
 def istft(s: ComplexSpectrogram) -> Waveform:
@@ -411,7 +401,7 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     summed squared window, then the n_fft/2 center padding is trimmed:
     output length is (n_frames - 1) * hop_size.
     """
-    cfg = s.config
+    cfg = SpectralConfig
     if s.n_frames < 2:
         return Waveform(np.zeros(0), cfg.sample_rate)
     denom = _window_sum(s.n_frames)
@@ -506,7 +496,7 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     grouped in fours from frame 0 whatever the slabs.  So the output
     bytes do not depend on the slab or BLAS thread counts.
     """
-    weights = _frozen_array(weights, np.float32, 2, "weights")
+    weights = _frozen_array(weights, np.float32, (None, None), "weights")
     n_mels, n_bins = m.config.n_mels, m.config.n_bins
     if weights.shape != (n_mels, n_bins):
         raise ConfigMismatch(f"mel needs a {n_mels} x {n_bins} filterbank, got {weights.shape}")
@@ -533,7 +523,7 @@ def mel_to_linear(m: MelSpectrogram, weights: np.ndarray) -> LinearSpectrogram:
     scratch = (n_bins, np.float32), (n_bins, np.float32), (n_mels, np.float32)
     with _block_pool(padded, _NNLS_BLOCK, *scratch) as (run, _):
         run(solve)
-    return LinearSpectrogram(_Owned(x[:n_frames]), m.config)
+    return LinearSpectrogram(_Owned(x[:n_frames]))
 
 
 # ---------------------------------------------------------------------------

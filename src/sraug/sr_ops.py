@@ -77,7 +77,7 @@ def resize_axis(mat: np.ndarray, new_len: int, axis: str) -> np.ndarray:
     'vertical' resizes the per-frame bin vectors (second dimension),
     'horizontal' the time dimension.
     """
-    mat = _frozen_array(mat, np.float64, 2, "mat")
+    mat = _frozen_array(mat, np.float64, (None, None), "mat")
     if mat.size == 0:
         raise ValueError("mat must be non-empty")
     new_len = _integer(new_len, "new_len", 1)

@@ -33,8 +33,8 @@ class DiagGaussian:
 
     def __post_init__(self):
         # A scalar is a one-entry vector.
-        mean = _frozen_array(np.atleast_1d(self.mean), np.float64, 1, "mean")
-        log_std = _frozen_array(np.atleast_1d(self.log_std), np.float64, 1, "log_std")
+        mean = _frozen_array(np.atleast_1d(self.mean), np.float64, (None,), "mean")
+        log_std = _frozen_array(np.atleast_1d(self.log_std), np.float64, (None,), "log_std")
         if mean.size != log_std.size:
             raise DimensionMismatch(
                 f"mean has {mean.size} entries, log_std has {log_std.size}"
@@ -91,19 +91,16 @@ def recon_l1(target_mel: MelSpectrogram, pred_mel: MelSpectrogram) -> float:
 def _check_pairs(real, fake, unit: str) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pair up two sets of arrays, one ``unit`` each.
 
-    Each set must hold at least one array, every array numeric,
-    non-empty and finite, and the two sets must be of one length.
+    Each set must hold at least one array, each a non-empty float64
+    _frozen_array of any shape, and the two sets must be of one length.
     """
     sets = []
     for name, arrays in (("real", real), ("fake", fake)):
         if len(arrays) == 0:
             raise ValueError(f"{name} must contain at least one {unit}")
-        try:
-            arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{name} entries must be numeric: {exc}") from exc
-        if any(a.size == 0 or not np.isfinite(a).all() for a in arrays):
-            raise ValueError(f"{name} entries must be non-empty and finite")
+        arrays = [_frozen_array(a, np.float64, None, name) for a in arrays]
+        if any(a.size == 0 for a in arrays):
+            raise ValueError(f"{name} entries must be non-empty")
         sets.append(arrays)
     real_arrays, fake_arrays = sets
     if len(real_arrays) != len(fake_arrays):

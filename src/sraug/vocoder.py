@@ -20,6 +20,7 @@ from .errors import VocoderOutputMissing, VocoderProcessFailure
 from .spectral import (
     LinearSpectrogram,
     MelSpectrogram,
+    SpectralConfig,
     _add_chunks,
     _analyze,
     _block_pool,
@@ -148,7 +149,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     so the bytes are those of a single slab.  The chaining of the start's
     turns also runs on the calling thread.
     """
-    spectral_cfg = s.config
+    spectral_cfg = SpectralConfig
     n_frames, n_bins = s.mags.shape
     if n_frames < 2:
         # Fewer than two frames synthesize zero samples after trimming.

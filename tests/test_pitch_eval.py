@@ -108,6 +108,19 @@ def test_yin_tracks_a_glide():
     assert (err <= 0.1 * true[voiced]).all()
 
 
+def test_yin_is_scale_free():
+    # Each block is scaled by a power of two, which is exact: a loud or a
+    # quiet tone gets the plain tone's track, where squaring its samples
+    # overflowed (1e200) or underflowed (1e-300) into 0 voiced frames.
+    tone = synth.tone(150.0, 1.0)
+    want = yin_f0(tone, PCFG).f0
+    assert np.count_nonzero(want) == 47
+    for scale in (2.0**600, 2.0**-600):
+        assert np.array_equal(yin_f0(Waveform(tone.samples * scale, 16000), PCFG).f0, want)
+    for amp in (1e200, 1e-300):
+        assert np.count_nonzero(yin_f0(synth.tone(150.0, 1.0, amp=amp), PCFG).f0) == 47
+
+
 def test_yin_white_noise_mostly_unvoiced():
     rng = np.random.default_rng(11)
     track = yin_f0(Waveform(0.3 * rng.standard_normal(16000), 16000), PCFG)
@@ -253,6 +266,11 @@ def test_pearson_rejects_bad_shapes():
         pearson([{"a": 1}, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         pearson([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+    # The wrong rank, named with both shapes.
+    with pytest.raises(ValueError, match=r"^x must have shape \(None,\), got \(1, 3\)$"):
+        pearson([[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"^y must have shape \(None,\), got \(\)$"):
+        pearson([1.0, 2.0, 3.0], 2.0)
 
 
 @settings(max_examples=100, deadline=None)

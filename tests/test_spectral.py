@@ -87,51 +87,69 @@ def test_config_validation(kwargs):
 
 def test_value_types_validate_shape_and_range():
     with pytest.raises(ValueError):
-        ComplexSpectrogram(np.zeros((3, 5), dtype=complex), CFG)  # wrong bin count
+        ComplexSpectrogram(np.zeros((3, 5), dtype=complex))  # wrong bin count
     with pytest.raises(ValueError):
-        LinearSpectrogram(-np.ones((3, 641)), CFG)
+        LinearSpectrogram(-np.ones((3, 641)))
     with pytest.raises(ValueError):
         MelSpectrogram(np.full((3, 80), FLOOR - 1.0), CFG)  # below the log floor
     with pytest.raises(ValueError):
         MelSpectrogram(np.full((3, 80), np.nan), CFG)
     # The lower bounds are inclusive, and log-mels keep the float32 slack.
-    LinearSpectrogram(np.zeros((3, 641)), CFG)
+    LinearSpectrogram(np.zeros((3, 641)))
     MelSpectrogram(np.full((3, 80), FLOOR - 5e-5), CFG)
 
 
-# Each value type against a constructor of its one checked array, and a
-# valid value for that array.
+# Each value type against a constructor of its one checked array, a valid
+# value for that array, and the array's name in the errors.
 _VALUE_TYPES = {
-    "Waveform": (lambda v: Waveform(v, 16000).samples, np.zeros(4)),
-    "F0Track": (lambda v: F0Track(v, 16000).f0, np.zeros(4)),
-    "DiagGaussian": (lambda v: DiagGaussian(np.zeros(4), v).log_std, np.zeros(4)),
+    "Waveform": (lambda v: Waveform(v, 16000).samples, np.zeros(4), "samples"),
+    "F0Track": (lambda v: F0Track(v, 16000).f0, np.zeros(4), "f0"),
+    "DiagGaussian": (lambda v: DiagGaussian(np.zeros(4), v).log_std, np.zeros(4), "log_std"),
     "ComplexSpectrogram": (
-        lambda v: ComplexSpectrogram(v, CFG).values,
+        lambda v: ComplexSpectrogram(v).values,
         np.zeros((2, 641), dtype=complex),
+        "values",
     ),
-    "LinearSpectrogram": (lambda v: LinearSpectrogram(v, CFG).mags, np.zeros((2, 641))),
-    "MelSpectrogram": (lambda v: MelSpectrogram(v, CFG).logmels, np.full((2, 80), FLOOR)),
+    "LinearSpectrogram": (lambda v: LinearSpectrogram(v).mags, np.zeros((2, 641)), "mags"),
+    "MelSpectrogram": (
+        lambda v: MelSpectrogram(v, CFG).logmels,
+        np.full((2, 80), FLOOR),
+        "logmels",
+    ),
 }
 
 
 @pytest.mark.parametrize("type_name", list(_VALUE_TYPES))
 def test_value_types_share_one_array_rule(type_name):
-    build, good = _VALUE_TYPES[type_name]
+    build, good, name = _VALUE_TYPES[type_name]
     not_numeric = good.astype(object)
     not_numeric.flat[0] = {"a": 1}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{name} must be numeric"):
         build(not_numeric)
     for bad in (np.nan, np.inf, -np.inf):
         not_finite = good.copy()
         not_finite.flat[0] = bad
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=f"^{name} entries must be finite"):
             build(not_finite)
-    with pytest.raises(ValueError):
-        build(good[None])  # one rank too many
+    # One rank too many, and for frames one bin too few: the error names
+    # both shapes.
+    shape = (None,) + good.shape[1:]
+    for wrong in [good[None]] + ([good[:, 1:]] if good.ndim == 2 else []):
+        message = f"{name} must have shape {shape}, got {wrong.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(wrong)
     out = build(good)
     assert not out.flags.writeable
     assert not np.shares_memory(out, good)
     np.testing.assert_array_equal(out, good)
+
+
+def test_linear_and_complex_spectrograms_take_no_config():
+    # Their analysis is SpectralConfig's; only MelSpectrogram keeps a config.
+    assert [f.name for f in dataclasses.fields(ComplexSpectrogram)] == ["values"]
+    assert [f.name for f in dataclasses.fields(LinearSpectrogram)] == ["mags"]
+    assert ComplexSpectrogram(np.ones((2, 641), dtype=complex)).n_frames == 2
+    assert LinearSpectrogram(np.ones((3, 641))).n_frames == 3
 
 
 def test_value_checks_hold_no_whole_array_temporary():
@@ -140,7 +158,7 @@ def test_value_checks_hold_no_whole_array_temporary():
     mags = np.ones((3001, CFG.n_bins), dtype=np.float32)
     tracemalloc.start()
     try:
-        LinearSpectrogram(_Owned(mags), CFG)
+        LinearSpectrogram(_Owned(mags))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -153,18 +171,18 @@ def test_linear_spectrogram_checks_a_float32_array_as_it_is():
     mags = np.ones((3001, CFG.n_bins), dtype=np.float32)
     tracemalloc.start()
     try:
-        LinearSpectrogram(mags, CFG)
+        LinearSpectrogram(mags)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * mags.nbytes
     # The same float32 arrays are accepted and refused as in float64.
     mags = np.full((2, CFG.n_bins), 2.0**64, dtype=np.float32)
-    assert (LinearSpectrogram(mags, CFG).mags == 2.0**64).all()
+    assert (LinearSpectrogram(mags).mags == 2.0**64).all()
     for bad, match in ((np.nextafter(np.float32(2.0**64), np.inf), "<="), (-np.float32(1e-45), ">=")):
         mags[1, 7] = bad
         with pytest.raises(ValueError, match=f"^mags entries must be {match}"):
-            LinearSpectrogram(mags, CFG)
+            LinearSpectrogram(mags)
 
 
 def test_value_arrays_are_frozen():
@@ -177,7 +195,7 @@ def test_linear_spectrogram_keeps_its_own_copy_of_a_callers_array():
     # A float32 array is copied too: changing it afterwards leaves .mags.
     for dtype in (np.float64, np.float32):
         mags = np.ones((3, 641), dtype=dtype)
-        s = LinearSpectrogram(mags, CFG)
+        s = LinearSpectrogram(mags)
         mags[:] = 7.0
         assert s.mags.dtype == np.float32
         assert (s.mags == 1.0).all()
@@ -187,13 +205,13 @@ def test_value_types_hold_their_ceilings():
     # The ceilings are inclusive.  A caller's magnitudes are checked in
     # float64, before float32 would round 2**64 + 4096 down to 2**64 and
     # 1e300 up to infinity; log-mels keep the float32 slack.
-    s = LinearSpectrogram(np.full((2, 641), 2.0**64), CFG)
+    s = LinearSpectrogram(np.full((2, 641), 2.0**64))
     assert (s.mags == 2.0**64).all()
     for big in (np.nextafter(2.0**64, np.inf), 1e300):
         mags = np.ones((2, 641))
         mags[1, 7] = big
         with pytest.raises(ValueError, match=r"^mags entries must be <= 18446744073709551616\."):
-            LinearSpectrogram(mags, CFG)
+            LinearSpectrogram(mags)
     top = math.log(CFG.mel_ceiling) + spectral._FLOOR_SLACK
     MelSpectrogram(np.full((2, 80), top), CFG)
     logmels = np.full((2, 80), FLOOR)
@@ -265,13 +283,13 @@ def test_istft_round_trip_on_noise():
 
 
 def test_istft_zero_spectrogram():
-    back = istft(ComplexSpectrogram(np.zeros((21, 641), dtype=complex), CFG))
+    back = istft(ComplexSpectrogram(np.zeros((21, 641), dtype=complex)))
     assert len(back) == 20 * 320
     assert not back.samples.any()
 
 
 def test_istft_single_frame_trims_to_nothing():
-    back = istft(ComplexSpectrogram(np.zeros((1, 641), dtype=complex), CFG))
+    back = istft(ComplexSpectrogram(np.zeros((1, 641), dtype=complex)))
     assert len(back) == 0
 
 
@@ -295,7 +313,7 @@ def test_stft_istft_match_serial_reference(layout, n):
     x = np.random.default_rng(n).standard_normal(n)
     values = stft(Waveform(_laid_out(x, layout), 16000), CFG).values
     assert np.array_equal(values, ref.stft_raw(x, CFG))
-    back = istft(ComplexSpectrogram(_laid_out(values, layout), CFG)).samples
+    back = istft(ComplexSpectrogram(_laid_out(values, layout))).samples
     assert np.array_equal(back, ref.istft_raw(values, CFG))
 
 

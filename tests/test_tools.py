@@ -1,9 +1,10 @@
-"""tools/bench_pairs.py: its command-line checks, failed runs and line counts."""
+"""tools/bench_pairs.py: its command-line checks, failed runs, line counts and code hash."""
 
 import importlib.util
 import json
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +92,17 @@ def test_bench_pairs_reports_a_failed_run_with_its_stderr(
         bench_pairs.run(tmp_path, "w", 7, 1.0, 0)
     assert str(info.value) == f"bench_pairs: w seed 7 trace 0 failed in {tmp_path}"
     assert capsys.readouterr().err == "Killed in gl\n"
+
+
+def test_bench_pairs_code_hash_matches_perfbench(monkeypatch):
+    # bench_pairs finds a run's digest under perfbench/run.py's code hash,
+    # so its copy of the formula must give the same hash for this checkout.
+    # run.py reads the working directory as the repo root when loaded, and
+    # its dataclasses look their module up in sys.modules.
+    root = TOOL.parents[1]
+    monkeypatch.chdir(root)
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    run_py = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run_py)
+    spec.loader.exec_module(run_py)
+    assert _bench_pairs().code_hash(root) == run_py.code_hash()

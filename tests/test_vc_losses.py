@@ -258,12 +258,17 @@ def test_lsgan_validation():
         lsgan_losses([np.array([np.inf])], [np.ones(1)])
     with pytest.raises(ValueError):
         lsgan_losses([np.zeros(0)], [np.ones(1)])
-    # Both losses check both sets, non-numeric entries included.
+    # Both losses check both sets, non-numeric and ragged entries
+    # included, and name the set.
     for loss in (lsgan_losses, feature_matching):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^real must be numeric"):
             loss([[{"a": 1}]], [np.ones(1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fake must be numeric"):
+            loss([np.ones(2)], [[[0.0], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="^fake entries must be finite$"):
             loss([np.ones(1)], [np.array([np.nan])])
+        with pytest.raises(ValueError, match="^real entries must be finite$"):
+            loss([np.ones(1), [[1.0, np.inf]]], [np.ones(1), np.ones((1, 2))])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ CFG = SpectralConfig()
 
 
 def magnitudes(w: Waveform) -> LinearSpectrogram:
-    return LinearSpectrogram(np.abs(stft(w, CFG).values), CFG)
+    return LinearSpectrogram(np.abs(stft(w, CFG).values))
 
 
 def median_f0(w: Waveform) -> float:
@@ -55,13 +55,13 @@ def test_gl_config_validation(kwargs):
 
 
 def test_gl_zero_spectrogram_gives_silence():
-    out = griffin_lim(LinearSpectrogram(np.zeros((21, 641)), CFG), GriffinLimConfig())
+    out = griffin_lim(LinearSpectrogram(np.zeros((21, 641))), GriffinLimConfig())
     assert len(out) == 20 * 320
     assert not out.samples.any()
 
 
 def test_gl_single_frame_gives_empty():
-    out = griffin_lim(LinearSpectrogram(np.ones((1, 641)), CFG), GriffinLimConfig())
+    out = griffin_lim(LinearSpectrogram(np.ones((1, 641))), GriffinLimConfig())
     assert len(out) == 0
 
 
@@ -136,7 +136,7 @@ def test_gl_start_keeps_peak_memory(monkeypatch):
     spectral._set_threads(2)
     n_frames = 1751
     mags = np.random.default_rng(5).gamma(0.5, size=(n_frames, CFG.n_bins))
-    s = LinearSpectrogram(mags, CFG)
+    s = LinearSpectrogram(mags)
     griffin_lim(s, GriffinLimConfig(n_iters=1))
     tracemalloc.start()
     try:
@@ -153,13 +153,13 @@ def test_gl_keeps_nothing_between_calls():
     # nothing allocated beyond its input and output; a cached window sum
     # would be 2.5 kB a frame.
     rng = np.random.default_rng(9)
-    warm_up = LinearSpectrogram(rng.gamma(0.5, size=(40, CFG.n_bins)), CFG)
+    warm_up = LinearSpectrogram(rng.gamma(0.5, size=(40, CFG.n_bins)))
     griffin_lim(warm_up, GriffinLimConfig(n_iters=1))
     n_frames = 900
     tracemalloc.start()
     try:
         mags = rng.gamma(0.5, size=(n_frames, CFG.n_bins))
-        out = griffin_lim(LinearSpectrogram(mags, CFG), GriffinLimConfig(n_iters=1))
+        out = griffin_lim(LinearSpectrogram(mags), GriffinLimConfig(n_iters=1))
         kept = tracemalloc.get_traced_memory()[0] - mags.nbytes - out.samples.nbytes
     finally:
         tracemalloc.stop()
@@ -173,7 +173,7 @@ def test_gl_limits_output_peak():
     # which one bound or the other refuses.
     mags = magnitudes(synth.tone(300.0, 0.5, amp=1.0)).mags
     for loudness in (1.0001, 1.5, 3.0, 40.0, 1e4):
-        out = griffin_lim(LinearSpectrogram(mags * loudness, CFG), GriffinLimConfig(n_iters=5))
+        out = griffin_lim(LinearSpectrogram(mags * loudness), GriffinLimConfig(n_iters=5))
         assert np.max(np.abs(out.samples)) <= 0.95 + 1e-12
         assert np.max(np.abs(out.samples)) > 0.95 - 1e-12  # the limiter acted
 
@@ -182,7 +182,7 @@ def test_gl_holds_magnitudes_at_the_ceiling():
     # Float32 tops out near 3.4e38, and an FFT sums 1,280 values; the
     # loop holds magnitudes up to LinearSpectrogram's ceiling, 2**64.
     mags = np.abs(stft(synth.tone(300.0, 0.5, amp=1.0), CFG).values)
-    loud = LinearSpectrogram(np.minimum(mags / mags.max() * 2.0**64, 2.0**64), CFG)
+    loud = LinearSpectrogram(np.minimum(mags / mags.max() * 2.0**64, 2.0**64))
     assert loud.mags.max() == 2.0**64
     got = griffin_lim(loud, GriffinLimConfig(n_iters=3))
     assert 0.95 - 1e-12 < np.max(np.abs(got.samples)) <= 0.95 + 1e-12
@@ -239,7 +239,7 @@ def test_gl_matches_serial_reference(monkeypatch, n_frames, threads, n_iters, la
     monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
     monkeypatch.setattr(vocoder, "_BLOCK", layout.get("block", vocoder._BLOCK))
     spectral._set_threads(threads)
-    got = griffin_lim(LinearSpectrogram(mags, CFG), GriffinLimConfig(n_iters=n_iters))
+    got = griffin_lim(LinearSpectrogram(mags), GriffinLimConfig(n_iters=n_iters))
     want = ref.griffin_lim(mags, CFG, n_iters, np.float32)
     assert np.array_equal(got.samples, want.samples)
     # The start's turns, the first synthesis and every iteration map over
@@ -257,7 +257,7 @@ def test_gl_slabs_under_thread_pressure(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = griffin_lim(LinearSpectrogram(mags, CFG), GriffinLimConfig(n_iters=4))
+        got = griffin_lim(LinearSpectrogram(mags), GriffinLimConfig(n_iters=4))
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got.samples, ref.griffin_lim(mags, CFG, 4, np.float32).samples)
@@ -265,7 +265,7 @@ def test_gl_slabs_under_thread_pressure(monkeypatch):
 
 def test_gl_default_threads_match_serial_reference():
     mags = magnitudes(synth.voiced(1.0, 170, 260, seed=3)).mags
-    got = griffin_lim(LinearSpectrogram(mags, CFG), GriffinLimConfig(n_iters=5))
+    got = griffin_lim(LinearSpectrogram(mags), GriffinLimConfig(n_iters=5))
     assert np.array_equal(got.samples, ref.griffin_lim(mags, CFG, 5, np.float32).samples)
 
 
@@ -440,7 +440,7 @@ def test_no_slab_thread_outlives_a_call(monkeypatch):
     # these calls; a slab thread still alive would be copied half-way.
     rng = np.random.default_rng(11)
     m = MelSpectrogram(np.log(rng.gamma(0.5, size=(301, CFG.n_mels)) + 1e-5), CFG)
-    s = LinearSpectrogram(rng.gamma(0.5, size=(301, CFG.n_bins)), CFG)
+    s = LinearSpectrogram(rng.gamma(0.5, size=(301, CFG.n_bins)))
     monkeypatch.setattr(spectral, "_threads", None)
     spectral._set_threads(2)
     before = threading.active_count()
