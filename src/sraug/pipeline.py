@@ -197,36 +197,40 @@ def _worker_failure(item, exc: Exception) -> tuple[list[dict], dict]:
     return [], {"source_path": item[0], "stage": "worker", "error": error}
 
 
-def _run_pools(work: list, indices, jobs: int, results: list) -> dict:
-    """Run ``work[i]`` for each index on up to ``jobs`` worker processes.
+def _run_pool(work: list, jobs: int) -> list:
+    """Results of ``work`` from up to ``jobs`` worker processes, in item order.
 
-    Stores each result in ``results[i]``.  At most ``jobs`` items are in
-    flight, so a worker that dies breaks its pool for at most ``jobs``
-    items; the items not yet started go on in a fresh pool.  Returns the
-    items that were in flight when a pool broke, index -> exception, and
-    once a worker cannot be started (an OSError such as EAGAIN from fork)
-    every item not yet started, index -> that OSError.  A pool starts
-    every worker at its first item, so there are at most as many workers
-    as items, and each runs NNLS and Griffin-Lim on an equal share of the
-    CPUs.
+    At most ``jobs`` items are in flight, so a worker that dies breaks its
+    pool for at most ``jobs`` items; the items not yet started go on in a
+    fresh pool, and the items lost in flight run again at the end, one at
+    a time (unless their pass had one worker), so only an item that kills
+    its worker on its own is lost.  Once a worker cannot start (an OSError
+    such as EAGAIN from fork), no further pool starts and every item
+    without a result fails with that error.  A pool starts every worker at
+    its first item, so there are at most as many workers as items, and
+    each runs NNLS and Griffin-Lim on an equal share of the CPUs.
     """
-    jobs = max(1, min(jobs, len(indices)))
-    threads = max(1, available_cpus() // jobs)
-    todo = deque(indices)
-    broken = {}
+    results: list = [None] * len(work)
+    todo = deque(range(len(work)))
+    workers = min(jobs, len(work))
+    lost = []
+    launched = True
     while todo:
         before = set(multiprocessing.active_children())
-        with ProcessPoolExecutor(jobs, initializer=_set_threads, initargs=(threads,)) as pool:
+        threads = max(1, available_cpus() // workers)
+        with ProcessPoolExecutor(workers, initializer=_set_threads, initargs=(threads,)) as pool:
             running = {}
             intact = True
             while running or (todo and intact):
-                while intact and todo and len(running) < jobs:
+                while intact and todo and len(running) < workers:
                     try:
                         future = pool.submit(_run_item, work[todo[0]])
                     except BrokenProcessPool:
                         intact = False
                     except OSError as exc:
-                        broken.update(dict.fromkeys(todo, exc))
+                        launched = False
+                        for i in todo:
+                            results[i] = _worker_failure(work[i], exc)
                         todo.clear()
                     else:
                         running[future] = todo.popleft()
@@ -235,32 +239,19 @@ def _run_pools(work: list, indices, jobs: int, results: list) -> dict:
                     i = running.pop(future)
                     try:
                         results[i] = future.result()
-                    except BrokenProcessPool as exc:
-                        broken[i] = exc
-                        intact = False
                     except Exception as exc:
                         results[i] = _worker_failure(work[i], exc)
+                        if isinstance(exc, BrokenProcessPool):
+                            lost.append(i)
+                            intact = False
         # Workers forked before a failed launch wait for work with nothing
         # to stop them, and the interpreter would wait for them at exit.
         for child in set(multiprocessing.active_children()) - before:
             child.terminate()
             child.join()
-    return broken
-
-
-def _run_pool(work: list, jobs: int) -> list:
-    """Results of ``work`` from ``jobs`` worker processes, in item order.
-
-    The items in flight when a worker died run again at the end, one at
-    a time, so only an item that kills its worker on its own is lost.
-    Once a worker cannot be started, no further pool starts.
-    """
-    results: list = [None] * len(work)
-    lost = _run_pools(work, range(len(work)), jobs, results)
-    if not any(isinstance(exc, OSError) for exc in lost.values()):
-        lost = _run_pools(work, sorted(lost), 1, results)
-    for i, exc in lost.items():
-        results[i] = _worker_failure(work[i], exc)
+        if not todo and lost and workers > 1 and launched:
+            todo.extend(sorted(lost))
+            workers = 1
     return results
 
 

@@ -29,6 +29,11 @@ _MIN_VOICED_OVERLAP = 10
 # (27 MB at 48 kHz, whose lag arrays are three times as wide).
 _YIN_BLOCK = 256
 
+# A frame whose d(tau) is at most this share of its window's energy at every lag
+# is constant to round-off (DC-offset silence): constant frames read <= 1.4e-13,
+# a tone 120 dB below its DC offset >= 1.05e-12 (at 1,201-63,950 Hz).
+_ROUND_OFF = 4e-13
+
 
 @dataclass(frozen=True)
 class PitchConfig:
@@ -72,12 +77,13 @@ def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> F0Track:
     scanned over the lag range implied by [f0_min, f0_max]; the first dip
     below yin_threshold (walked downhill to its local minimum, then
     refined by parabolic interpolation) gives the period.  Frames with no
-    dip below the threshold are reported as 0.0 (unvoiced).  Frames are
-    analyzed in blocks of 256, so memory beyond the input and the track
-    does not grow with the input's length.  Each block is scaled exactly,
-    by the power of two that puts its peak in [0.5, 1) (a silent block by
-    1), so its squares stay in float range at any level.  ``cfg`` is the
-    one fixed PitchConfig; a rate outside 1,201-63,950 Hz is a ValueError.
+    dip below the threshold, constant ones among them, are reported as 0.0
+    (unvoiced).  Frames are analyzed in blocks of 256, so memory beyond
+    the input and the track does not grow with the input's length.  Each
+    block is scaled exactly, by the power of two that puts its peak in
+    [0.5, 1) (a silent block by 1), so its squares stay in float range at
+    any level.  ``cfg`` is the one fixed PitchConfig; a rate outside
+    1,201-63,950 Hz is a ValueError.
     """
     sr = w.sample_rate
     if not cfg.f0_max < sr / 2:
@@ -148,13 +154,14 @@ def _cmndf(frames: np.ndarray, tau_max: int) -> np.ndarray:
 
     diff = head_energy + tail_energy - 2.0 * corr
     np.maximum(diff, 0.0, out=diff)  # clip FFT round-off below zero
+    diff[diff[:, 1:].max(axis=1) <= _ROUND_OFF * head_energy[:, 0]] = 0.0
 
     out = np.ones_like(diff)
     running = np.cumsum(diff[:, 1:], axis=1)
     taus = np.arange(1, tau_max + 1, dtype=np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         normalized = diff[:, 1:] * taus / running
-    # Frames with zero running sum (silence) have no dips: leave them at 1.
+    # Frames with zero running sum (silent or constant) have no dips: leave them at 1.
     out[:, 1:] = np.where(running > 0.0, normalized, 1.0)
     return out
 

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -476,6 +477,95 @@ def test_run_writes_the_manifest_when_a_worker_cannot_start(tmp_path, monkeypatc
     assert sorted(p.name for p in out.glob("*.wav")) == sorted(
         Path(r["output_path"]).name for r in manifest.records
     )
+
+
+def _pool_run(tmp_path, monkeypatch, item_fn, pool):
+    """The manifest of a ``--jobs 2`` run of ``item_fn`` over four files in ``pool``s."""
+    small_corpus(tmp_path / "in", n=4)
+    monkeypatch.setattr(pipeline, "_run_item", item_fn)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
+    cfg = PipelineConfig(input=str(tmp_path / "in"), output_dir=str(tmp_path / "out"))
+    manifest = run(cfg, jobs=2)
+    assert read_manifest(tmp_path / "out") == manifest.records
+    return manifest
+
+
+def _raise_on_clip1(item):
+    if Path(item[0]).stem == "clip1":
+        raise RuntimeError("clip1 cannot be augmented")
+    return _report_threads(item)
+
+
+@needs_fork
+def test_an_exception_from_a_worker_fails_only_its_item(tmp_path, monkeypatch):
+    # The worker lives on: nothing is lost, so no pool of one worker starts.
+    manifest = _pool_run(tmp_path, monkeypatch, _raise_on_clip1, _RecordingPool)
+    assert [Path(r["source_path"]).stem for r in manifest.records] == ["clip0", "clip2", "clip3"]
+    assert [(Path(f["source_path"]).stem, f["stage"], f["error"]) for f in manifest.failures] == [
+        ("clip1", "worker", "RuntimeError: clip1 cannot be augmented")
+    ]
+    assert {workers for workers, _ in _RecordingPool.submitted} == {2}
+
+
+class _SubmitBreakingPool(_RecordingPool):
+    """A recording pool that is found broken at the first submit of clip1."""
+
+    refused: list = []
+
+    def submit(self, fn, item):
+        if Path(item[0]).stem == "clip1" and not _SubmitBreakingPool.refused:
+            _SubmitBreakingPool.refused.append(self.workers)
+            raise BrokenProcessPool("a worker died before clip1 was submitted")
+        return super().submit(fn, item)
+
+
+@needs_fork
+def test_a_pool_broken_at_submit_loses_no_item(tmp_path, monkeypatch):
+    # clip1 was never started, so it runs in the next two-worker pool.
+    monkeypatch.setattr(_SubmitBreakingPool, "refused", [])
+    manifest = _pool_run(tmp_path, monkeypatch, _report_threads, _SubmitBreakingPool)
+    stems = [f"clip{i}" for i in range(4)]
+    assert [Path(r["source_path"]).stem for r in manifest.records] == stems
+    assert manifest.failures == [] and _SubmitBreakingPool.refused == [2]
+    assert sorted(_RecordingPool.submitted) == [(2, stem) for stem in stems]
+
+
+def _exit_on_clip1(item):
+    if Path(item[0]).stem == "clip1":
+        os._exit(1)
+    return _report_threads(item)
+
+
+class _RetryFailingPool(_RecordingPool):
+    """A recording pool whose one-worker pools cannot start it, as fork fails with EAGAIN."""
+
+    started: list = []
+
+    def __init__(self, workers, **kwargs):
+        super().__init__(workers, **kwargs)
+        _RetryFailingPool.started.append(workers)
+
+    def submit(self, fn, item):
+        if self.workers == 1:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return super().submit(fn, item)
+
+
+@needs_fork
+def test_a_retry_that_cannot_start_a_worker_fails_the_lost_items(tmp_path, monkeypatch):
+    # clip1 kills its worker; the one-at-a-time pass for the items lost
+    # cannot start one.  Those items fail with the launch error, and no
+    # further pool starts.
+    monkeypatch.setattr(_RetryFailingPool, "started", [])
+    manifest = _pool_run(tmp_path, monkeypatch, _exit_on_clip1, _RetryFailingPool)
+    done = [Path(r["source_path"]).stem for r in manifest.records]
+    failed = {Path(f["source_path"]).stem: f for f in manifest.failures}
+    assert sorted(done + list(failed)) == [f"clip{i}" for i in range(4)]
+    assert "clip1" in failed
+    launch_error = f"BlockingIOError: [Errno {errno.EAGAIN}] Resource temporarily unavailable"
+    assert {(f["stage"], f["error"]) for f in failed.values()} == {("worker", launch_error)}
+    assert _RetryFailingPool.started.count(1) == 1 and _RetryFailingPool.started[-1] == 1
 
 
 # Run in a child: the fork of its second worker fails with EAGAIN, after
@@ -1125,6 +1215,17 @@ def test_cli_f0_csv(tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "frame,time_sec,f0_hz"
     assert len(lines) > 1
+
+
+def test_cli_f0_calls_dc_offset_silence_unvoiced(tmp_path):
+    # PCM-16 digital silence at a DC offset of 8192, a quarter of full scale.
+    wav = tmp_path / "dc.wav"
+    wav.write_bytes(build_wav(struct.pack("<h", 8192) * 16000))
+    csv = tmp_path / "track.csv"
+    proc = run_cli("f0", str(wav), str(csv))
+    assert proc.returncode == 0, proc.stderr
+    rows = csv.read_text().splitlines()[1:]
+    assert len(rows) == 47 and all(row.endswith(",0.000000") for row in rows)
 
 
 def test_cli_f0pcc_identical_file(tmp_path):

@@ -84,6 +84,14 @@ def test_yin_frame_count_and_silence():
     assert not track.f0.any()
 
 
+# A constant frame's d(tau) is FFT round-off alone, which can dip below
+# the threshold at any lag (0.25, 0.5 and 1.0 are where it did at 16 kHz).
+@pytest.mark.parametrize("sr", [16000, 22050, 48000])
+def test_yin_calls_a_constant_level_unvoiced(sr):
+    for level in (0.1, 0.25, 0.3, 0.5, 0.9, 1.0):
+        assert not yin_f0(Waveform(np.full(sr, level), sr), PCFG).f0.any(), level
+
+
 def test_yin_pure_tone_accuracy():
     track = yin_f0(synth.tone(220.0, 1.0), PCFG)
     voiced = track.f0[track.f0 > 0]
