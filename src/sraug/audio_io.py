@@ -36,8 +36,14 @@ _SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 # Windowed-sinc resampler parameters: Kaiser shape and zero-crossings per side.
 _KAISER_BETA = 12.0
 _ZERO_CROSSINGS = 64
-# Kernel taps that resample evaluates per block of phases (512 kB of float64).
-_TABLE_ELEMENTS = 65_536
+_I0_BETA = np.i0(_KAISER_BETA)  # the window's value at its centre, before scaling
+# Kernel taps that resample evaluates at a time (64 kB per float64 temporary),
+# or one kernel row where a row is longer.
+_BLOCK_TAPS = 8_192
+# The longest kernel resample accepts: downsampling by up to about 512x.
+_MAX_TAPS = 65_536
+# Samples that write_wav converts to PCM-16 at a time.
+_WRITE_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -234,20 +240,23 @@ def read_wav(path) -> Waveform:
 def write_wav(path, w: Waveform) -> None:
     """Write a Waveform as mono PCM-16 little-endian RIFF/WAVE.
 
-    Samples are clamped to [-1, 1] and rounded half away from zero.
+    Samples are clamped to [-1, 1] and rounded half away from zero,
+    _WRITE_BLOCK at a time into the PCM-16 array that is written.
     UnsupportedFormat if the u32 byte rate, 2 * sample_rate, overflows.
     """
     if w.sample_rate * 2 >= 2**32:
         raise UnsupportedFormat(f"{path}: sample rate {w.sample_rate} Hz is too high for WAV")
-    x = np.clip(w.samples, -1.0, 1.0) * 2.0**15
-    ints = np.trunc(x + np.copysign(0.5, x))  # round half away from zero
-    data = np.clip(ints, -32768, 32767).astype("<i2").tobytes()
+    data = np.empty(len(w), "<i2")
+    for start in range(0, data.size, _WRITE_BLOCK):
+        x = np.clip(w.samples[start : start + _WRITE_BLOCK], -1.0, 1.0) * 2.0**15
+        ints = np.trunc(x + np.copysign(0.5, x))  # round half away from zero
+        data[start : start + _WRITE_BLOCK] = np.clip(ints, -32768, 32767)
 
-    header = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+    header = b"RIFF" + struct.pack("<I", 36 + data.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH", 16, WAVE_FORMAT_PCM, 1, w.sample_rate, w.sample_rate * 2, 2, 16
     )
-    header += b"data" + struct.pack("<I", len(data))
+    header += b"data" + struct.pack("<I", data.nbytes)
     write_atomic(path, [header, data])
 
 
@@ -297,11 +306,14 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     (n*M)//L plus the fraction p/L with p = n*M mod L, and the kernel taps
     depend on that phase p alone.  The outputs first, first+L, first+2L, ...
     share one phase and their input windows lie M samples apart, so each
-    such run is one strided view of the padded input times one kernel row.
-    The rows are evaluated for a block of runs at a time, at most
-    _TABLE_ELEMENTS taps per block, so no table grows with L.  A kernel
-    longer than that block (downsampling by more than about 512x) raises
-    ValueError before anything is allocated.
+    such run is one strided view of the input times one kernel row,
+    written into its strided slice of the output.  Only the outputs whose
+    windows reach past either end of the input (about 64 per end) read a
+    small zero-padded copy of that end instead.  The rows are evaluated in
+    blocks of at most _BLOCK_TAPS taps (one row where a row is longer), so
+    beyond its input and output resample holds one bounded block, whatever
+    L is.  A kernel of more than _MAX_TAPS taps (downsampling by more than
+    about 512x) raises ValueError before anything is allocated.
     """
     target_rate = _integer(target_rate, "target_rate", 1)
     if target_rate == w.sample_rate:
@@ -314,27 +326,44 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     scale = min(1.0, target_rate / w.sample_rate)  # anti-alias cutoff factor
     half_width = _ZERO_CROSSINGS / scale  # kernel support per side, input samples
     width = int(math.ceil(half_width))
-    if 2 * width + 1 > _TABLE_ELEMENTS:
+    taps = 2 * width + 1
+    if taps > _MAX_TAPS:
         raise ValueError(
             f"cannot resample {w.sample_rate} Hz to {target_rate} Hz: the kernel would "
-            f"have {2 * width + 1} taps, more than {_TABLE_ELEMENTS}"
+            f"have {taps} taps, more than {_MAX_TAPS}"
         )
-    padded = np.concatenate([np.zeros(width), w.samples, np.zeros(width)])
+    # The window centred on input sample b is row b - width of the input's
+    # own windows when width <= b < n_in - width.  Nearer the start it is
+    # row b of the zero-padded first 2 * width samples, nearer the end row
+    # b - tail_origin of the zero-padded last 2 * width.
+    zeros = np.zeros(width)
+    head = sliding_window_view(np.concatenate([zeros, w.samples[: 2 * width], zeros]), taps)
+    tail = sliding_window_view(np.concatenate([zeros, w.samples[-2 * width :], zeros]), taps)
+    tail_origin = max(0, n_in - 2 * width)
+    windows = sliding_window_view(w.samples, taps) if n_in >= taps else None
     offsets = np.arange(-width, width + 1)
-    windows = sliding_window_view(padded, offsets.size)  # row b: taps around sample b
 
     g = math.gcd(target_rate, w.sample_rate)
     up, down = target_rate // g, w.sample_rate // g
     out = np.empty(n_out)
-    block = _TABLE_ELEMENTS // offsets.size
-    for start in range(0, min(up, n_out), block):
-        firsts = np.arange(start, min(start + block, up, n_out), dtype=np.int64)
+    rows = max(1, _BLOCK_TAPS // taps)  # kernel rows evaluated at a time
+    for start in range(0, min(up, n_out), rows):
+        firsts = np.arange(start, min(start + rows, up, n_out), dtype=np.int64)
         bases, phases = np.divmod(firsts * down, up)
         tau = phases[:, None] / up - offsets[None, :]
         table = scale * np.sinc(scale * tau) * _kaiser(tau / half_width)
-        for first, base, taps in zip(firsts, bases, table):
+        for first, base, row in zip(firsts.tolist(), bases.tolist(), table):
             run = out[first::up]
-            run[:] = np.einsum("ij,j->i", windows[base::down][: run.size], taps)
+            inside = min(max(0, (width - base + down - 1) // down), run.size)
+            beyond = min(max(inside, (n_in - width - base + down - 1) // down), run.size)
+            for lo, hi, views, origin in (
+                (0, inside, head, 0),
+                (inside, beyond, windows, width),
+                (beyond, run.size, tail, tail_origin),
+            ):
+                if lo < hi:
+                    b = base + lo * down - origin
+                    np.einsum("ij,j->i", views[b::down][: hi - lo], row, out=run[lo:hi])
     return Waveform(_Owned(out), target_rate)
 
 
@@ -342,6 +371,4 @@ def _kaiser(u: np.ndarray) -> np.ndarray:
     """Kaiser window evaluated at normalized positions u in [-1, 1]."""
     inside = np.abs(u) < 1.0
     arg = np.where(inside, 1.0 - u * u, 0.0)
-    return np.where(inside, np.i0(_KAISER_BETA * np.sqrt(arg)), 0.0) / np.i0(
-        _KAISER_BETA
-    )
+    return np.where(inside, np.i0(_KAISER_BETA * np.sqrt(arg)), 0.0) / _I0_BETA

@@ -460,6 +460,49 @@ def test_write_is_deterministic(tmp_path):
     assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
 
 
+def _pcm16(x: float) -> int:
+    """One sample as write_wav stores it, in Python numbers: clamped,
+    scaled by 2^15, rounded half away from zero, held to the int16 range."""
+    v = min(max(x, -1.0), 1.0) * 32768
+    return max(-32768, min(32767, int(math.copysign(math.floor(abs(v) + 0.5), v))))
+
+
+def test_write_converts_edge_values_in_every_block(tmp_path):
+    # +-1, +-2, +-0.5 and +-1.5 LSB, full scale, 1 - 2^-16 (32767.5 LSB,
+    # which rounds to 32768 and is held to 32767) and values past full
+    # scale, placed at the start, on both sides of each block seam and at
+    # the end of the last, shorter block.
+    lsb = 2.0**-15
+    edges = [1.0, -1.0, lsb, -lsb, 2 * lsb, -2 * lsb, 0.5 * lsb, -0.5 * lsb, 1.5 * lsb,
+             -1.5 * lsb, 1 - 2.0**-16, -(1 - 2.0**-16), 2.0, -2.0, 0.0, 0.25, -0.75]
+    block = audio_io._WRITE_BLOCK
+    n = 2 * block + 100
+    x = _noise(n, 11)
+    for at in (0, block - len(edges) // 2, 2 * block - len(edges) // 2, n - len(edges)):
+        x[at : at + len(edges)] = edges
+    path = tmp_path / "edges.wav"
+    write_wav(path, Waveform(x, 16000))
+    want = np.array([_pcm16(v) for v in x.tolist()], "<i2").tobytes()
+    assert path.read_bytes() == build_wav(want)
+
+
+# write_wav holds the PCM-16 array it writes and up to four float64
+# temporaries of one block (2 MiB); the bound allows 3 MiB beside that
+# array.  Converting the whole signal at once peaked at 19.1 MB on these
+# 46 s (5.9 MB of samples).
+def test_write_wav_peak_memory(tmp_path):
+    w = Waveform(_noise(16000 * 46, 5), 16000)
+    write_wav(tmp_path / "warm.wav", w)
+    tracemalloc.start()
+    try:
+        write_wav(tmp_path / "long.wav", w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * len(w) + 3 * 2**20
+    assert peak <= bound, f"{peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # resampling
 
@@ -553,17 +596,23 @@ def _direct_resample(x: np.ndarray, src: int, dst: int) -> np.ndarray:
     return out
 
 
-# (source rate, target rate, input length).  3001 at 16,001 Hz and 4411 at
-# 44,101 Hz span more than one block of kernel rows (7 and 9); 4001 at
-# 8 kHz gives two runs of 4,001 outputs, each one einsum over a strided
-# view; 31, 5, 27 and 8 put the last output's centre sample at n_in - 1,
-# the end of the signal.
+# (source rate, target rate, input length).  3001 at 16,001 Hz and 4411
+# at 44,101 Hz span more than one block of kernel rows (49 and 70 blocks);
+# 4001 at 8 kHz gives two runs of 4,001 outputs, each one einsum over a
+# strided view; 31, 5, 27 and 8 put the last output's centre sample at
+# n_in - 1, the end of the signal.  The rest read the zero-padded ends:
+# width is 192 input samples at 48 kHz, 64 at 8 kHz and 89 at 22.05 kHz.
+# Up to 2 * width samples no window lies inside the input, and below
+# width some reach past both ends; at 2 * width + 1 and + 2 a window fills
+# the input from end to end, beside windows that do not.
 _EXACT_CASES = [
     (48000, 16000, 33002),
     (48000, 16000, 7),
     (16000, 8000, 31),
     (8000, 16000, 5),
     (8000, 16000, 4001),
+    *[(48000, 16000, n) for n in (1, 100, 191, 384, 385, 386, 580)],
+    *[(8000, 16000, n) for n in (1, 30, 127, 128, 129, 130, 200)],
 ]
 _CLOSE_CASES = [
     (22050, 16000, 30897),
@@ -573,6 +622,7 @@ _CLOSE_CASES = [
     (16001, 16000, 8),
     (16001, 16000, 3001),
     (44101, 16000, 4411),
+    *[(22050, 16000, n) for n in (2, 50, 178, 179, 180, 300)],
 ]
 
 
@@ -602,24 +652,22 @@ def test_reference_cases_cover_chunks_and_signal_end():
         n_out = _round_half_up(n_in * dst / src)
         taps = 2 * math.ceil(64 / min(1.0, dst / src)) + 1
         runs = min(dst // math.gcd(src, dst), n_out)  # one per phase
-        spans_blocks += runs > audio_io._TABLE_ELEMENTS // taps
+        spans_blocks += runs > audio_io._BLOCK_TAPS // taps
         ends_at_last_sample += math.floor((n_out - 1) * src / dst) == n_in - 1
     assert spans_blocks >= 2
     assert ends_at_last_sample >= 4
 
 
-# At 22.05 kHz (320 phases, 179 taps), 1 to 5,000 taps give blocks of 1 to
-# 27 runs, one size with a shorter last block, against one block of all
-# 320 at the default.  48 kHz has a single phase, so a single run.  A
-# block is at least one kernel row, since resample refuses a longer
-# kernel, so 1 stands for one row.
+# At 22.05 kHz (320 phases, 179 taps), blocks of 1,000 and 5,000 taps
+# hold 5 and 27 kernel rows, against 45 at the default.  A block smaller
+# than one row, 1 tap, holds one row.  48 kHz has a single phase, so a
+# single run.
 @pytest.mark.parametrize("src, dst, n_in", [(48000, 16000, 6001), (22050, 16000, 4411)])
 @pytest.mark.parametrize("elements", [1, 1000, 5000])
 def test_resample_bytes_do_not_depend_on_table_block(monkeypatch, src, dst, n_in, elements):
     w = Waveform(_noise(n_in, n_in), src)
     want = resample(w, dst).samples
-    taps = 2 * math.ceil(64 * src / dst) + 1
-    monkeypatch.setattr(audio_io, "_TABLE_ELEMENTS", max(elements, taps))
+    monkeypatch.setattr(audio_io, "_BLOCK_TAPS", elements)
     assert np.array_equal(resample(w, dst).samples, want)
 
 
@@ -640,18 +688,22 @@ def test_resample_refuses_a_kernel_longer_than_a_block_before_allocating():
         resample(Waveform(np.zeros(1000), 8_191_751), 16000)
 
 
-# 1 s at 44,101 Hz has 16,000 phases, so a table of all of them would be
-# 45 MB; 10 s at 48 kHz is 3.8 MB of padded input.  The peak is that copy,
-# the output, and one block of kernel rows with its temporaries: measured
-# 7.4 and 6.1 MiB.
-@pytest.mark.parametrize("src, seconds", [(44101, 1), (48000, 10)])
+# Beyond its input, resample holds its output, the kernel rows of one
+# block of _BLOCK_TAPS taps with the temporaries that evaluate them, and
+# two padded ends of 4 * width samples; at these rates that is under
+# 1 MiB, and the bound allows 2 MiB.  1 s at 44,101 Hz has 16,000 phases,
+# so a table of all of them would be 45 MB.  Blocks of 65,536 taps,
+# run-sized einsum temporaries and a padded copy of the input peaked at
+# 7.4, 6.5, 6.1 and 36.6 MiB on these four.
+@pytest.mark.parametrize("src, seconds", [(44101, 1), (22050, 3), (48000, 10), (48000, 60)])
 def test_resample_peak_memory(src, seconds):
     w = Waveform(_noise(src * seconds, 7), src)
     resample(w, 16000)
     tracemalloc.start()
     try:
-        resample(w, 16000)
+        out = resample(w, 16000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    bound = out.samples.nbytes + 2 * 2**20
+    assert peak < bound, f"{peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: its command-line checks, failed runs, line counts and code hash."""
+"""tools/bench_pairs.py: its command-line checks, the trees it runs, failed runs, line counts
+and code hash."""
 
 import importlib.util
 import json
@@ -58,6 +59,8 @@ def test_bench_pairs_writes_both_sides_src_and_tests_lines(tmp_path, monkeypatch
     monkeypatch.setattr(bench_pairs, "ROOT", change)
     monkeypatch.setattr(bench_pairs, "export", lambda rev, into: shutil.copytree(
         parent, into, dirs_exist_ok=True))
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda into: shutil.copytree(
+        change, into, dirs_exist_ok=True))
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "abc1234")
     monkeypatch.setattr(bench_pairs, "run", fake_run)
     out = tmp_path / "b.json"
@@ -65,6 +68,67 @@ def test_bench_pairs_writes_both_sides_src_and_tests_lines(tmp_path, monkeypatch
     written = json.loads(out.read_text())
     assert written["src_lines"] == {"parent": 1, "change": 2}
     assert written["tests_lines"] == {"parent": 3, "change": 1}
+
+
+def test_bench_pairs_runs_the_change_from_a_copy_of_the_working_tree(tmp_path, monkeypatch):
+    # A git checkout with a committed file edited in the working tree, a
+    # new untracked file, ignored files and a tracked file deleted from the
+    # tree.  Both sides must run from fresh sibling copies, the change side
+    # from the working tree as it stands, and the environment record must
+    # be the one the change side's run wrote.
+    bench_pairs = _bench_pairs()
+    root = tmp_path / "checkout"
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    (root / "src" / "pkg" / "m.py").write_text("a\n")
+    (root / "src" / "pkg" / "gone.py").write_text("g\n")
+    (root / "perfbench" / "run.py").write_text("")
+    (root / ".gitignore").write_text("*.log\n.perfbench/\n")
+    spec = {"end_to_end": [{"name": "m", "better": "higher", "bound": 0.1}]}
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
+                        "commit.gpgsign=false", *args], cwd=root, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (root / "src" / "pkg" / "m.py").write_text("a\nb\n")
+    (root / "src" / "pkg" / "new.py").write_text("n\n")
+    (root / "src" / "pkg" / "gone.py").unlink()
+    (root / "run.log").write_text("ignored\n")
+    (root / ".perfbench" / "results").mkdir(parents=True)
+    (root / ".perfbench" / "results" / "stale.json").write_text("{}")
+
+    seen = {}
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        seen[tree] = sorted(p.relative_to(tree).as_posix() for p in tree.rglob("*")
+                            if p.is_file() and ".git" not in p.parts)
+        if tree.name == "change":
+            assert (tree / "src" / "pkg" / "m.py").read_text() == "a\nb\n"
+        results = tree / ".perfbench" / "results"
+        results.mkdir(parents=True, exist_ok=True)
+        record = {"environment": {"python": tree.name}}
+        (results / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
+        return {"metrics": {"m": 1.0}, "digest": "d"}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "b.json"
+    assert bench_pairs.main(["--out", str(out), "--workloads", "w", "--pairs", "1"]) == 0
+    parent = next(tree for tree in seen if tree.name == "parent")
+    change = next(tree for tree in seen if tree.name == "change")
+    assert parent.parent == change.parent != root
+    assert not change.parent.exists()
+    assert seen[parent] == [".gitignore", "BENCHMARK.json", "perfbench/run.py",
+                            "src/pkg/gone.py", "src/pkg/m.py"]
+    assert seen[change] == [".gitignore", "BENCHMARK.json", "perfbench/run.py",
+                            "src/pkg/m.py", "src/pkg/new.py"]
+    written = json.loads(out.read_text())
+    assert written["machine"]["python"] == "change"
+    assert written["src_lines"] == {"parent": 2, "change": 3}
 
 
 @pytest.mark.parametrize(

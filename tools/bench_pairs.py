@@ -3,9 +3,11 @@
     python3 tools/bench_pairs.py --base HEAD --out BENCH_x.json \\
         --claim audio_s_per_s:horizontal_long --held-out 9903 --trace-seeds 2100,2101
 
-Run from the root of a checkout.  The change is the working tree as it
-stands; the parent is ``--base``, exported with ``git archive`` into a
-fresh directory that is deleted at the end.  Both sides run their own
+Run from the root of a checkout.  The parent is ``--base``, exported
+with ``git archive``; the change is the working tree as it stands, its
+tracked files and its untracked files that are not ignored, copied.
+Both go into fresh sibling directories, deleted at the end, so the two
+sides run from the same kind of tree.  Both sides run their own
 copy of ``perfbench/run.py`` unmodified (the tool stops if the two
 copies differ), each from its own tree, so each imports its own
 ``src/``.  For each seed, workloads take turns pair by pair, and the
@@ -54,6 +56,17 @@ def export(rev: str, into: Path) -> None:
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"bench_pairs: git archive {rev} failed")
+
+
+def copy_worktree(into: Path) -> None:
+    """The working tree's files in ``into``: tracked ones as they stand, and
+    untracked ones that are not ignored.  A tracked file deleted from the
+    tree is left out."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def code_hash(tree: Path) -> str:
@@ -194,9 +207,11 @@ def main(argv=None) -> int:
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
-        trees = {"parent": scratch / "parent", "change": ROOT}
-        trees["parent"].mkdir()
+        trees = {"parent": scratch / "parent", "change": scratch / "change"}
+        for tree in trees.values():
+            tree.mkdir()
         export(args.base, trees["parent"])
+        copy_worktree(trees["change"])
         lines = {top: {side: py_lines(tree, top) for side, tree in trees.items()}
                  for top in ("src", "tests")}
         benches = {side: {p.name: p.read_bytes() for p in (tree / "perfbench").glob("*")
@@ -210,11 +225,13 @@ def main(argv=None) -> int:
                 untraced[w].append(pair(trees, w, seed, first, args.seconds, 0))
         traced = {w: [pair(trees, w, seed, "parent" if i % 2 == 0 else "change", args.seconds, 1)
                       for i, seed in enumerate(trace_seeds)] for w in workloads}
+        # The change side's first run wrote this record in its own tree.
+        record = (trees["change"] / ".perfbench" / "results"
+                  / f"{workloads[0]}-seed{seeds[0]}-trace0.json")
+        environment = json.loads(record.read_text())["environment"]
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    record = ROOT / ".perfbench" / "results" / f"{workloads[0]}-seed{seeds[0]}-trace0.json"
-    environment = json.loads(record.read_text())["environment"]
     out = {
         "title": "",
         "parent_commit": git("rev-parse", "--short", args.base),
@@ -225,8 +242,9 @@ def main(argv=None) -> int:
                     for k in ("nproc", "machine", "python", "numpy", "blas")},
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {args.seconds:g} --trace <0|1>",
-        "method": "tools/bench_pairs.py: unmodified perfbench/run.py in two source trees, the "
-                  f"parent ({args.base}, by git archive) and the working tree. Pairs alternate "
+        "method": "tools/bench_pairs.py: unmodified perfbench/run.py in two sibling source "
+                  f"trees, the parent ({args.base}, by git archive) and a copy of the working "
+                  "tree (tracked and untracked files, not ignored ones). Pairs alternate "
                   "which side runs first (\"first\"); workloads take turns pair by pair. "
                   f"Untraced seeds {seeds[0]}-{seeds[-1]}"
                   + ("" if args.held_out is None else f", then the held-out seed {args.held_out}")
