@@ -98,7 +98,14 @@ def resize_axis(mat: np.ndarray, new_len: int, axis: str) -> np.ndarray:
     frac = positions - lo
 
     lines = np.moveaxis(mat, dim, -1)
-    out = lines[..., lo] * (1.0 - frac) + lines[..., hi] * frac
+    # The blend in place: the same products and sum as
+    # lines[..., lo] * (1 - frac) + lines[..., hi] * frac, two full-size
+    # temporaries fewer.
+    out = lines[..., lo]
+    out *= 1.0 - frac
+    upper = lines[..., hi]
+    upper *= frac
+    out += upper
     np.clip(out, mat.min(), mat.max(), out=out)
     return np.moveaxis(out, -1, dim)
 

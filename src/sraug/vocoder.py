@@ -24,7 +24,6 @@ from .spectral import (
     _add_chunks,
     _analyze,
     _block_pool,
-    _frames,
     _synthesize,
     _window_sum,
     mel_filterbank,
@@ -53,18 +52,22 @@ class GriffinLimConfig:
         _integer(self.n_iters, "n_iters", 1)
 
 
-def _peak_turns(logmag: np.ndarray, step: float, out: np.ndarray) -> None:
-    """Write each bin's phase turn per hop into ``out`` for a block of log-magnitude frames.
+def _peak_turns(mags: np.ndarray, step: float, out: np.ndarray) -> None:
+    """Write each bin's phase turn per hop into ``out`` for a block of magnitude frames.
 
-    In each frame the local maxima over frequency are the peaks, with
-    -inf beyond both edges and a tie counting as not rising.  An inner
-    peak's frequency is refined to the vertex of the parabola through
-    its log-magnitude and its two neighbours; a peak at an edge keeps
-    its bin.  A basin runs from a frame's first bin or a local minimum
-    up to the next one and holds exactly one peak; every bin in it
-    turns by exp(1j * step * f), f the refined frequency (in bins) of
+    The logs of the magnitudes, floored at 1e-16 and widened to float64,
+    fill the bytes of the complex64 ``out`` until the turns are written
+    over them.  In each frame the local maxima over frequency are the
+    peaks, with -inf beyond both edges and a tie counting as not rising.
+    An inner peak's frequency is refined to the vertex of the parabola
+    through its log-magnitude and its two neighbours; a peak at an edge
+    keeps its bin.  A basin runs from a frame's first bin or a local
+    minimum up to the next one and holds exactly one peak; every bin in
+    it turns by exp(1j * step * f), f the refined frequency (in bins) of
     that peak.
     """
+    logmag = np.maximum(mags, 1e-16, out=out.view(np.float64), dtype=np.float64)
+    np.log(logmag, out=logmag)
     n_frames, n_bins = logmag.shape
     rises = np.empty((n_frames, n_bins + 1), dtype=bool)  # bin k above bin k - 1
     rises[:, 0] = True
@@ -99,7 +102,11 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     by a 0.99 momentum term) and reimposing the target magnitudes: the
     accelerated spectrum c is multiplied by one real factor,
     mags / max(|c|, 1e-16).  The final waveform is scaled down to a 0.95
-    peak if it comes out louder.
+    peak if it comes out louder.  The STFT is linear, so the accelerated
+    spectrum STFT(x_i) - b * STFT(x_i-1), b = 0.99 / 1.99, is taken as
+    STFT(x_i - b * x_i-1): from the last two signals, with no spectrum
+    kept from one iteration to the next.  The first iteration, with no
+    signal before it, analyzes x_0 alone.
 
     The loop runs in single precision: complex64 spectra, float32
     signal, windows and window sum, and the float32 ``s.mags``, read in
@@ -120,21 +127,26 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     is there because frames are windowed about their center, n_fft/2
     samples after the sample the DFT measures phase from, so the phase
     of a stationary partial alternates by pi from bin to bin across its
-    peak.
+    peak.  The calling thread chains the turns frame by frame, a block
+    at a time, and keeps only each block's first phase; the first
+    synthesis computes each block's turns again and chains them from
+    that phase.
 
-    Two arrays span all frames: ``previous``, the last iteration's
-    rebuilt spectrum for the momentum (the start phase until the first
-    synthesis), and ``s.mags``.  The signal lives in two
-    buffers of (n_frames + n_tail) x hop samples, n_tail = n_fft / hop -
-    1 = 3, allocated once per call: an iteration's analysis reads a fixed
-    view of the frames of one while its synthesis overlap-adds into the
-    other, and the two swap roles.
-    Each buffer is the center-padded signal itself, so no padded copy is
-    made.  The per-frame work (the start's turns, the first synthesis,
-    then each iteration's stft, momentum, phase update, istft and
-    overlap-add) runs in 32-frame blocks on the slab threads (see
+    ``s.mags`` and one float32 array are all that span all frames.  The
+    array's two halves are the signal buffers, of (n_frames + n_tail) x
+    hop samples each, n_tail = n_fft / hop - 1 = 3: an iteration reads
+    the frames of x_i in one while its synthesis overlap-adds x_i+1 into
+    the other, over x_i-1, and the two swap roles; the last signal lands
+    in the upper half.  Each buffer is the center-padded signal itself,
+    so no padded copy is made.  The per-frame work (the first synthesis,
+    then each iteration's stft of the momentum rows, phase update, istft
+    and overlap-add) runs in 32-frame blocks on the slab threads (see
     spectral._block_pool and spectral._set_threads), each block through
     the whole chain before the next, so a block's operands stay in cache.
+    A block forms its rows of x_i - b * x_i-1 in the bytes of its
+    spectrum buffer before the synthesis writes over x_i-1; the n_tail
+    rows of x_i-1 past a slab's end, which the next slab's first block
+    writes over, are copied aside before each pass.
     A block synthesizes its frames after the n_tail before it in its slab
     (in a window per slab, picked by the slab index the runner passes),
     adds them into its own rows (spectral._add_chunks) and divides the
@@ -146,8 +158,9 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     n_tail rows of the slab after it, divides those rows, and writes the
     reflected edges.  Every row sums its frames in the same order and
     every element goes through the same operations in any slab or block,
-    so the bytes are those of a single slab.  The chaining of the start's
-    turns also runs on the calling thread.
+    so the bytes are those of a single slab.  The output widens forward
+    into the same array as float64, in pieces that end before the
+    samples still to be read, so it takes no memory of its own.
     """
     spectral_cfg = SpectralConfig
     n_frames, n_bins = s.mags.shape
@@ -161,7 +174,7 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     # Row r of a signal buffer holds samples r*hop to (r+1)*hop of the
     # padded signal: frames r, r - 1, ..., r - n_tail overlap-added.
     n_tail = n_fft // hop - 1
-    shape = (n_frames + n_tail, hop)
+    n_rows = n_frames + n_tail
     # Divisors: the window sum over the signal, and 1 over the padding,
     # which the reflected edges overwrite.  Rows 0 to n_tail and the last
     # n_tail + 1 hold padding or miss a frame; every row between sums all
@@ -170,34 +183,24 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     n_table = min(n_frames, n_tail + 3)
     table = np.ones((n_table + n_tail, hop), dtype=np.float32)
     table.reshape(-1)[pad : pad + (n_table - 1) * hop] = _window_sum(n_table)
-    row_of = np.minimum(np.arange(shape[0]), n_tail + 1)
+    row_of = np.minimum(np.arange(n_rows), n_tail + 1)
     row_of[-n_tail - 1 :] = np.arange(n_table - 1, n_table + n_tail)
-    signals = [np.empty(shape, dtype=np.float32), np.empty(shape, dtype=np.float32)]
-    views = [_frames(signal.reshape(-1)[: length + n_fft]) for signal in signals]
-    previous = np.empty((n_frames, n_bins), dtype=np.complex64)
+    # Signal x_k lives in halves[(k + 1 - n_iters) % 2]; x_-1 is zero.
+    halves = np.empty((2, n_rows, hop), dtype=np.float32)
+    halves[cfg.n_iters % 2] = 0.0
     mags = s.mags
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
     step = 2.0 * np.pi * hop / n_fft
-    # Block buffers: a spectrum (the log-magnitudes in float64, the turns,
-    # the momentum term, then the accelerated value and mags times its
-    # phase) and a factor (the accelerated value's magnitude, then mags
-    # over that).
+    # Block buffers: a spectrum (the log-magnitudes in float64 and the
+    # turns, or the rows of x_i - b * x_i-1, then the accelerated value
+    # and mags times its phase) and a factor (the accelerated value's
+    # magnitude, then mags over that).
     scratch = (n_bins, np.complex64), (n_bins, np.float32)
 
     def owned(lo, stop):
         # The signal rows of the frames lo to stop: the last frame's
         # block and slab also own the n_tail rows past it.
         return slice(lo, stop + n_tail if stop == n_frames else stop)
-
-    def turn(rows, _, phase, size):
-        # Frame t's turn goes to previous[t + 1], to be chained below.  The
-        # logs of the magnitudes, widened to float64, fill the bytes of
-        # ``phase`` until _peak_turns writes the turns over them.
-        logmag = np.maximum(mags[rows], 1e-16, out=phase.view(np.float64), dtype=np.float64)
-        np.log(logmag, out=logmag)
-        _peak_turns(logmag, step, phase)
-        following = previous[rows.start + 1 : rows.stop + 1]
-        following[:] = phase[: len(following)]
 
     def emit(rows, i, phase):
         # The block's rows get its frames, synthesized from ``phase``, and
@@ -215,18 +218,29 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         window[:n_tail] = window[n : n + n_tail]
 
     def synthesize(rows, i, phase, size):
-        # The start phase in ``previous`` starts the momentum at zero.
-        np.multiply(mags[rows], previous[rows], out=phase)
-        previous[rows] = 0.0
+        # Frame t's turn goes to phase[t + 1], chained from the block's
+        # first phase as the calling thread chained it.
+        if len(phase) > 1:
+            _peak_turns(mags[rows.start : rows.stop - 1], step, phase[1:])
+        phase[0] = incoming[rows.start]
+        for t in range(1, len(phase)):
+            np.multiply(phase[t - 1], phase[t], out=phase[t])
+        np.multiply(mags[rows], phase, out=phase)
         emit(rows, i, phase)
 
     def iterate(rows, i, phase, size):
-        # Each block's rebuilt spectrum replaces the last one in
-        # ``previous`` once the momentum term has been taken from it.
-        frames = windows[i][n_tail : n_tail + len(phase)]
-        np.multiply(previous[rows], blend, out=phase)
-        _analyze(analysis[rows], frames, previous[rows])
-        np.subtract(previous[rows], phase, out=phase)
+        # The block's rows of x_i - b * x_i-1, those of x_i-1 past the
+        # slab's end from ``edges``, fill the bytes of ``phase``, read as
+        # rows and as frames, until the analysis writes the spectrum over
+        # them.
+        n = len(phase)
+        accelerated = np.ndarray((n + n_tail, hop), np.float32, phase)
+        frames = np.ndarray((n, n_fft), np.float32, phase, strides=(4 * hop, 4))
+        kept = min(n + n_tail, ends[i] - rows.start)  # rows of x_i-1 still in ``signal``
+        np.multiply(signal[rows.start : rows.start + kept], blend, out=accelerated[:kept])
+        np.multiply(edges[i][: n + n_tail - kept], blend, out=accelerated[kept:])
+        np.subtract(current[rows.start : rows.stop + n_tail], accelerated, out=accelerated)
+        _analyze(frames, windows[i][n_tail : n_tail + n], phase)
         np.abs(phase, out=size)
         np.maximum(size, 1e-16, out=size)
         np.divide(mags[rows], size, out=size)
@@ -254,30 +268,51 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     with _block_pool(n_frames, _BLOCK, *scratch) as (run, slabs):
         # Per slab: the last n_tail frames before a block, then the block's.
         windows = np.empty((len(slabs), n_tail + _BLOCK, n_fft), dtype=np.float32)
-        run(turn)
+        # Per slab: the end of its rows of a signal buffer, and the n_tail
+        # rows past them, which the next slab's first block writes over.
+        ends = [slab.stop for slab in slabs[:-1]] + [n_rows]
+        edges = np.empty((len(slabs), n_tail, hop), dtype=np.float32)
         # The start: frame 0's phase is -pi*k, and frame t's is frame
         # t - 1's times its turn.  A loop, because np.multiply.accumulate
-        # rounds complex products differently.
-        previous[0] = 1.0
-        previous[0, 1::2] = -1.0
-        for t in range(1, n_frames):
-            np.multiply(previous[t - 1], previous[t], out=previous[t])
-        signal = signals[0]
+        # rounds complex products differently.  It runs in slab 0's
+        # window of frames, unused until the first synthesis.
+        starts = [lo for slab in slabs for lo in range(slab.start, slab.stop, _BLOCK)]
+        incoming = dict(zip(starts, np.empty((len(starts), n_bins), dtype=np.complex64)))
+        incoming[0][:] = 1.0
+        incoming[0][1::2] = -1.0
+        chain = windows[0].reshape(-1).view(np.complex64)[: _BLOCK * n_bins].reshape(_BLOCK, n_bins)
+        for lo, stop in zip(starts, starts[1:]):
+            turns = chain[: stop - lo]
+            _peak_turns(mags[lo:stop], step, turns)
+            np.multiply(incoming[lo], turns[0], out=turns[0])
+            for t in range(1, len(turns)):
+                np.multiply(turns[t - 1], turns[t], out=turns[t])
+            incoming[stop][:] = turns[-1]
+        signal = halves[(1 - cfg.n_iters) % 2]
         run(synthesize)
         finish()
         for i in range(cfg.n_iters):
-            analysis, signal = views[i % 2], signals[1 - i % 2]
+            current, signal = signal, halves[(i - cfg.n_iters) % 2]
+            for k, stop in enumerate(ends[:-1]):
+                edges[k] = signal[stop : stop + n_tail]
             run(iterate)
             finish()
 
-    # Free all but the output's buffer before it widens.  The limiter's
-    # scale is applied in float64 as the samples widen, so no float32
-    # rounding can lift a sample above the limit.
-    del previous, views, analysis, signals
-    out = signal.reshape(-1)[pad : pad + length]
-    peak = float(max(out.max(), -out.min()))
+    # The limiter's scale is applied in float64 as the samples widen, so
+    # no float32 rounding can lift a sample above the limit.  Sample j
+    # widens into bytes 8j to 8j + 8 of the array, before the upper half
+    # that it comes from; each piece ends before its first source sample.
+    narrow = signal.reshape(-1)[pad : pad + length]
+    peak = float(max(narrow.max(), -narrow.min()))
     scale = _PEAK_LIMIT / peak if peak > _PEAK_LIMIT else 1.0
-    return Waveform(_Owned(np.multiply(out, scale, dtype=np.float64)), spectral_cfg.sample_rate)
+    out = halves.reshape(-1).view(np.float64)[:length]
+    source = n_rows * hop + pad  # the float32 index of sample 0
+    start = 0
+    while start < length:
+        stop = min(length, (source + start) // 2)
+        np.multiply(narrow[start:stop], scale, out=out[start:stop], dtype=np.float64)
+        start = stop
+    return Waveform(_Owned(out), spectral_cfg.sample_rate)
 
 
 def reconstruct_from_mel(m: MelSpectrogram, glcfg: GriffinLimConfig) -> Waveform:

@@ -94,24 +94,40 @@ def start_angles(mags: np.ndarray, cfg: SpectralConfig, dtype=np.float64) -> np.
     return angles
 
 
-def griffin_lim(mags: np.ndarray, cfg: SpectralConfig, n_iters: int, dtype=np.float64) -> Waveform:
+def griffin_lim(
+    mags: np.ndarray, cfg: SpectralConfig, n_iters: int, dtype=np.float64, domain="signal"
+) -> Waveform:
+    """Fast Griffin-Lim, its momentum taken in the signal or the spectral ``domain``.
+
+    In the signal domain the accelerated spectrum is STFT(x_i - b * x_i-1),
+    as vocoder.griffin_lim forms it: reflect-padding a signal copies its
+    samples, so the difference of the padded signals is the padding of
+    the difference.  In the spectral domain it is STFT(x_i) - b *
+    STFT(x_i-1), the form vocoder.griffin_lim replaced.  The STFT is
+    linear, so the two differ only in rounding; both analyze x_0 alone in
+    the first iteration, where they give the same bytes.
+    """
     if mags.shape[0] < 2:
         return Waveform(np.zeros(0), cfg.sample_rate)
     mags = mags.astype(dtype)
     angles = start_angles(mags, cfg, dtype)
-    spectrum = mags * angles
-    previous = np.zeros_like(spectrum)
+    signal = istft_raw(mags * angles, cfg, dtype)
+    older = np.zeros_like(signal)
+    previous = 0.0
     blend = _MOMENTUM / (1.0 + _MOMENTUM)
     for _ in range(n_iters):
-        rebuilt = stft_raw(istft_raw(spectrum, cfg, dtype), cfg, dtype)
-        accelerated = rebuilt - blend * previous
+        if domain == "signal":
+            accelerated = stft_raw(signal - blend * older, cfg, dtype)
+        else:
+            rebuilt = stft_raw(signal, cfg, dtype)
+            accelerated = rebuilt - blend * previous
+            previous = rebuilt
         # One real scale takes the accelerated value to the magnitudes.
         spectrum = accelerated * (mags / np.maximum(np.abs(accelerated), 1e-16))
-        previous = rebuilt
-    out = istft_raw(spectrum, cfg, dtype)
-    peak = float(np.max(np.abs(out))) if out.size else 0.0
+        older, signal = signal, istft_raw(spectrum, cfg, dtype)
+    peak = float(np.max(np.abs(signal))) if signal.size else 0.0
     scale = _PEAK_LIMIT / peak if peak > _PEAK_LIMIT else 1.0
-    return Waveform(np.multiply(out, scale, dtype=np.float64), cfg.sample_rate)
+    return Waveform(np.multiply(signal, scale, dtype=np.float64), cfg.sample_rate)
 
 
 def yin_f0(w: Waveform, cfg: PitchConfig = PitchConfig()) -> np.ndarray:

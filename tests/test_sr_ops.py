@@ -68,6 +68,23 @@ def test_resize_axis_time_dimension():
     assert np.allclose(out[:, 1], [10.0, 11.0, 12.0, 13.0, 14.0])
 
 
+@pytest.mark.parametrize("axis", [VERTICAL, HORIZONTAL])
+@pytest.mark.parametrize("new_len", [1, 2, 29, 80, 131])
+def test_resize_axis_blend_matches_the_two_term_formula(axis, new_len):
+    # The blend runs in place; its bytes are those of the formula with
+    # its temporaries, clipped to the input's range.
+    mat = np.random.default_rng(new_len).normal(size=(97, 80))
+    dim = 1 if axis == VERTICAL else 0
+    length = mat.shape[dim]
+    positions = np.arange(new_len) * (length - 1) / max(new_len - 1, 1)
+    lo = np.floor(positions).astype(np.int64)
+    hi = np.minimum(lo + 1, length - 1)
+    frac = positions - lo
+    lines = np.moveaxis(mat, dim, -1)
+    want = np.clip(lines[..., lo] * (1.0 - frac) + lines[..., hi] * frac, mat.min(), mat.max())
+    assert np.array_equal(resize_axis(mat, new_len, axis), np.moveaxis(want, -1, dim))
+
+
 @pytest.mark.parametrize(
     "mat,new_len,axis",
     [

@@ -121,17 +121,19 @@ def test_gl_start_phase_fits_a_bin_centred_tone():
 
 
 def test_gl_start_keeps_peak_memory(monkeypatch):
-    # At 1,751 frames on 2 slab threads the loop's arrays peak at 1.79 x
-    # T x n_bins x 8 bytes.  Only the complex64 ``previous`` (1) spans all
-    # frames, besides the input's float32 magnitudes, which the loop reads
-    # in place; the two float32 signal buffers span all samples (0.25
-    # each), each slab's block buffers and window of frames add 0.05, and
-    # the start's per-block temporaries about 0.1.  The window sum is a
-    # table of a few frames' rows, not a third array over all samples
-    # (0.25 more with one).  The bound leaves 0.31, less than a float32
-    # copy of the magnitudes (0.5), let alone the 1 of a complex64 frame
-    # buffer.  The start works in those buffers and in blocks of frames,
-    # so it must not raise that peak.
+    # At 1,751 frames on 2 slab threads the loop's arrays peak at 0.82 x
+    # T x n_bins x 8 bytes.  Besides the input's float32 magnitudes, which
+    # the loop reads in place, only the float32 signal array spans all
+    # frames: its two halves span all samples (0.25 each), and the output
+    # widens into it.  Each slab's block buffers and window of frames add
+    # 0.05, the first phase of every 32-frame block 0.03, and the per-block
+    # temporaries of the two slab threads about 0.2, most of it
+    # _peak_turns'.  The window sum is a table of a few frames' rows, not a
+    # third half over all samples (0.25 more with one).  The bound leaves
+    # 0.28, less than a float32 copy of the magnitudes or a float64 output
+    # (0.5 each), let alone the 1 of a complex64 spectrum over all frames
+    # (1.79 when the momentum kept one).  The start works in those buffers
+    # and in blocks of frames, so it must not raise that peak.
     monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
     spectral._set_threads(2)
     n_frames = 1751
@@ -144,14 +146,42 @@ def test_gl_start_keeps_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * n_frames * CFG.n_bins * 8
+    assert peak <= 1.1 * n_frames * CFG.n_bins * 8
+
+
+def _gl_peak(n_frames: int, n_iters: int) -> int:
+    s = LinearSpectrogram(np.random.default_rng(n_frames).gamma(0.5, size=(n_frames, CFG.n_bins)))
+    tracemalloc.start()
+    try:
+        griffin_lim(s, GriffinLimConfig(n_iters=n_iters))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_iters", [1, 2])
+def test_gl_holds_one_array_over_all_frames(monkeypatch, n_iters):
+    # The peak's growth per frame, between 400 and 2,400 frames, is the
+    # signal array's 2 x (hop x 4 bytes), 2,560 bytes, and the first
+    # phase of each 32-frame block, 160 bytes: 2,720 bytes (measured
+    # 2,734).  Any other array over all frames adds at least a float32
+    # signal's 1,280; the bound allows 400.  Either half may hold the last
+    # signal (odd and even iteration counts).  One slab thread, because
+    # the peak of two depends on whether their per-block temporaries
+    # overlap in time: it moved the slope by up to 360 bytes.
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    spectral._set_threads(1)
+    _gl_peak(40, n_iters)  # imports what a call needs
+    slope = (_gl_peak(2400, n_iters) - _gl_peak(400, n_iters)) / 2000
+    assert slope <= 2 * CFG.hop_size * 4 + CFG.n_bins * 8 / 32 + 400
 
 
 def test_gl_keeps_nothing_between_calls():
     # After a warm-up call on another frame count (which imports what a
     # call needs), a call on a frame count no other test uses must leave
     # nothing allocated beyond its input and output; a cached window sum
-    # would be 2.5 kB a frame.
+    # would be 2.5 kB a frame.  The output is a view of the signal array,
+    # which holds n_tail + 1 = 4 rows (10 kB) more than it.
     rng = np.random.default_rng(9)
     warm_up = LinearSpectrogram(rng.gamma(0.5, size=(40, CFG.n_bins)))
     griffin_lim(warm_up, GriffinLimConfig(n_iters=1))
@@ -163,7 +193,7 @@ def test_gl_keeps_nothing_between_calls():
         kept = tracemalloc.get_traced_memory()[0] - mags.nbytes - out.samples.nbytes
     finally:
         tracemalloc.stop()
-    assert kept < 64 * 1024  # measured 8 kB; with the cached window sum, 2,265 kB
+    assert kept < 64 * 1024  # measured 25 kB; with the cached window sum, 2,265 kB
 
 
 def test_gl_limits_output_peak():
@@ -203,11 +233,15 @@ class _CountingPool(spectral.ThreadPoolExecutor):
 # 31/32/65 frames sit at the 32-frame slab floor, 301 frames give each of
 # 2 or 3 threads a slab of about 100 frames, and 64 and 96 frames end on a
 # 32-frame block edge and 33, 97 and 129 one frame past one, in one slab
-# or in slabs whose blocks start at the slab's start.  A layout
-# {"block": b} runs the per-frame work in b-frame blocks instead of 32,
-# which must not change a byte: at 4 frames, one more than n_tail, the
-# rows of every block add the last frames of the block before it, which
-# the slab's window carries over.
+# or in slabs whose blocks start at the slab's start.  136 frames on 2
+# threads and 144 on 4 give slabs of 68 and 36 frames, which end in a
+# 4-frame block: 3 of the 7 rows of x_i-1 it reads are the copy saved
+# from the next slab.  Odd and even iteration counts leave the last
+# signal in the upper half of the signal array from either start.  A
+# layout {"block": b} runs the per-frame work in b-frame blocks instead
+# of 32, which must not change a byte: at 4 frames, one more than n_tail,
+# the rows of every block add the last frames of the block before it,
+# which the slab's window carries over.
 _GL_CASES = [
     (2, 2, 3, {}),
     (3, 3, 3, {}),
@@ -228,6 +262,8 @@ _GL_CASES = [
     (4, 2, 3, {}),
     *[(n, 2, 3, {"block": 4}) for n in (3, 4, 21, 22)],
     (70, 2, 2, {"block": 8}),
+    (301, 4, 3, {}),
+    *[(n, threads, n_iters, {}) for n, threads in ((136, 2), (144, 4)) for n_iters in (1, 2, 3)],
 ]
 
 
@@ -242,10 +278,33 @@ def test_gl_matches_serial_reference(monkeypatch, n_frames, threads, n_iters, la
     got = griffin_lim(LinearSpectrogram(mags), GriffinLimConfig(n_iters=n_iters))
     want = ref.griffin_lim(mags, CFG, n_iters, np.float32)
     assert np.array_equal(got.samples, want.samples)
-    # The start's turns, the first synthesis and every iteration map over
-    # the same slabs; a single slab runs on the calling thread.
+    # The first synthesis and every iteration map over the same slabs; a
+    # single slab runs on the calling thread, as does the start's chain.
     slabs = min(threads, n_frames // 32)
-    assert _CountingPool.slab_counts == ([slabs] * (n_iters + 2) if slabs > 1 else [])
+    assert _CountingPool.slab_counts == ([slabs] * (n_iters + 1) if slabs > 1 else [])
+
+
+@pytest.mark.parametrize("n_frames, threads", [(3, 1), (70, 2), (144, 4)])
+def test_gl_first_iteration_equals_the_spectral_momentum_form(monkeypatch, n_frames, threads):
+    # The first iteration has no signal before it, so the momentum taken
+    # in the signal domain leaves it as the spectral form did: the output
+    # at one iteration keeps its bytes.
+    mags = np.random.default_rng(n_frames).gamma(0.5, size=(n_frames, CFG.n_bins))
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    spectral._set_threads(threads)
+    got = griffin_lim(LinearSpectrogram(mags), GriffinLimConfig(n_iters=1))
+    want = ref.griffin_lim(mags, CFG, 1, np.float32, domain="spectral")
+    assert np.array_equal(got.samples, want.samples)
+
+
+def test_gl_signal_and_spectral_momentum_agree_in_double_precision():
+    # STFT(x_i - b * x_i-1) = STFT(x_i) - b * STFT(x_i-1): the identity the
+    # signal-domain momentum rests on.  In float64 the two loops differ
+    # only in rounding after 10 iterations; measured 2e-13 relative.
+    mags = magnitudes(synth.voiced(1.0, 170, 260, seed=4, vibrato=5.0, noise_db=-35.0)).mags
+    signal = ref.griffin_lim(mags, CFG, 10).samples
+    spectral_form = ref.griffin_lim(mags, CFG, 10, domain="spectral").samples
+    assert np.linalg.norm(signal - spectral_form) <= 1e-9 * np.linalg.norm(spectral_form)
 
 
 def test_gl_slabs_under_thread_pressure(monkeypatch):
