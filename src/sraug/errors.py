@@ -70,11 +70,13 @@ class StageFailure(SraugError):
     """A pipeline stage failed for one input file.
 
     Wraps the original exception and records which file and stage broke,
-    so one bad file can be reported without killing the batch.
+    so one bad file can be reported without killing the batch.  ``records``
+    are the manifest records of the file's outputs written before it.
     """
 
-    def __init__(self, path, stage, cause):
+    def __init__(self, path, stage, cause, records=()):
         super().__init__(f"{path}: stage '{stage}' failed: {cause}")
         self.path = str(path)
         self.stage = stage
         self.cause = cause
+        self.records = list(records)

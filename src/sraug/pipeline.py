@@ -110,15 +110,17 @@ def augment_file(path, cfg: PipelineConfig, item_index: int) -> list[dict]:
 
     Any failure is re-raised as StageFailure tagged with the file path
     and the stage ('read', 'resample', 'mel', 'resize', 'reconstruct',
-    'write') that broke.
+    'write') that broke, carrying the records of the variants already
+    written, so no output is left without its record.
     """
     path = Path(path)
+    records = []
 
     def run_stage(stage, fn, *args):
         try:
             return fn(*args)
         except Exception as exc:
-            raise StageFailure(path, stage, exc) from exc
+            raise StageFailure(path, stage, exc, records) from exc
 
     wave = run_stage("read", read_wav, path)
     duration_in = wave.duration
@@ -126,7 +128,6 @@ def augment_file(path, cfg: PipelineConfig, item_index: int) -> list[dict]:
     mel = run_stage("mel", mel_spectrogram, wave, cfg.spectral)
     del wave  # not held through every variant's Griffin-Lim
 
-    records = []
     for variant in range(cfg.variants_per_file):
         seed, rng, ratio, out_path = plan_variant(path, cfg, item_index, variant)
         spec = ResizeSpec(
@@ -188,7 +189,7 @@ def _run_item(args) -> tuple[list[dict], dict | None]:
     try:
         return augment_file(path, cfg, item_index), None
     except StageFailure as exc:
-        return [], {"source_path": exc.path, "stage": exc.stage, "error": str(exc.cause)}
+        return exc.records, {"source_path": exc.path, "stage": exc.stage, "error": str(exc.cause)}
 
 
 def _worker_failure(item, exc: Exception) -> tuple[list[dict], dict]:

@@ -66,8 +66,29 @@ _TILES = 4
 
 # Slab threads in this process; None uses every available CPU.
 _threads: int | None = None
-# Fewest rows worth a slab thread of their own.
-_MIN_SLAB_ROWS = 32
+# Fewest rows per slab: a second slab starts at 768 rows (15.4 s at
+# 16 kHz), and n rows get at most n // 384 slabs on any CPU count.  Below
+# that a second slab thread saved no time, and its block buffers and
+# malloc arena cost memory.  Time on 2 slab threads over time on 1,
+# medians of 9 alternating calls on perfbench voices (Griffin-Lim at 30
+# iterations), 2-core x86-64:
+#
+#   seconds  frames   mel   NNLS   Griffin-Lim
+#      2      101    1.77   1.30   1.10
+#      4      201    1.42   0.98   0.98
+#      6      301    1.90   1.43   1.29
+#      8      401    1.46   1.03   1.07
+#     12      601    1.20   1.03   1.08
+#     14      701    1.28   1.04   0.97
+#     15      751    1.22   0.99   1.02  (0.72, 0.67, 0.77 in a second run)
+#     16      801    0.81   0.80   0.80
+#     20     1001    0.72   0.77   0.69
+#     40     2001    0.85   0.67   0.68
+#
+# The crossover lies between 701 and 801 frames, where Griffin-Lim's
+# magnitudes and signal array pass 4 MB; it may lie elsewhere on a box
+# with other caches.
+_MIN_SLAB_ROWS = 384
 
 
 @dataclass(frozen=True)
@@ -194,9 +215,10 @@ def _set_threads(n: int) -> None:
 def _slabs(n_rows: int) -> list[slice]:
     """Contiguous slabs of ``n_rows`` rows, one per slab thread.
 
-    There are max(1, min(slab threads, n_rows // 32)) slabs, and every
-    cut between two falls on a multiple of 4 rows, so no 4-row group of
-    _tiled_matmul straddles two slabs.
+    There are max(1, min(slab threads, n_rows // _MIN_SLAB_ROWS)) slabs,
+    so fewer than 2 x _MIN_SLAB_ROWS rows make one slab, which runs on
+    the calling thread.  Every cut between two falls on a multiple of 4
+    rows, so no 4-row group of _tiled_matmul straddles two slabs.
     """
     n_groups = -(-n_rows // _GEMM_ROWS)
     n_slabs = max(1, min(_threads or available_cpus(), n_rows // _MIN_SLAB_ROWS))
@@ -216,9 +238,10 @@ def _block_pool(n_rows: int, block: int, *scratch):
     the shorter of ``block`` and the longest slab, allocated on the
     calling thread (arrays allocated on the slab threads would grow their
     own malloc arenas and peak memory), and ``fn`` gets their first
-    ``len(rows)`` rows.  A single slab runs on the calling thread, several
-    on a pool of one thread a slab, whose threads end with the ``with``
-    block, so pool workers may fork.
+    ``len(rows)`` rows.  A single slab, which is every cut of fewer than
+    2 x _MIN_SLAB_ROWS rows, runs on the calling thread and starts no
+    thread; several run on a pool of one thread a slab, whose threads end
+    with the ``with`` block, so pool workers may fork.
     """
     slabs = _slabs(n_rows)
     block_rows = min(block, max(s.stop - s.start for s in slabs))

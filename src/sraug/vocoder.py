@@ -84,7 +84,8 @@ def _peak_turns(mags: np.ndarray, step: float, out: np.ndarray) -> None:
     freqs *= 0.5
     freqs += bins
     freqs *= step
-    turns = np.empty(len(peaks), dtype=np.complex128)
+    # Computed in float64 and rounded once to complex64.
+    turns = np.empty(len(peaks), dtype=np.complex64)
     np.cos(freqs, out=turns.real)
     np.sin(freqs, out=turns.imag)
     # Basins in row-major order hold the peaks in the same order.
@@ -92,6 +93,23 @@ def _peak_turns(mags: np.ndarray, step: float, out: np.ndarray) -> None:
     starts[:, 0] = True
     lengths = np.diff(np.flatnonzero(starts), append=starts.size)
     out.reshape(-1)[:] = np.repeat(turns, lengths)
+
+
+def _follow(turns: np.ndarray, carry: np.ndarray) -> None:
+    """Replace each frame's turn in ``turns`` by the frame's phase.
+
+    ``carry[0]`` holds the first frame's phase and is left holding the
+    phase after the last frame; ``carry[1]`` is scratch.  Each phase is
+    the one before it times that frame's turn, in that order, one frame at
+    a time, because np.multiply.accumulate rounds complex products
+    differently.
+    """
+    now, after = carry
+    for turn in turns:
+        np.multiply(now, turn, out=after)
+        turn[:] = now
+        now, after = after, now
+    carry[0] = now
 
 
 def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
@@ -127,10 +145,12 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
     is there because frames are windowed about their center, n_fft/2
     samples after the sample the DFT measures phase from, so the phase
     of a stationary partial alternates by pi from bin to bin across its
-    peak.  The calling thread chains the turns frame by frame, a block
-    at a time, and keeps only each block's first phase; the first
-    synthesis computes each block's turns again and chains them from
-    that phase.
+    peak.  Each block of the first synthesis computes the turns of its
+    frames and chains them from the phase the block before it in its slab
+    left.  A later slab's first phase comes from the calling thread,
+    which chains the frames before the last slab, a block at a time,
+    beforehand; so at one slab each frame's turns are computed once, and
+    at several only the frames before the last slab's are computed twice.
 
     ``s.mags`` and one float32 array are all that span all frames.  The
     array's two halves are the signal buffers, of (n_frames + n_tail) x
@@ -218,13 +238,10 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         window[:n_tail] = window[n : n + n_tail]
 
     def synthesize(rows, i, phase, size):
-        # Frame t's turn goes to phase[t + 1], chained from the block's
-        # first phase as the calling thread chained it.
-        if len(phase) > 1:
-            _peak_turns(mags[rows.start : rows.stop - 1], step, phase[1:])
-        phase[0] = incoming[rows.start]
-        for t in range(1, len(phase)):
-            np.multiply(phase[t - 1], phase[t], out=phase[t])
+        # The block's phases follow from the one the block before it in
+        # slab i left in carry[i] (see the start below).
+        _peak_turns(mags[rows], step, phase)
+        _follow(phase, carry[i])
         np.multiply(mags[rows], phase, out=phase)
         emit(rows, i, phase)
 
@@ -273,21 +290,21 @@ def griffin_lim(s: LinearSpectrogram, cfg: GriffinLimConfig) -> Waveform:
         ends = [slab.stop for slab in slabs[:-1]] + [n_rows]
         edges = np.empty((len(slabs), n_tail, hop), dtype=np.float32)
         # The start: frame 0's phase is -pi*k, and frame t's is frame
-        # t - 1's times its turn.  A loop, because np.multiply.accumulate
-        # rounds complex products differently.  It runs in slab 0's
-        # window of frames, unused until the first synthesis.
-        starts = [lo for slab in slabs for lo in range(slab.start, slab.stop, _BLOCK)]
-        incoming = dict(zip(starts, np.empty((len(starts), n_bins), dtype=np.complex64)))
-        incoming[0][:] = 1.0
-        incoming[0][1::2] = -1.0
+        # t - 1's times its turn (see _follow).  Per slab: the phase of the
+        # next frame its blocks synthesize, and a scratch row.  The calling
+        # thread chains the frames before the last slab, a block at a time
+        # in slab 0's window of frames (unused until the first synthesis),
+        # for each later slab's first phase.
+        carry = np.empty((len(slabs), 2, n_bins), dtype=np.complex64)
+        carry[0, 0] = 1.0
+        carry[0, 0, 1::2] = -1.0
         chain = windows[0].reshape(-1).view(np.complex64)[: _BLOCK * n_bins].reshape(_BLOCK, n_bins)
-        for lo, stop in zip(starts, starts[1:]):
-            turns = chain[: stop - lo]
-            _peak_turns(mags[lo:stop], step, turns)
-            np.multiply(incoming[lo], turns[0], out=turns[0])
-            for t in range(1, len(turns)):
-                np.multiply(turns[t - 1], turns[t], out=turns[t])
-            incoming[stop][:] = turns[-1]
+        for i, slab in enumerate(slabs[:-1]):
+            carry[i + 1, 0] = carry[i, 0]
+            for lo in range(slab.start, slab.stop, _BLOCK):
+                turns = chain[: min(_BLOCK, slab.stop - lo)]
+                _peak_turns(mags[lo : lo + len(turns)], step, turns)
+                _follow(turns, carry[i + 1])
         signal = halves[(1 - cfg.n_iters) % 2]
         run(synthesize)
         finish()

@@ -40,6 +40,16 @@ def pytest_runtest_logreport(report):
     sys.stderr.write(f"\nacceptance {verdict}: {label}\n")
 
 
+@pytest.fixture
+def slab_floor_32(monkeypatch):
+    """Slabs of at least 32 rows, so that inputs of 64 to a few hundred
+    frames run cuts into several slabs, as they did before the shipped
+    floor was measured."""
+    from sraug import spectral
+
+    monkeypatch.setattr(spectral, "_MIN_SLAB_ROWS", 32)
+
+
 @pytest.fixture(scope="session")
 def mini_corpus(tmp_path_factory):
     """Ten deterministic voiced utterances on disk, shared by slow tests."""

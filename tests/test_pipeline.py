@@ -395,6 +395,44 @@ def test_run_survives_a_dead_worker(tmp_path, monkeypatch, capsys):
     assert "clip1.wav at stage worker" in capsys.readouterr().err
 
 
+_resize = pipeline.resize
+# The seed of clip1's second variant in _fail_second_variant_of_clip1's run.
+_CLIP1_VARIANT1 = derive_seed(7, 1, 1)
+
+
+def _fail_second_variant_of_clip1(mel, spec, rng):
+    if spec.seed == _CLIP1_VARIANT1:
+        raise ValueError("resize broke")
+    return _resize(mel, spec, rng)
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+def test_a_failed_variant_keeps_the_records_of_those_written(tmp_path, monkeypatch, jobs):
+    # clip1's first variant is written before its second fails: the WAV
+    # keeps its record, and the file records one failure, at the stage
+    # that broke.
+    src = tmp_path / "in"
+    small_corpus(src, n=3)
+    out = tmp_path / "out"
+    monkeypatch.setattr(pipeline, "resize", _fail_second_variant_of_clip1)
+    cfg = PipelineConfig(
+        input=str(src), output_dir=str(out), variants_per_file=2, master_seed=7,
+        gl=vocoder.GriffinLimConfig(n_iters=2),
+    )
+    manifest = run(cfg, jobs=jobs)
+    records = read_manifest(out)
+    assert records == manifest.records
+    assert [(Path(r["source_path"]).stem, r["seed"]) for r in records] == [
+        (f"clip{i}", derive_seed(7, i, v)) for i, v in [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]
+    ]
+    assert sorted(p.name for p in out.glob("*.wav")) == sorted(
+        Path(r["output_path"]).name for r in records
+    )
+    [failure] = manifest.failures
+    assert failure["stage"] == "resize" and failure["source_path"].endswith("clip1.wav")
+    assert failure["error"] == "resize broke"
+
+
 class _RecordingPool(ProcessPoolExecutor):
     """A process pool that notes (pool size, source stem) for every item."""
 

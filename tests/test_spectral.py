@@ -434,6 +434,7 @@ def test_mel_tone_peak_band_is_stationary():
 # 1 and 3 frames fill less than one 4-row group; 64 and 65 frames sit at
 # the 64-frame block edge; 166 and 3,001 frames give slabs of several
 # blocks.  Only 64 is a multiple of 4, so the others pad the last group.
+@pytest.mark.usefixtures("slab_floor_32")
 @pytest.mark.parametrize("n_frames", [1, 3, 51, 64, 65, 166, 3001])
 def test_mel_bytes_do_not_depend_on_slab_threads(monkeypatch, n_frames):
     w = Waveform(np.random.default_rng(n_frames).standard_normal((n_frames - 1) * 320 + 7), 16000)
@@ -505,6 +506,30 @@ def test_nnls_peak_memory_on_a_minute_of_audio(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 13e6
+
+
+def test_minute_of_audio_on_32_slab_threads_gets_few_slabs(monkeypatch):
+    # 3,001 frames get 3,001 // 384 = 7 slabs, not one per thread.  Each
+    # slab adds its block buffers, 1.6 MB in the log-mel analysis and 0.7
+    # MB in NNLS: measured 21.5 and 13.8 MB, against 62.7 and 25.7 MB when
+    # each of the 32 threads got a slab.
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    spectral._set_threads(32)
+    w = Waveform(np.random.default_rng(2).standard_normal(60 * 16000), 16000)
+    rng = np.random.default_rng(6)
+    m = MelSpectrogram(np.log(rng.gamma(0.5, size=(3001, CFG.n_mels)) + 1e-5), CFG)
+    fb = mel_filterbank(CFG)
+    peaks = []
+    for stage in (lambda: mel_spectrogram(w, CFG), lambda: mel_to_linear(m, fb)):
+        stage()
+        tracemalloc.start()
+        try:
+            stage()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(spectral._slabs(3001)) == 7
+    assert peaks[0] < 25e6 and peaks[1] < 16e6
 
 
 def test_mel_round_trip_error_on_voiced_input():

@@ -121,15 +121,17 @@ def test_gl_start_phase_fits_a_bin_centred_tone():
 
 
 def test_gl_start_keeps_peak_memory(monkeypatch):
-    # At 1,751 frames on 2 slab threads the loop's arrays peak at 0.82 x
+    # At 1,751 frames on 2 slab threads the loop's arrays peak at 0.75 x
     # T x n_bins x 8 bytes.  Besides the input's float32 magnitudes, which
     # the loop reads in place, only the float32 signal array spans all
     # frames: its two halves span all samples (0.25 each), and the output
     # widens into it.  Each slab's block buffers and window of frames add
-    # 0.05, the first phase of every 32-frame block 0.03, and the per-block
-    # temporaries of the two slab threads about 0.2, most of it
-    # _peak_turns'.  The window sum is a table of a few frames' rows, not a
-    # third half over all samples (0.25 more with one).  The bound leaves
+    # 0.05, and the per-block temporaries of the two slab threads about
+    # 0.15, most of it _peak_turns'.  (It was 0.82 while the start kept
+    # the first phase of every 32-frame block and _peak_turns repeated its
+    # turns in complex128.)  The window sum is a table of a few frames'
+    # rows, not a third half over all samples (0.25 more with one).  The
+    # bound leaves
     # 0.28, less than a float32 copy of the magnitudes or a float64 output
     # (0.5 each), let alone the 1 of a complex64 spectrum over all frames
     # (1.79 when the momentum kept one).  The start works in those buffers
@@ -162,18 +164,19 @@ def _gl_peak(n_frames: int, n_iters: int) -> int:
 @pytest.mark.parametrize("n_iters", [1, 2])
 def test_gl_holds_one_array_over_all_frames(monkeypatch, n_iters):
     # The peak's growth per frame, between 400 and 2,400 frames, is the
-    # signal array's 2 x (hop x 4 bytes), 2,560 bytes, and the first
-    # phase of each 32-frame block, 160 bytes: 2,720 bytes (measured
-    # 2,734).  Any other array over all frames adds at least a float32
-    # signal's 1,280; the bound allows 400.  Either half may hold the last
-    # signal (odd and even iteration counts).  One slab thread, because
-    # the peak of two depends on whether their per-block temporaries
-    # overlap in time: it moved the slope by up to 360 bytes.
+    # signal array's 2 x (hop x 4 bytes), 2,560 bytes (measured 2,572; it
+    # was 2,734 while the start kept the first phase of every 32-frame
+    # block, 160 bytes a frame).  Any other array over all frames adds at
+    # least a float32 signal's 1,280; the bound allows 400.  Either half
+    # may hold the last signal (odd and even iteration counts).  One slab
+    # thread, because 2,400 frames on two would add a second slab's
+    # buffers to the slope, and the peak of two depends on whether their
+    # per-block temporaries overlap in time.
     monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
     spectral._set_threads(1)
     _gl_peak(40, n_iters)  # imports what a call needs
     slope = (_gl_peak(2400, n_iters) - _gl_peak(400, n_iters)) / 2000
-    assert slope <= 2 * CFG.hop_size * 4 + CFG.n_bins * 8 / 32 + 400
+    assert slope <= 2 * CFG.hop_size * 4 + 400
 
 
 def test_gl_keeps_nothing_between_calls():
@@ -230,9 +233,11 @@ class _CountingPool(spectral.ThreadPoolExecutor):
 # (frames, threads, n_iters, layout): 2 and 3 frames give a single slab
 # and a signal of at most n_fft/2 = 640 samples, whose padding np.pad
 # reflects more than once; 4 frames give the first longer signal.
-# 31/32/65 frames sit at the 32-frame slab floor, 301 frames give each of
-# 2 or 3 threads a slab of about 100 frames, and 64 and 96 frames end on a
-# 32-frame block edge and 33, 97 and 129 one frame past one, in one slab
+# 31/32/65 frames sit at the 32-frame slab floor of the slab_floor_32
+# fixture (the shipped floor leaves every case here in one slab), 301
+# frames give each of 2 or 3 threads a slab of about 100 frames, and 64
+# and 96 frames end on a 32-frame block edge and 33, 97 and 129 one
+# frame past one, in one slab
 # or in slabs whose blocks start at the slab's start.  136 frames on 2
 # threads and 144 on 4 give slabs of 68 and 36 frames, which end in a
 # 4-frame block: 3 of the 7 rows of x_i-1 it reads are the copy saved
@@ -267,6 +272,7 @@ _GL_CASES = [
 ]
 
 
+@pytest.mark.usefixtures("slab_floor_32")
 @pytest.mark.parametrize("n_frames, threads, n_iters, layout", _GL_CASES)
 def test_gl_matches_serial_reference(monkeypatch, n_frames, threads, n_iters, layout):
     mags = np.random.default_rng(n_frames).gamma(0.5, size=(n_frames, CFG.n_bins))
@@ -284,6 +290,7 @@ def test_gl_matches_serial_reference(monkeypatch, n_frames, threads, n_iters, la
     assert _CountingPool.slab_counts == ([slabs] * (n_iters + 1) if slabs > 1 else [])
 
 
+@pytest.mark.usefixtures("slab_floor_32")
 @pytest.mark.parametrize("n_frames, threads", [(3, 1), (70, 2), (144, 4)])
 def test_gl_first_iteration_equals_the_spectral_momentum_form(monkeypatch, n_frames, threads):
     # The first iteration has no signal before it, so the momentum taken
@@ -307,6 +314,7 @@ def test_gl_signal_and_spectral_momentum_agree_in_double_precision():
     assert np.linalg.norm(signal - spectral_form) <= 1e-9 * np.linalg.norm(spectral_form)
 
 
+@pytest.mark.usefixtures("slab_floor_32")
 def test_gl_slabs_under_thread_pressure(monkeypatch):
     # More threads than cores, switching every microsecond: a slab that
     # wrote outside its own rows would change the output bytes.
@@ -365,6 +373,7 @@ def test_thread_count_rejects_zero():
         spectral._set_threads(0)
 
 
+@pytest.mark.usefixtures("slab_floor_32")
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
 def test_slabs_cover_the_rows_with_cuts_on_4_row_groups(monkeypatch, threads):
     monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
@@ -377,6 +386,7 @@ def test_slabs_cover_the_rows_with_cuts_on_4_row_groups(monkeypatch, threads):
             assert before.stop == after.start and after.start % 4 == 0
 
 
+@pytest.mark.usefixtures("slab_floor_32")
 def test_slabs_of_a_cut_are_longer_than_n_tail(monkeypatch):
     # griffin_lim's finish adds only the slab just before to a slab's
     # first n_tail = 3 rows; that holds while every slab of a cut into
@@ -399,6 +409,7 @@ class _SizedPool(spectral.ThreadPoolExecutor):
         super().__init__(max_workers)
 
 
+@pytest.mark.usefixtures("slab_floor_32")
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
 @pytest.mark.parametrize("block", [32, 64])
 def test_block_pool_visits_each_row_once_in_its_slabs_buffers(monkeypatch, threads, block):
@@ -439,6 +450,52 @@ def test_block_pool_visits_each_row_once_in_its_slabs_buffers(monkeypatch, threa
                     assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
 
+@pytest.mark.parametrize("threads", [2, 32])
+def test_short_inputs_run_on_the_calling_thread(monkeypatch, threads):
+    # A second slab pays only from 2 x _MIN_SLAB_ROWS rows (see spectral);
+    # below that every stage runs on the calling thread, and a longer
+    # input gets at most n_rows // _MIN_SLAB_ROWS slabs, whatever the
+    # thread count.
+    floor = spectral._MIN_SLAB_ROWS
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    spectral._set_threads(threads)
+    for n_rows in range(1, 20 * floor):
+        n_slabs = len(spectral._slabs(n_rows))
+        assert n_slabs == (1 if n_rows < 2 * floor else min(threads, n_rows // floor))
+    # The last frame count under 2 x floor whose rows are whole 4-row groups.
+    n_frames = 2 * floor - 4
+    w = Waveform(np.random.default_rng(1).standard_normal((n_frames - 1) * CFG.hop_size), 16000)
+    _CountingPool.slab_counts = []
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", _CountingPool)
+    m = mel_spectrogram(w, CFG)
+    assert m.n_frames == n_frames
+    reconstruct_from_mel(m, GriffinLimConfig(n_iters=1))
+    assert _CountingPool.slab_counts == []
+
+
+@pytest.mark.parametrize("n_frames, threads", [(301, 2), (767, 3), (768, 2), (1200, 3)])
+def test_gl_start_computes_turns_once_before_the_last_slab(monkeypatch, n_frames, threads):
+    # Each block of the first synthesis computes its frames' turns; the
+    # calling thread computes them again only for the frames before the
+    # last slab, whose first phase it chains.  So at one slab _peak_turns
+    # sees each frame once.
+    seen = []
+
+    def counting(mags, step, out):
+        seen.append(len(mags))
+        peak_turns(mags, step, out)
+
+    peak_turns = vocoder._peak_turns
+    monkeypatch.setattr(vocoder, "_peak_turns", counting)
+    monkeypatch.setattr(spectral, "_threads", None)  # restored after the test
+    spectral._set_threads(threads)
+    mags = np.random.default_rng(n_frames).gamma(0.5, size=(n_frames, CFG.n_bins))
+    griffin_lim(LinearSpectrogram(mags), GriffinLimConfig(n_iters=1))
+    slabs = spectral._slabs(n_frames)
+    assert len(slabs) == (1 if n_frames < 768 else min(threads, n_frames // 384))
+    assert sum(seen) == n_frames + slabs[-1].start
+
+
 # ---------------------------------------------------------------------------
 # reconstruct_from_mel
 
@@ -448,6 +505,7 @@ def test_block_pool_visits_each_row_once_in_its_slabs_buffers(monkeypatch, threa
 # 129 at NNLS's 128-frame block edge, and 257 at its second; 68 and 100
 # frames give slabs shorter than an NNLS block; 301 frames give a slab
 # per thread of several blocks.
+@pytest.mark.usefixtures("slab_floor_32")
 @pytest.mark.parametrize("n_frames", [1, 3, 63, 64, 65, 68, 100, 127, 128, 129, 257, 301])
 def test_nnls_and_reconstruction_bytes_do_not_depend_on_slab_threads(
     monkeypatch, n_frames
@@ -476,6 +534,7 @@ def test_nnls_and_reconstruction_bytes_do_not_depend_on_slab_threads(
     assert np.array_equal(mel_to_linear(last, fb).mags, mags[0][-1:])
 
 
+@pytest.mark.usefixtures("slab_floor_32")
 def test_nnls_slabs_under_thread_pressure(monkeypatch):
     # More threads than cores, switching every microsecond: a slab that
     # wrote outside its own blocks would change the output bytes.
@@ -494,6 +553,7 @@ def test_nnls_slabs_under_thread_pressure(monkeypatch):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.usefixtures("slab_floor_32")
 def test_no_slab_thread_outlives_a_call(monkeypatch):
     # Pipeline's worker processes fork from a process that has run
     # these calls; a slab thread still alive would be copied half-way.
